@@ -16,10 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .convex import GeodesicPolygon, area, perimeter
-from .surface import (EPS, Curvature, GeometryError, SurfacePoint, form_dot,
-                      gen_asin, geodesic_distance, normalize_to_surface)
+from .surface import (Curvature, GeometryError, SurfacePoint, gen_asin,
+                      geodesic_distance, normalize_to_surface)
 
 _J = np.array([1.0, 1.0, -1.0])
+# random_convex_body's default max_vertices: random bodies solve in one round.
+_FIRST_WORKING_SET = 12
 
 
 @dataclass(frozen=True)
@@ -103,27 +105,35 @@ def smallest_enclosing_disc(curv: Curvature,
                             coords: np.ndarray) -> tuple[np.ndarray, float]:
     """Welzl's randomized-incremental minidisc over embedded points.
 
-    The shuffle is seeded deterministically from the point count, so support
-    sets (and tie-breaks) are reproducible run to run.
+    The iterative form: a point outside the current disc restarts the scan
+    over the points inserted before it with that point on the rim, so the
+    loops nest at most three deep whatever the point count.  The shuffle is
+    seeded deterministically from the point count, so support sets (and
+    tie-breaks) are reproducible run to run.
     """
     n = len(coords)
     rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
-    order = list(rng.permutation(n))
+    pts = coords[rng.permutation(n)[::-1]]
 
-    def welzl(idx: list[int], boundary: list[np.ndarray]):
-        if not idx or len(boundary) == 3:
-            return _disc_from_support(curv, boundary)
-        first, rest = idx[0], idx[1:]
-        disc = welzl(rest, boundary)
-        p = SurfacePoint(coords[first], curv)
-        if disc is not None:
-            c, r = disc
-            if (geodesic_distance(SurfacePoint(c, curv), p)
-                    <= r + 1e-12 * (1.0 + r)):
-                return disc
-        return welzl(rest, boundary + [coords[first]])
+    def outside(disc, p: np.ndarray) -> bool:
+        if disc is None:
+            return True
+        c, r = disc
+        return (geodesic_distance(SurfacePoint(c, curv), SurfacePoint(p, curv))
+                > r + 1e-12 * (1.0 + r))
 
-    disc = welzl(order, [])
+    disc = None
+    for i in range(n):
+        if not outside(disc, pts[i]):
+            continue
+        disc = _disc_from_support(curv, [pts[i]])
+        for j in range(i):
+            if not outside(disc, pts[j]):
+                continue
+            disc = _disc_from_support(curv, [pts[i], pts[j]])
+            for m in range(j):
+                if outside(disc, pts[m]):
+                    disc = _disc_from_support(curv, [pts[i], pts[j], pts[m]])
     if disc is None:
         raise GeometryError("minidisc failed (degenerate input)")
     return disc
@@ -139,25 +149,6 @@ def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         raise GeometryError("enclosing disc leaves the hemisphere; "
                             "polygon violates the convexity convention")
     return r, SurfacePoint(c, curv)
-
-
-def _equidistant_candidates(curv: Curvature, d1: np.ndarray,
-                            d2: np.ndarray) -> list[np.ndarray]:
-    """Surface points with <d1, x> = 0 and <d2, x> = 0 (form bilinear)."""
-    k = curv.kappa
-    if k == 0.0:
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        if abs(det) < 1e-14:
-            return []
-        x = (-d1[2] * d2[1] + d2[2] * d1[1]) / det
-        y = (-d1[0] * d2[2] + d2[0] * d1[2]) / det
-        return [np.array([x, y, 1.0])]
-    v = np.cross(d1, d2)
-    if k < 0:
-        v = v * _J
-    if np.linalg.norm(v) < 1e-14:
-        return []
-    return _surface_candidates(curv, v)
 
 
 def _normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
@@ -176,21 +167,13 @@ def _normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
     return w * np.sign(w[:, 2:3])
 
 
-def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
-    """Radius and center of the largest inscribed geodesic disc.
+def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
+    """Every stationary point of the common edge distance, for these edges.
 
-    The incenter either sits on three edges' equidistant point, or (off the
-    flat regime, where edge distance is not monotone along a bisector) at a
-    stationary point of the common distance on a two-edge bisector geodesic.
-    Enumerating both candidate families makes the search exact.
+    Three-edge equidistant points everywhere; off the flat regime, where edge
+    distance is not monotone along a bisector, also the stationary points on
+    each two-edge bisector geodesic, and on the sphere the edge poles.
     """
-    curv = K.curvature
-    if K.dim == 0:
-        return 0.0, K.vertices[0]
-    if K.dim == 1:
-        mid = _midpoint(curv, *K.vertex_array)
-        return 0.0, SurfacePoint(mid, curv)
-    normals = K.edge_normals
     n = len(normals)
     k = curv.kappa
     candidate_sets = []
@@ -223,20 +206,88 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         if k > 0:
             # Poles of the edge geodesics (single active edge at pi/2).
             candidate_sets.append(_normalize_rows(curv, normals.copy()))
-    cand = np.concatenate([c for c in candidate_sets if len(c)])
-    if len(cand) == 0:
-        raise GeometryError("incenter search failed")
+    return np.concatenate(candidate_sets)
+
+
+def _close_working_set(curv: Curvature, normals_flat: np.ndarray,
+                       work: np.ndarray) -> np.ndarray:
+    """Add edges until consecutive working edges meet on the surface.
+
+    Edge geodesics i and j meet where the embedding line along
+    normals_flat[i] x normals_flat[j] crosses the surface; that point lies
+    ahead of both edges when the line points into the upper half-space
+    (flat) or the future light cone (hyperbolic).  When every consecutive
+    pair meets so, the working edges bound a compact polygon.  A failing
+    pair gets the edge midway between them in K's edge order.
+    """
+    n = len(normals_flat)
+    while True:
+        nxt = np.roll(work, -1)
+        w = np.cross(normals_flat[work], normals_flat[nxt])
+        floor = np.hypot(w[:, 0], w[:, 1]) if curv.kappa < 0 else 0.0
+        gap = (nxt - work) % n
+        bad = (w[:, 2] <= floor) & (gap > 1)
+        if not bad.any():
+            return work
+        work = np.union1d(work, (work[bad] + gap[bad] // 2) % n)
+
+
+def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
+    """Radius and center of the largest inscribed geodesic disc.
+
+    The incenter is a stationary point of the common distance to at most
+    three edges, so it is the best of the candidates that
+    ``_incenter_candidates`` enumerates.  That enumeration runs on a working
+    set of edges: up to 12 evenly spaced ones first (all of them for
+    n <= 12).  The best candidate x_S of the working set S has value v_S,
+    the least gen_sin distance from x_S to an edge of S.  If no edge of K
+    lies nearer x_S than v_S, x_S is the incenter: v_S bounds the optimum
+    from above, since dropping edges can only enlarge the inscribed disc.
+    Otherwise the nearest edge joins S and the search repeats; at worst S
+    grows to all n edges and the search is the full enumeration.
+
+    The bound v_S holds only when the supremum over S is attained at a
+    candidate.  The sphere is compact, so it always is there; on the flat
+    and hyperbolic planes S must bound a compact polygon, which
+    ``_close_working_set`` enforces before each round.  Without that rule,
+    ultraparallel working edges leave the supremum infinite and the finite
+    best candidate would certify a wrong answer.
+    """
+    curv = K.curvature
+    if K.dim == 0:
+        return 0.0, K.vertices[0]
+    if K.dim == 1:
+        mid = _midpoint(curv, *K.vertex_array)
+        return 0.0, SurfacePoint(mid, curv)
+    normals = K.edge_normals
+    n = len(normals)
+    k = curv.kappa
     normals_flat = normals * _J if k < 0 else normals
-    best_val = -math.inf
-    best = None
-    chunk = max(1, 20_000_000 // max(1, n))
-    for lo in range(0, len(cand), chunk):
-        vals = np.min(cand[lo:lo + chunk] @ normals_flat.T, axis=1)
-        i = int(np.argmax(vals))
-        if float(vals[i]) > best_val:
-            best_val = float(vals[i])
-            best = cand[lo + i]
-    if best is None or best_val < 0:
+    m = min(n, _FIRST_WORKING_SET)
+    work = np.arange(m) * n // m
+    while True:
+        if k <= 0:
+            work = _close_working_set(curv, normals_flat, work)
+        cand = _incenter_candidates(curv, normals[work])
+        best_val = -math.inf
+        best = None
+        # A working set can grow to all n edges; bound the value matrix.
+        chunk = max(1, 20_000_000 // len(work))
+        for lo in range(0, len(cand), chunk):
+            vals = np.min(cand[lo:lo + chunk] @ normals_flat[work].T, axis=1)
+            i = int(np.argmax(vals))
+            if float(vals[i]) > best_val:
+                best_val = float(vals[i])
+                best = cand[lo + i]
+        if best is None:
+            raise GeometryError("incenter search failed")
+        slack = normals_flat @ best - best_val
+        slack[work] = 0.0
+        j = int(np.argmin(slack))
+        if slack[j] >= 0.0:
+            break
+        work = np.union1d(work, [j])
+    if best_val < 0:
         raise GeometryError("incenter search failed")
     return gen_asin(curv, best_val), SurfacePoint(best, curv)
 

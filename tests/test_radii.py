@@ -1,18 +1,21 @@
 """Tests for inradius/circumradius against independent brute-force oracles."""
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from curvedkin.convex import (area, contains_point, convex_hull, perimeter,
-                              point_body, regular_ngon, segment_body)
-from curvedkin.radii import (BodyMetrics, circumradius, inradius, metrics,
+from curvedkin.convex import (GeodesicPolygon, area, contains_point,
+                              convex_hull, perimeter, point_body,
+                              regular_ngon, segment_body)
+from curvedkin.radii import (_J, BodyMetrics, _disc_from_support, _midpoint,
+                             _normalize_rows, circumradius, inradius, metrics,
                              smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
-                               SurfacePoint, disc_area, disc_perimeter,
-                               exp_at_base, form_dot, gen_asin,
+                               SurfacePoint, base_point, disc_area,
+                               disc_perimeter, exp_at_base, form_dot, gen_asin,
                                geodesic_distance, normalize_to_surface,
                                sample_isometry)
 
@@ -36,6 +39,94 @@ def random_body(curv, rng, n_points=7, rho=0.8):
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+def enumeration_inradius(K):
+    """The exact O(n^3) candidate enumeration that ``inradius`` replaced.
+
+    Kept verbatim as the differential oracle for the working-set solver.
+    """
+    curv = K.curvature
+    if K.dim == 0:
+        return 0.0, K.vertices[0]
+    if K.dim == 1:
+        mid = _midpoint(curv, *K.vertex_array)
+        return 0.0, SurfacePoint(mid, curv)
+    normals = K.edge_normals
+    n = len(normals)
+    k = curv.kappa
+    candidate_sets = []
+    idx = np.array(list(combinations(range(n), 3)))
+    d1 = normals[idx[:, 0]] - normals[idx[:, 1]]
+    d2 = normals[idx[:, 1]] - normals[idx[:, 2]]
+    if k == 0.0:
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        ok = np.abs(det) > 1e-14
+        x = (-d1[ok, 2] * d2[ok, 1] + d2[ok, 2] * d1[ok, 1]) / det[ok]
+        y = (-d1[ok, 0] * d2[ok, 2] + d2[ok, 0] * d1[ok, 2]) / det[ok]
+        candidate_sets.append(
+            np.stack([x, y, np.ones(len(x))], axis=1))
+    else:
+        v = np.cross(d1, d2)
+        if k < 0:
+            v = v * _J
+        candidate_sets.append(_normalize_rows(curv, v))
+        # Two-edge stationary points: maximize <n_i, x> on the bisector
+        # plane <n_i - n_j, x> = 0 by form-projecting the normal sum.
+        ii, jj = np.triu_indices(n, 1)
+        d = normals[ii] - normals[jj]
+        s = normals[ii] + normals[jj]
+        signs = _J if k < 0 else np.ones(3)
+        dd = np.sum(d * d * signs, axis=1)
+        ok = np.abs(dd) > 1e-20
+        sd = np.sum(s[ok] * d[ok] * signs, axis=1)
+        candidate_sets.append(_normalize_rows(
+            curv, s[ok] - (sd / dd[ok])[:, None] * d[ok]))
+        if k > 0:
+            # Poles of the edge geodesics (single active edge at pi/2).
+            candidate_sets.append(_normalize_rows(curv, normals.copy()))
+    cand = np.concatenate([c for c in candidate_sets if len(c)])
+    if len(cand) == 0:
+        raise GeometryError("incenter search failed")
+    normals_flat = normals * _J if k < 0 else normals
+    best_val = -math.inf
+    best = None
+    chunk = max(1, 20_000_000 // max(1, n))
+    for lo in range(0, len(cand), chunk):
+        vals = np.min(cand[lo:lo + chunk] @ normals_flat.T, axis=1)
+        i = int(np.argmax(vals))
+        if float(vals[i]) > best_val:
+            best_val = float(vals[i])
+            best = cand[lo + i]
+    if best is None or best_val < 0:
+        raise GeometryError("incenter search failed")
+    return gen_asin(curv, best_val), SurfacePoint(best, curv)
+
+
+def recursive_enclosing_disc(curv, coords):
+    """The recursive Welzl that ``smallest_enclosing_disc`` replaced.
+
+    Its depth grows with the point count; kept as the differential oracle
+    for the iterative form on bodies small enough to recurse.
+    """
+    n = len(coords)
+    rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
+    order = list(rng.permutation(n))
+
+    def welzl(idx, boundary):
+        if not idx or len(boundary) == 3:
+            return _disc_from_support(curv, boundary)
+        first, rest = idx[0], idx[1:]
+        disc = welzl(rest, boundary)
+        p = SurfacePoint(coords[first], curv)
+        if disc is not None:
+            c, r = disc
+            if (geodesic_distance(SurfacePoint(c, curv), p)
+                    <= r + 1e-12 * (1.0 + r)):
+                return disc
+        return welzl(rest, boundary + [coords[first]])
+
+    return welzl(order, [])
+
 
 def circumdisc_oracle(K):
     """Min over all vertex pair/triple circumdiscs that enclose everything."""
@@ -181,6 +272,134 @@ class TestInradius:
             assert contains_point(body, center)
 
 
+# Bodies per regime in the differential test; each has more than 12 edges,
+# so the working-set solver takes several rounds on it.
+DIFFERENTIAL_BODIES = 2000
+
+
+def largest_radius(curv):
+    """Hyperbolic bodies reach radius 5, spherical ones the hemisphere."""
+    if curv.kappa > 0:
+        return curv.hemisphere_limit - 1e-3
+    return 5.0 if curv.kappa < 0 else 1.0
+
+
+def many_edged_body(curv, rng, cyclic):
+    """A cyclic polygon, or the hull of points near a circle; > 12 edges."""
+    while True:
+        rho = float(rng.uniform(0.05, largest_radius(curv)))
+        if cyclic:
+            m = int(rng.integers(13, 41))
+            dist = np.full(m, rho)
+        else:
+            m = int(rng.integers(16, 41))
+            dist = rho * (1.0 - 0.2 * rng.uniform(0.0, 1.0, m) ** 2)
+        theta = np.sort(rng.uniform(0.0, 2 * math.pi, m))
+        pts = [exp_at_base(curv, float(r), float(t))
+               for r, t in zip(dist, theta)]
+        try:
+            body = GeodesicPolygon(pts) if cyclic else convex_hull(pts)
+        except GeometryError:
+            continue
+        if body.n_vertices > 12:
+            return body
+
+
+def closed_form_inradius(curv, R, n):
+    """Regular n-gon of circumradius R: gen_tan(r) = gen_tan(R) cos(pi/n)."""
+    c = math.cos(math.pi / n)
+    s = curv.scale
+    if curv.kappa > 0:
+        return math.atan(math.tan(s * R) * c) / s
+    if curv.kappa < 0:
+        return math.atanh(math.tanh(s * R) * c) / s
+    return R * c
+
+
+def assert_same_incircle(K):
+    r, center = inradius(K)
+    r0, center0 = enumeration_inradius(K)
+    scale = 1.0 + float(np.max(np.abs(center0.coords)))
+    assert abs(r - r0) <= 1e-12, (K, r, r0)
+    assert np.max(np.abs(center.coords - center0.coords)) <= 1e-12 * scale, K
+
+
+class TestWorkingSetInradius:
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_matches_enumeration(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(127)
+        for i in range(DIFFERENTIAL_BODIES):
+            assert_same_incircle(many_edged_body(curv, rng, cyclic=i % 2 == 0))
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_random_bodies_match_enumeration(self, kappa):
+        # Up to 12 edges the first working set is the whole edge set.
+        curv = Curvature(kappa)
+        rng = RandomStream(131)
+        for _ in range(200):
+            K = random_body(curv, rng, n_points=int(rng.integers(3, 20)))
+            r, center = inradius(K)
+            r0, center0 = enumeration_inradius(K)
+            if K.n_vertices <= 12:
+                assert r == r0
+                assert np.array_equal(center.coords, center0.coords)
+            else:
+                assert_same_incircle(K)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("n", [13, 200, 1000])
+    def test_regular_ngon_closed_form(self, kappa, n):
+        curv = Curvature(kappa)
+        for R in (0.6, largest_radius(curv) if kappa > 0 else 1.2):
+            r, center = inradius(regular_ngon(curv, R, n))
+            assert abs(r - closed_form_inradius(curv, R, n)) <= 1e-12 * (1 + R)
+            assert geodesic_distance(center, base_point(curv)) <= 1e-6
+
+    def test_hyperbolic_ultraparallel_first_working_set(self):
+        # At R = 5 the tangent lines of the 64-gon's incircle meet only for
+        # neighbouring edges, so any 12 edges bound an unbounded region.
+        curv = Curvature(-1.0)
+        R, n = 5.0, 64
+        r, _ = inradius(regular_ngon(curv, R, n))
+        assert abs(r - closed_form_inradius(curv, R, n)) <= 1e-12 * (1 + R)
+
+    @pytest.mark.parametrize("kappa, rho, reach", [(0.0, 1.0, 20.0),
+                                                   (-1.0, 0.3, 0.62)])
+    def test_unbounded_first_working_set(self, kappa, rho, reach):
+        # A cup: a 170-degree arc of 60 vertices below two long sides that
+        # diverge upward.  The first working set holds arc edges only, whose
+        # best candidate, the arc's center, lies nearer no other edge; only
+        # closing the working set reveals the larger disc higher up.
+        curv = Curvature(kappa)
+        phi = np.radians(np.linspace(-175.0, -5.0, 60))
+        chart = list(rho * np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        beta = np.radians(85.0 - 170.0 / 59 / 4)
+        side = reach * np.array([np.cos(beta), np.sin(beta)])
+        chart.append(chart[-1] + side)
+        chart.append(chart[0] + side * [-1.0, 1.0])
+        # Beltrami-Klein chart: geodesics are straight in (x, y).
+        body = GeodesicPolygon([
+            SurfacePoint(np.array([x, y, 1.0])
+                         / math.sqrt(1.0 + kappa * (x * x + y * y)), curv)
+            for x, y in chart])
+        at_center = np.min(body.signed_edge_distances(
+            base_point(curv).coords))
+        r, _ = inradius(body)
+        assert r > 1.1 * gen_asin(curv, float(at_center))
+        assert_same_incircle(body)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_200_gon_under_10_ms(self, kappa):
+        body = regular_ngon(Curvature(kappa), 0.6, 200)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            inradius(body)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.010, times
+
+
 class TestMetrics:
     def test_unit_square_all_fields(self):
         sq = convex_hull([flat_point(x, y)
@@ -250,6 +469,23 @@ class TestMetrics:
 
 
 class TestWelzlDeterminism:
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_matches_recursive_form_bitwise(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(137)
+        for _ in range(100):
+            coords = random_body(
+                curv, rng, n_points=int(rng.integers(3, 30))).vertex_array
+            c, r = smallest_enclosing_disc(curv, coords)
+            c0, r0 = recursive_enclosing_disc(curv, coords)
+            assert np.array_equal(c, c0) and r == r0
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_past_the_recursion_limit(self, kappa):
+        curv = Curvature(kappa)
+        R, _ = circumradius(regular_ngon(curv, 0.6, 1100))
+        assert abs(R - 0.6) < 1e-9
+
     def test_same_input_same_support(self):
         curv = Curvature(0.0)
         rng = RandomStream(113)
