@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bonnesen import (deficit_report, kappa_limit_sweep, random_convex_body)
@@ -55,13 +55,10 @@ class CampaignConfig:
     disc_ngon: Optional[tuple[float, int]] = None
     output: Optional[str] = None
     fmt: str = "json"
-    workers: Optional[int] = None  # None -> available parallelism
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be >= 1000")
         if not self.kappas:
@@ -120,16 +117,17 @@ def parse_body_file(path: str) -> list[tuple[Curvature, GeodesicPolygon]]:
                 if curv is not None:
                     raise BodyFileError(f"{path}:{lineno}: duplicate kappa header")
                 try:
-                    curv = Curvature(float(parts[1]))
-                except (IndexError, ValueError) as e:
+                    (value,) = parts[1:]
+                    curv = Curvature(float(value))
+                except ValueError as e:
                     raise BodyFileError(f"{path}:{lineno}: bad kappa line") from e
                 first_line = lineno
             elif parts[0] == "v":
                 if curv is None:
                     raise BodyFileError(f"{path}:{lineno}: vertex before kappa header")
                 try:
-                    r, theta = float(parts[1]), float(parts[2])
-                except (IndexError, ValueError) as e:
+                    r, theta = (float(x) for x in parts[1:])
+                except ValueError as e:
                     raise BodyFileError(f"{path}:{lineno}: bad vertex line") from e
                 try:
                     verts.append(exp_at_base(curv, r, theta))
@@ -300,15 +298,16 @@ def run_campaign(config: CampaignConfig,
                  suites: Sequence[str]) -> tuple[int, list[dict]]:
     """Run the selected suites; exit status 0 iff everything is satisfied.
 
-    Suites run on a thread pool, but each owns a pre-split stream indexed
-    by its fixed position in SUITES and records are assembled in request
-    order, so the output is identical for any worker count.
+    Suites run on a thread pool with one thread per core, but each owns a
+    pre-split stream indexed by its fixed position in SUITES and records are
+    assembled in request order, so the output is identical for any core
+    count.
     """
     master = RandomStream(config.seed)
     streams = dict(zip(SUITES, master.split(len(SUITES))))
-    workers = config.workers or os.cpu_count() or 1
     records: list[dict] = []
-    with ThreadPoolExecutor(max_workers=min(workers, len(suites))) as pool:
+    workers = min(os.cpu_count() or 1, len(suites))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(SUITES[name], config, streams[name])
                    for name in suites]
         for future in futures:
@@ -356,26 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar=("R", "N"))
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--workers", type=int, default=None)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CURVEDKIN_SEED", "42"))
-    disc = None
-    if args.disc_ngon is not None:
-        disc = (args.disc_ngon[0], int(args.disc_ngon[1]))
     try:
+        seed = args.seed
+        if seed is None:
+            seed = int(os.environ.get("CURVEDKIN_SEED", "42"))
+        disc = None
+        if args.disc_ngon is not None:
+            r, n = args.disc_ngon
+            if not n.is_integer():
+                raise ValueError(f"--disc-ngon N must be an integer, got {n}")
+            disc = (r, int(n))
         config = CampaignConfig(
             seed=seed,
             kappas=tuple(args.kappa) if args.kappa else (-1.0, 0.0, 1.0),
             mc_samples=args.samples, count=args.count,
             max_vertices=args.max_vertices, budget=args.budget,
             body_file=args.body_file, disc_ngon=disc,
-            output=args.out, fmt=args.format, workers=args.workers)
+            output=args.out, fmt=args.format)
         suites = list(SUITES) if args.command == "all" else [args.command]
         status, records = run_campaign(config, suites)
     except (BodyFileError, ValueError, GeometryError, OSError) as e:

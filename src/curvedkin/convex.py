@@ -18,9 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .surface import (EPS, Curvature, GeometryError, Isometry, Regime,
-                      SurfacePoint, exp_at_base, form_dot, gen_asin,
-                      geodesic_distance, normalize_to_surface)
+from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
+                      exp_at_base, form_dot, geodesic_distance,
+                      normalize_to_surface)
 
 
 class DegeneratePosition(GeometryError):
@@ -182,7 +182,7 @@ class GeodesicPolygon:
                 norm2 = nu[0] ** 2 + nu[1] ** 2 - nu[2] ** 2
                 if norm2 <= 0:
                     raise GeometryError("edge does not support a geodesic")
-                normals.append(nu * np.array([1.0, 1.0, -1.0])
+                normals.append(nu * self.curvature.form_signs
                                / math.sqrt(norm2))
             elif k > 0:
                 normals.append(nu / np.linalg.norm(nu))
@@ -394,7 +394,7 @@ def intersect_convex(K: GeodesicPolygon,
                       np.max(np.abs(L.vertex_array)))) + 1.0
     tol = EPS * scale
     if K.dim == 1 and L.dim == 1:
-        hits = [c for c in _segment_intersections(K, L, tol)]
+        hits = _segment_intersections(K, L, tol)
         return _points_to_body(np.array(hits), curv) if hits else None
     if K.dim == 1:
         K, L = L, K
@@ -417,60 +417,79 @@ def euler_intersection(K: GeodesicPolygon, L: GeodesicPolygon) -> int:
     return 1 if intersect_convex(K, L) is not None else 0
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...c,...c->...", u, v)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _arc_coefficients(p: np.ndarray, q: np.ndarray,
-                      d: np.ndarray) -> tuple[float, float]:
-    """Solve d = alpha p + beta q in the plane span(p, q) (least squares)."""
-    g11, g12, g22 = p @ p, p @ q, q @ q
-    b1, b2 = p @ d, q @ d
+                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve d = alpha p + beta q in span(p, q) by least squares; broadcasts."""
+    g11, g12, g22 = _dot(p, p), _dot(p, q), _dot(q, q)
+    b1, b2 = _dot(p, d), _dot(q, d)
     det = g11 * g22 - g12 * g12
-    alpha = (b1 * g22 - b2 * g12) / det
-    beta = (b2 * g11 - b1 * g12) / det
-    return float(alpha), float(beta)
+    return (b1 * g22 - b2 * g12) / det, (b2 * g11 - b1 * g12) / det
+
+
+def unit_arcs(vertices: np.ndarray,
+              edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit start and end points of the edges; vertices is (..., n, 3)."""
+    u = _unit(vertices)
+    idx = np.asarray(edges, dtype=int).reshape(-1, 2)
+    return u[..., idx[:, 0], :], u[..., idx[:, 1], :]
+
+
+def arc_crossings(p: np.ndarray, q: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict crossings of the K arcs pq with the L arcs ab, all pairs.
+
+    p, q are (..., K, 3) and a, b (..., L, 3) unit endpoints.  Returns d
+    (..., K, L, 3), the cross product of the two arcs' unit plane normals,
+    and the mask (..., K, L) of pairs with d or -d strictly inside both.
+    Unit normals make |d| the sine of the angle between the planes, so the
+    1e-12 threshold on its coefficients does not shrink with arc length.
+    """
+    p, q = p[..., :, None, :], q[..., :, None, :]
+    a, b = a[..., None, :, :], b[..., None, :, :]
+    d = np.cross(_unit(np.cross(p, q)), _unit(np.cross(a, b)))
+    alpha, beta = _arc_coefficients(p, q, d)
+    gamma, delta = _arc_coefficients(a, b, d)
+    eps = 1e-12
+    pos = (alpha > eps) & (beta > eps) & (gamma > eps) & (delta > eps)
+    neg = (alpha < -eps) & (beta < -eps) & (gamma < -eps) & (delta < -eps)
+    return d, pos | neg
 
 
 def _segment_intersections(K: GeodesicPolygon, L: GeodesicPolygon,
                            tol: float) -> list[np.ndarray]:
     """Transversal intersection points of the two boundaries' edges."""
-    curv = K.curvature
-    out = []
-    va, vb = K.vertex_array, L.vertex_array
-    for i, j in K.edges:
-        p = va[i] / np.linalg.norm(va[i])
-        q = va[j] / np.linalg.norm(va[j])
-        nk = np.cross(p, q)
-        for a_i, b_i in L.edges:
-            a = vb[a_i] / np.linalg.norm(vb[a_i])
-            b = vb[b_i] / np.linalg.norm(vb[b_i])
-            nl = np.cross(a, b)
-            d = np.cross(nk, nl)
-            nd = np.linalg.norm(d)
-            if nd < 1e-12 * np.linalg.norm(nk) * np.linalg.norm(nl):
-                # Parallel supporting geodesics; overlap is degenerate.
-                if (abs(nl @ p) < tol and abs(nl @ q) < tol
-                        and _arcs_overlap(p, q, a, b)):
-                    raise DegeneratePosition(
-                        "edges share a supporting geodesic segment")
-                continue
-            d = d / nd
-            alpha, beta = _arc_coefficients(p, q, d)
-            gamma, delta = _arc_coefficients(a, b, d)
-            vals = np.array([alpha, beta, gamma, delta])
-            if np.all(vals > 1e-12) or np.all(vals < -1e-12):
-                sgn = 1.0 if vals[0] > 0 else -1.0
-                out.append(normalize_to_surface(curv, sgn * d))
-    return out
+    p, q = unit_arcs(K.vertex_array, K.edges)
+    a, b = unit_arcs(L.vertex_array, L.edges)
+    d, crossed = arc_crossings(p, q, a, b)
+    nl = np.cross(a, b)
+    nd = np.linalg.norm(d, axis=-1)
+    parallel = nd < 1e-12
+    for i, e in zip(*np.nonzero(parallel)):
+        # Parallel supporting geodesics; overlap is degenerate.
+        if (abs(nl[e] @ p[i]) < tol and abs(nl[e] @ q[i]) < tol
+                and _arcs_overlap(p[i], q[i], a[e], b[e])):
+            raise DegeneratePosition("edges share a supporting geodesic segment")
+    # A crossing lies along d where its coefficients are positive, else -d.
+    alpha, _ = _arc_coefficients(p[:, None], q[:, None], d)
+    sign = np.where(alpha > 0, 1.0, -1.0)
+    return [normalize_to_surface(K.curvature, sign[i, e] * (d[i, e] / nd[i, e]))
+            for i, e in zip(*np.nonzero(crossed & ~parallel))]
 
 
 def _arcs_overlap(p, q, a, b) -> bool:
     # Midpoints included so exactly-coincident arcs (shared endpoints give
     # no strictly interior coefficients) still register as overlapping.
-    for u in (a, b, 0.5 * (a + b)):
-        al, be = _arc_coefficients(p, q, u)
-        if al > 1e-9 and be > 1e-9:
-            return True
-    for u in (p, q, 0.5 * (p + q)):
-        al, be = _arc_coefficients(a, b, u)
-        if al > 1e-9 and be > 1e-9:
+    for s, t, u, v in ((p, q, a, b), (a, b, p, q)):
+        al, be = _arc_coefficients(s, t, np.array([u, v, 0.5 * (u + v)]))
+        if np.any((al > 1e-9) & (be > 1e-9)):
             return True
     return False
 

@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import GeodesicPolygon, area, contains_point, perimeter
+from .convex import (GeodesicPolygon, arc_crossings, area, contains_point,
+                     perimeter, unit_arcs)
 from .radii import circumradius
-from .surface import (EPS, Curvature, GeometryError, Isometry, RandomStream,
+from .surface import (EPS, GeometryError, Isometry, RandomStream,
                       motion_matrices, sample_isometry_matrices, support_area,
                       translation_to)
 
@@ -38,10 +39,11 @@ def kinematic_rhs(K: GeodesicPolygon, L: GeodesicPolygon) -> float:
     return al + pk * pl / (2.0 * math.pi) + ak - kappa * ak * al / (2.0 * math.pi)
 
 
-def _recenter(K: GeodesicPolygon) -> GeodesicPolygon:
-    """Translate the body so its circumcenter sits at the base point."""
-    _, center = circumradius(K)
-    return K.transformed(translation_to(center).inverse())
+def _recenter(K: GeodesicPolygon) -> tuple[float, Isometry, GeodesicPolygon]:
+    """Circumradius, translation to the circumcenter, and K moved back by it."""
+    r, center = circumradius(K)
+    t = translation_to(center)
+    return r, t, K.transformed(t.inverse())
 
 
 class _OverlapTester:
@@ -56,28 +58,10 @@ class _OverlapTester:
         self.vL = L.vertex_array
         scale = float(max(np.max(np.abs(self.vK)), 1.0))
         self.tol = EPS * scale
-        if K.dim == 2:
-            # Pre-apply the form signs so a plain dot gives signed distances.
-            nf = K.edge_normals.copy()
-            if self.curv.kappa < 0:
-                nf = nf * np.array([1.0, 1.0, -1.0])
-            self.K_normals_flat = nf
-        else:
-            self.K_normals_flat = None
-        if K.dim >= 1:
-            # Euclidean-normalized edge endpoints and Gram data for the
-            # arc-coefficient solves of the crossing predicate.
-            idx = np.array(K.edges)
-            p = self.vK[idx[:, 0]]
-            q = self.vK[idx[:, 1]]
-            p = p / np.linalg.norm(p, axis=1, keepdims=True)
-            q = q / np.linalg.norm(q, axis=1, keepdims=True)
-            self.pK, self.qK = p, q
-            self.nK = np.cross(p, q)
-            self.g11 = np.sum(p * p, axis=1)
-            self.g12 = np.sum(p * q, axis=1)
-            self.g22 = np.sum(q * q, axis=1)
-        self.L_edge_idx = np.array(L.edges) if L.dim >= 1 else None
+        # Pre-apply the form signs so a plain dot gives signed distances.
+        self.K_normals_flat = (K.edge_normals * self.curv.form_signs
+                               if K.dim == 2 else None)
+        self.pK, self.qK = unit_arcs(self.vK, K.edges)
 
     def hits(self, mats: np.ndarray, chunk: int = 20000,
              reach: Optional[float] = None) -> np.ndarray:
@@ -121,45 +105,22 @@ class _OverlapTester:
         # (c) boundaries cross without vertex containment
         if self.K.dim >= 1 and self.L.dim >= 1:
             undecided = np.nonzero(~hit)[0]
-            if len(undecided):
-                # Sub-chunk: the predicate builds (m, edges_K, edges_L, 3)
-                # arrays, so bound m by the edge-pair count.
-                pairs = max(1, len(self.nK) * len(self.L_edge_idx))
-                block = max(1, 2_000_000 // pairs)
-                for lo in range(0, len(undecided), block):
-                    sub = undecided[lo:lo + block]
-                    hit[sub] = self._crossing(vL[sub])
+            # Sub-chunk: the predicate builds (m, edges_K, edges_L, 3)
+            # arrays, so bound m by the edge-pair count.
+            pairs = len(self.pK) * len(self.L.edges)
+            block = max(1, 2_000_000 // pairs)
+            for lo in range(0, len(undecided), block):
+                sub = undecided[lo:lo + block]
+                hit[sub] = self._crossing(vL[sub])
         if self.K.dim == 0 and self.L.dim == 0:
             d = np.linalg.norm(vL[:, 0] - self.vK[0], axis=1)
             hit |= d <= self.tol
         return hit
 
     def _crossing(self, vL: np.ndarray) -> np.ndarray:
-        idx = self.L_edge_idx
-        a = vL[:, idx[:, 0]]
-        b = vL[:, idx[:, 1]]
-        a = a / np.linalg.norm(a, axis=2, keepdims=True)
-        b = b / np.linalg.norm(b, axis=2, keepdims=True)
-        nL = np.cross(a, b)
-        # d[m, i, e] = direction of the intersection of K edge i and L edge e.
-        d = np.cross(self.nK[None, :, None, :], nL[:, None, :, :])
-        b1 = np.einsum("ic,miec->mie", self.pK, d)
-        b2 = np.einsum("ic,miec->mie", self.qK, d)
-        det = (self.g11 * self.g22 - self.g12 ** 2)[None, :, None]
-        alpha = (b1 * self.g22[None, :, None] - b2 * self.g12[None, :, None]) / det
-        beta = (b2 * self.g11[None, :, None] - b1 * self.g12[None, :, None]) / det
-        h11 = np.sum(a * a, axis=2)
-        h12 = np.sum(a * b, axis=2)
-        h22 = np.sum(b * b, axis=2)
-        c1 = np.einsum("mec,miec->mie", a, d)
-        c2 = np.einsum("mec,miec->mie", b, d)
-        hdet = (h11 * h22 - h12 ** 2)[:, None, :]
-        gamma = (c1 * h22[:, None, :] - c2 * h12[:, None, :]) / hdet
-        delta = (c2 * h11[:, None, :] - c1 * h12[:, None, :]) / hdet
-        eps = 1e-12
-        pos = (alpha > eps) & (beta > eps) & (gamma > eps) & (delta > eps)
-        neg = (alpha < -eps) & (beta < -eps) & (gamma < -eps) & (delta < -eps)
-        return np.any(pos | neg, axis=(1, 2))
+        _, crossed = arc_crossings(self.pK, self.qK,
+                                   *unit_arcs(vL, self.L.edges))
+        return np.any(crossed, axis=(1, 2))
 
 
 def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
@@ -169,12 +130,10 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     if n < 1000:
         raise GeometryError("need at least 1000 samples")
     curv = K.curvature
-    rk, _ = circumradius(K)
-    rl, _ = circumradius(L)
+    rk, _, Kc = _recenter(K)
+    rl, _, Lc = _recenter(L)
     margin = 1e-6 * (1.0 + rk + rl)
     support = rk + rl + margin
-    Kc = _recenter(K)
-    Lc = _recenter(L)
     tester = _OverlapTester(Kc, Lc)
     mats = sample_isometry_matrices(curv, support, n, rng)
     k_hits = int(np.count_nonzero(tester.hits(mats, reach=support)))
@@ -220,11 +179,8 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     """
     K.curvature.require_same(L.curvature)
     curv = K.curvature
-    rk, ck = circumradius(K)
-    rl, cl = circumradius(L)
-    tK, tL = translation_to(ck), translation_to(cl)
-    Kc = K.transformed(tK.inverse())
-    Lc = L.transformed(tL.inverse())
+    rk, tK, Kc = _recenter(K)
+    rl, tL, Lc = _recenter(L)
     pairs = [(Kc, Lc, tK, tL, False), (Lc, Kc, tL, tK, True)]
     if rk > rl:
         pairs.reverse()
@@ -233,9 +189,7 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     for attempt, (inner, outer, t_in, t_out, flipped) in enumerate(pairs):
         if outer.dim < 2:
             continue
-        nf = outer.edge_normals.copy()
-        if curv.kappa < 0:
-            nf = nf * np.array([1.0, 1.0, -1.0])
+        nf = outer.edge_normals * curv.form_signs
         vI = inner.vertex_array
         r_out, _ = circumradius(outer)
         sigma = max(r_out, 1e-3)

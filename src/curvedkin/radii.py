@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .convex import GeodesicPolygon, area, perimeter
-from .surface import (Curvature, GeometryError, SurfacePoint, gen_asin,
-                      geodesic_distance, normalize_to_surface)
+from .surface import (Curvature, GeometryError, SurfacePoint, form_dot,
+                      gen_asin, geodesic_distance, normalize_to_surface)
 
-_J = np.array([1.0, 1.0, -1.0])
 # random_convex_body's default max_vertices: random bodies solve in one round.
 _FIRST_WORKING_SET = 12
 
@@ -69,9 +68,7 @@ def _circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
         uy = ((ax ** 2 + ay ** 2) * (cx - bx) + (bx ** 2 + by ** 2) * (ax - cx)
               + (cx ** 2 + cy ** 2) * (bx - ax)) / d
         return [np.array([ux, uy, 1.0])]
-    v = np.cross(p1 - p2, p2 - p3)
-    if k < 0:
-        v = v * _J
+    v = np.cross(p1 - p2, p2 - p3) * curv.form_signs
     if np.linalg.norm(v) < 1e-14:
         return []
     return _surface_candidates(curv, v)
@@ -157,14 +154,11 @@ def _normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
     if k == 0.0:
         ok = np.abs(v[:, 2]) > 1e-14
         return v[ok] / v[ok, 2:3]
-    q = np.sum(v * v * (_J if k < 0 else 1.0), axis=1)
-    if k > 0:
-        ok = q > 1e-28
-        w = v[ok] / (np.sqrt(q[ok])[:, None] * curv.scale)
-        return np.concatenate([w, -w])
-    ok = q < -1e-28
-    w = v[ok] / (np.sqrt(-q[ok])[:, None] * curv.scale)
-    return w * np.sign(w[:, 2:3])
+    # Lines that meet the sphere have form > 0; those meeting the sheet, < 0.
+    q = form_dot(curv, v, v) * math.copysign(1.0, k)
+    ok = q > 1e-28
+    w = v[ok] / (np.sqrt(q[ok])[:, None] * curv.scale)
+    return np.concatenate([w, -w]) if k > 0 else w * np.sign(w[:, 2:3])
 
 
 def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
@@ -188,19 +182,16 @@ def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
         candidate_sets.append(
             np.stack([x, y, np.ones(len(x))], axis=1))
     else:
-        v = np.cross(d1, d2)
-        if k < 0:
-            v = v * _J
-        candidate_sets.append(_normalize_rows(curv, v))
+        candidate_sets.append(
+            _normalize_rows(curv, np.cross(d1, d2) * curv.form_signs))
         # Two-edge stationary points: maximize <n_i, x> on the bisector
         # plane <n_i - n_j, x> = 0 by form-projecting the normal sum.
         ii, jj = np.triu_indices(n, 1)
         d = normals[ii] - normals[jj]
         s = normals[ii] + normals[jj]
-        signs = _J if k < 0 else np.ones(3)
-        dd = np.sum(d * d * signs, axis=1)
+        dd = form_dot(curv, d, d)
         ok = np.abs(dd) > 1e-20
-        sd = np.sum(s[ok] * d[ok] * signs, axis=1)
+        sd = form_dot(curv, s[ok], d[ok])
         candidate_sets.append(_normalize_rows(
             curv, s[ok] - (sd / dd[ok])[:, None] * d[ok]))
         if k > 0:
@@ -262,7 +253,7 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     normals = K.edge_normals
     n = len(normals)
     k = curv.kappa
-    normals_flat = normals * _J if k < 0 else normals
+    normals_flat = normals * curv.form_signs
     m = min(n, _FIRST_WORKING_SET)
     work = np.arange(m) * n // m
     while True:

@@ -29,7 +29,11 @@ EPS = 1e-9
 # to series evaluation; (1 - cos)/kappa cancels catastrophically otherwise.
 TAYLOR_CUTOFF = 1e-8
 
+# Diagonals of the embedding's bilinear form; Curvature.form_signs picks one.
 _MINKOWSKI_SIGNS = np.array([1.0, 1.0, -1.0])
+_EUCLIDEAN_SIGNS = np.ones(3)
+_MINKOWSKI_SIGNS.setflags(write=False)
+_EUCLIDEAN_SIGNS.setflags(write=False)
 
 
 class GeometryError(ValueError):
@@ -75,6 +79,11 @@ class Curvature:
         if self.kappa > 0:
             return math.pi / (2.0 * math.sqrt(self.kappa))
         return math.inf
+
+    @property
+    def form_signs(self) -> np.ndarray:
+        """Diagonal of the form: (1, 1, -1) for kappa < 0, ones otherwise."""
+        return _MINKOWSKI_SIGNS if self.kappa < 0 else _EUCLIDEAN_SIGNS
 
     def require_same(self, other: "Curvature") -> None:
         if self.kappa != other.kappa:
@@ -153,7 +162,9 @@ def form_dot(curvature: Curvature, u, v) -> float:
     u = np.asarray(u)
     v = np.asarray(v)
     if curvature.kappa < 0:
-        return np.sum(u * v * _MINKOWSKI_SIGNS, axis=-1)
+        return np.sum(u * v * curvature.form_signs, axis=-1)
+    # The signs are ones here; skipping their multiply speeds up the
+    # single-point calls that distances make.
     return np.sum(u * v, axis=-1)
 
 
@@ -315,12 +326,10 @@ class Isometry:
             ok = (np.allclose(rot.T @ rot, np.eye(2), atol=tol)
                   and np.allclose(m[2], [0.0, 0.0, 1.0], atol=tol))
             return bool(ok and np.linalg.det(rot) > 0)
-        if k > 0:
-            ok = np.allclose(m.T @ m, np.eye(3), atol=tol)
-            return bool(ok and np.linalg.det(m) > 1.0 - 1e-6)
-        j = np.diag(_MINKOWSKI_SIGNS)
-        ok = np.allclose(m.T @ j @ m, j, atol=tol)
-        return bool(ok and np.linalg.det(m) > 1.0 - 1e-6 and m[2, 2] > 0)
+        j = np.diag(self.curvature.form_signs)
+        ok = (np.allclose(m.T @ j @ m, j, atol=tol)
+              and np.linalg.det(m) > 1.0 - 1e-6)
+        return bool(ok and (k > 0 or m[2, 2] > 0))
 
 
 def rotation_about_base(curvature: Curvature, phi: float) -> Isometry:

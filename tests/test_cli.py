@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ class TestBodyFile:
     def test_bad_vertex_numbers(self, tmp_path):
         with pytest.raises(BodyFileError, match=":2:"):
             parse_body_file(self.write(tmp_path, "kappa 0.0\nv one 2\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("kappa 1.0 junk\nv 0.3 0.0\n", 1),
+        ("kappa 1.0\nv 0.3 0.0 9\n", 2),
+        ("kappa\nv 0.3 0.0\n", 1),
+        ("kappa 1.0\nv 0.3\n", 2),
+    ])
+    def test_wrong_token_count(self, tmp_path, text, line):
+        path = self.write(tmp_path, text)
+        with pytest.raises(BodyFileError, match=f"bodies.txt:{line}: bad"):
+            parse_body_file(path)
 
     def test_out_of_domain_vertex_named(self, tmp_path):
         # kappa = 1 vertex beyond the injectivity bound names its index.
@@ -161,18 +173,16 @@ class TestReports:
         out2, _, _ = self.run_to(tmp_path, "json", "r2.json")
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_worker_count_does_not_change_output(self, tmp_path,
+                                                 monkeypatch):
         outs = []
-        for workers in (1, 4):
-            out = str(tmp_path / f"w{workers}.json")
-            run_campaign(CampaignConfig(count=3, output=out, workers=workers),
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            out = str(tmp_path / f"w{cores}.json")
+            run_campaign(CampaignConfig(count=3, output=out),
                          ["metrics", "verify-bonnesen", "sweep-kappa"])
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
-
-    def test_worker_floor(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(workers=0)
 
     def test_different_seed_differs(self, tmp_path):
         out1 = str(tmp_path / "a.json")
@@ -217,3 +227,29 @@ class TestMain:
 
     def test_invalid_config_rejected(self, capsys):
         assert main(["metrics", "--count", "0"]) == 2
+
+    def test_malformed_env_seed(self, monkeypatch, capsys):
+        # Exit 1 means a failed check, so malformed input must exit 2.
+        monkeypatch.setenv("CURVEDKIN_SEED", "abc")
+        assert main(["metrics", "--count", "1"]) == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_trailing_tokens_in_body_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("kappa 1.0\nv 0.3 0.0\nv 0.3 2.1 9\nv 0.3 4.2\n")
+        assert main(["metrics", "--body-file", str(path)]) == 2
+        assert "bad.txt:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["3.9", "nan", "inf"])
+    def test_disc_ngon_needs_integral_n(self, capsys, n):
+        assert main(["metrics", "--disc-ngon", "0.5", n]) == 2
+        assert "--disc-ngon N must be an integer" in capsys.readouterr().err
+
+    def test_disc_ngon_integral_float_accepted(self):
+        assert main(["metrics", "--disc-ngon", "0.5", "6.0",
+                     "--kappa", "0.0"]) == 0
+
+    def test_workers_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--workers", "2"])
+        assert exc.value.code == 2

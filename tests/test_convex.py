@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from curvedkin.convex import (DegeneratePosition, GeodesicPolygon, area,
+from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
+                              _segment_intersections, area,
                               boundary_crossings, contains_point, convex_hull,
                               euler_intersection, intersect_convex, perimeter,
                               point_body, polygons_close, regular_ngon,
                               segment_body)
-from curvedkin.surface import (Curvature, GeometryError, RandomStream,
+from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                exp_at_base, geodesic_distance,
-                               rotation_about_base, sample_isometry,
-                               translation_by_polar)
+                               normalize_to_surface, rotation_about_base,
+                               sample_isometry, translation_by_polar,
+                               translation_to)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 
@@ -358,6 +360,151 @@ class TestBoundaryCrossings:
             except DegeneratePosition:
                 continue
             assert n % 2 == 0
+
+
+# The per-pair boundary-crossing loop as it was before it called the shared
+# arc-crossing kernel; kept verbatim as a differential oracle.
+
+def _old_arc_coefficients(p, q, d):
+    """Solve d = alpha p + beta q in the plane span(p, q) (least squares)."""
+    g11, g12, g22 = p @ p, p @ q, q @ q
+    b1, b2 = p @ d, q @ d
+    det = g11 * g22 - g12 * g12
+    alpha = (b1 * g22 - b2 * g12) / det
+    beta = (b2 * g11 - b1 * g12) / det
+    return float(alpha), float(beta)
+
+
+def _old_arcs_overlap(p, q, a, b):
+    for u in (a, b, 0.5 * (a + b)):
+        al, be = _old_arc_coefficients(p, q, u)
+        if al > 1e-9 and be > 1e-9:
+            return True
+    for u in (p, q, 0.5 * (p + q)):
+        al, be = _old_arc_coefficients(a, b, u)
+        if al > 1e-9 and be > 1e-9:
+            return True
+    return False
+
+
+def old_segment_intersections(K, L, tol):
+    curv = K.curvature
+    out = []
+    va, vb = K.vertex_array, L.vertex_array
+    for i, j in K.edges:
+        p = va[i] / np.linalg.norm(va[i])
+        q = va[j] / np.linalg.norm(va[j])
+        nk = np.cross(p, q)
+        for a_i, b_i in L.edges:
+            a = vb[a_i] / np.linalg.norm(vb[a_i])
+            b = vb[b_i] / np.linalg.norm(vb[b_i])
+            nl = np.cross(a, b)
+            d = np.cross(nk, nl)
+            nd = np.linalg.norm(d)
+            if nd < 1e-12 * np.linalg.norm(nk) * np.linalg.norm(nl):
+                # Parallel supporting geodesics; overlap is degenerate.
+                if (abs(nl @ p) < tol and abs(nl @ q) < tol
+                        and _old_arcs_overlap(p, q, a, b)):
+                    raise DegeneratePosition(
+                        "edges share a supporting geodesic segment")
+                continue
+            d = d / nd
+            alpha, beta = _old_arc_coefficients(p, q, d)
+            gamma, delta = _old_arc_coefficients(a, b, d)
+            vals = np.array([alpha, beta, gamma, delta])
+            if np.all(vals > 1e-12) or np.all(vals < -1e-12):
+                sgn = 1.0 if vals[0] > 0 else -1.0
+                out.append(normalize_to_surface(curv, sgn * d))
+    return out
+
+
+def same_crossings(K, L) -> str:
+    """Assert the kernel and the oracle agree; name the outcome."""
+    scale = float(max(np.max(np.abs(K.vertex_array)),
+                      np.max(np.abs(L.vertex_array)))) + 1.0
+    tol = EPS * scale
+    try:
+        old = old_segment_intersections(K, L, tol)
+    except DegeneratePosition:
+        with pytest.raises(DegeneratePosition):
+            _segment_intersections(K, L, tol)
+        with pytest.raises(DegeneratePosition):
+            boundary_crossings(K, L)
+        return "degenerate"
+    new = _segment_intersections(K, L, tol)
+    assert len(new) == len(old) == boundary_crossings(K, L)
+    for x, y in zip(new, old):
+        assert np.max(np.abs(x - y)) <= 1e-12
+    return "crossing" if old else "none"
+
+
+def random_segment(curv, rng, rho=0.8):
+    a, b = (exp_at_base(curv, float(rng.uniform(0, rho)),
+                        float(rng.uniform(0, 2 * math.pi))) for _ in range(2))
+    return segment_body(a, b)
+
+
+def half_turn_about(p: SurfacePoint):
+    t = translation_to(p)
+    return t @ rotation_about_base(p.curvature, math.pi) @ t.inverse()
+
+
+class TestCrossingOracle:
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_point_bodies_cross_nothing(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(79)
+        K = random_body(curv, rng)
+        dot = point_body(exp_at_base(curv, 0.1, 0.2))
+        for A, B in ((K, dot), (dot, K), (dot, dot)):
+            assert same_crossings(A, B) == "none"
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_random_pairs(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(83)
+        seen = set()
+        for i in range(400):
+            K = random_body(curv, rng) if i % 4 else random_segment(curv, rng)
+            L = random_body(curv, rng) if i % 3 else random_segment(curv, rng)
+            seen.add(same_crossings(K, L))
+        assert {"crossing", "none"} <= seen
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("size", [1e-6, 1e-7])
+    def test_tiny_bodies(self, kappa, size):
+        # Arcs this short have plane normals of length ~size, so a
+        # threshold on coefficients of their raw cross product misses
+        # these crossings.
+        curv = Curvature(kappa)
+        sq = regular_ngon(curv, size, 4)
+        moved = sq.transformed(translation_by_polar(curv, size, 0.3))
+        cross = [segment_body(exp_at_base(curv, size, t),
+                              exp_at_base(curv, size, t + math.pi))
+                 for t in (0.0, math.pi / 2)]
+        for K, L in ((sq, moved), cross):
+            assert same_crossings(K, L) == "crossing"
+        assert boundary_crossings(sq, moved) == 2
+        assert boundary_crossings(*cross) == 1
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_shared_edge_pairs(self, kappa):
+        # A half-turn about a point of an edge maps that edge onto its own
+        # geodesic, reversed: about the midpoint exactly onto itself,
+        # elsewhere onto an overlapping shifted copy.
+        curv = Curvature(kappa)
+        rng = RandomStream(89)
+        outcomes = []
+        for _ in range(30):
+            K = random_body(curv, rng)
+            i, j = K.edges[int(rng.uniform(0, len(K.edges)))]
+            for t in (0.5, 0.3, 0.8):
+                c = normalize_to_surface(
+                    curv, (1 - t) * K.vertex_array[i] + t * K.vertex_array[j])
+                L = K.transformed(half_turn_about(SurfacePoint(c, curv)))
+                outcomes.append(same_crossings(K, L))
+                outcomes.append(same_crossings(L, K))
+        assert set(outcomes) == {"degenerate"}
 
 
 class TestInclusionExclusion:

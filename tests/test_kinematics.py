@@ -8,14 +8,15 @@ import pytest
 from curvedkin.convex import (area, boundary_crossings, convex_hull,
                               euler_intersection, perimeter, point_body,
                               regular_ngon, segment_body, DegeneratePosition)
-from curvedkin.kinematics import (body_contains, containment_criterion,
-                                  find_containment, kinematic_lhs,
-                                  kinematic_rhs, monotonicity_probe)
+from curvedkin.kinematics import (_OverlapTester, _recenter, body_contains,
+                                  containment_criterion, find_containment,
+                                  kinematic_lhs, kinematic_rhs,
+                                  monotonicity_probe)
 from curvedkin.radii import circumradius
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, disc_area, exp_at_base,
-                               sample_isometry, Isometry,
-                               translation_by_polar)
+                               sample_isometry, sample_isometry_matrices,
+                               Isometry, translation_by_polar)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 
@@ -116,6 +117,117 @@ class TestKinematicLhs:
         e1 = kinematic_lhs(sq, sq, 5000, RandomStream(13))
         e2 = kinematic_lhs(sq, sq, 5000, RandomStream(13))
         assert e1.mean == e2.mean
+
+
+class OldCrossing:
+    """The overlap tester's own boundary-crossing predicate, as it was before
+    it called convex.arc_crossings; kept verbatim as a differential oracle."""
+
+    def __init__(self, K, L):
+        self.vK = K.vertex_array
+        idx = np.array(K.edges)
+        p = self.vK[idx[:, 0]]
+        q = self.vK[idx[:, 1]]
+        p = p / np.linalg.norm(p, axis=1, keepdims=True)
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        self.pK, self.qK = p, q
+        self.nK = np.cross(p, q)
+        self.g11 = np.sum(p * p, axis=1)
+        self.g12 = np.sum(p * q, axis=1)
+        self.g22 = np.sum(q * q, axis=1)
+        self.L_edge_idx = np.array(L.edges)
+
+    def __call__(self, vL):
+        idx = self.L_edge_idx
+        a = vL[:, idx[:, 0]]
+        b = vL[:, idx[:, 1]]
+        a = a / np.linalg.norm(a, axis=2, keepdims=True)
+        b = b / np.linalg.norm(b, axis=2, keepdims=True)
+        nL = np.cross(a, b)
+        # d[m, i, e] = direction of the intersection of K edge i and L edge e.
+        d = np.cross(self.nK[None, :, None, :], nL[:, None, :, :])
+        b1 = np.einsum("ic,miec->mie", self.pK, d)
+        b2 = np.einsum("ic,miec->mie", self.qK, d)
+        det = (self.g11 * self.g22 - self.g12 ** 2)[None, :, None]
+        alpha = (b1 * self.g22[None, :, None] - b2 * self.g12[None, :, None]) / det
+        beta = (b2 * self.g11[None, :, None] - b1 * self.g12[None, :, None]) / det
+        h11 = np.sum(a * a, axis=2)
+        h12 = np.sum(a * b, axis=2)
+        h22 = np.sum(b * b, axis=2)
+        c1 = np.einsum("mec,miec->mie", a, d)
+        c2 = np.einsum("mec,miec->mie", b, d)
+        hdet = (h11 * h22 - h12 ** 2)[:, None, :]
+        gamma = (c1 * h22[:, None, :] - c2 * h12[:, None, :]) / hdet
+        delta = (c2 * h11[:, None, :] - c1 * h12[:, None, :]) / hdet
+        eps = 1e-12
+        pos = (alpha > eps) & (beta > eps) & (gamma > eps) & (delta > eps)
+        neg = (alpha < -eps) & (beta < -eps) & (gamma < -eps) & (delta < -eps)
+        return np.any(pos | neg, axis=(1, 2))
+
+
+def random_segment(curv, rng, rho=0.7):
+    a, b = (exp_at_base(curv, float(rng.uniform(0.05, rho)),
+                        float(rng.uniform(0, 2 * math.pi))) for _ in range(2))
+    return segment_body(a, b)
+
+
+class TestCrossingOracle:
+    """The shared arc-crossing kernel against the tester's old predicate.
+
+    The kernel crosses unit plane normals where the old predicate crossed
+    raw ones; the two agree on ordinary bodies and part only on arcs short
+    enough for the old absolute threshold to swallow a crossing.
+    """
+
+    MOTIONS = 25_000
+
+    def pairs(self, curv, rng):
+        polygon = lambda: random_body(curv, rng, n_points=8)
+        segment = lambda: random_segment(curv, rng)
+        return [(polygon(), polygon()) for _ in range(4)] + [
+            (polygon(), segment()), (polygon(), segment()),
+            (segment(), polygon()), (segment(), segment())]
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_same_predicate_and_hits(self, kappa, monkeypatch):
+        # 8 pairs x 25000 motions: 2e5 per regime.  On the sphere every
+        # pair reaches the crossing predicate; elsewhere the segment pairs.
+        curv = Curvature(kappa)
+        rng = RandomStream(211)
+        crossed = motions = 0
+        for K, L in self.pairs(curv, rng):
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            mats = sample_isometry_matrices(curv, support, self.MOTIONS, rng)
+            tester = _OverlapTester(Kc, Lc)
+            oracle = OldCrossing(Kc, Lc)
+            for lo in range(0, len(mats), 5000):
+                vL = np.einsum("nij,kj->nki", mats[lo:lo + 5000], tester.vL)
+                new = tester._crossing(vL)
+                assert np.array_equal(new, oracle(vL))
+                crossed += int(np.count_nonzero(new))
+            hits = tester.hits(mats, reach=support)
+            monkeypatch.setattr(tester, "_crossing", oracle)
+            assert np.array_equal(hits, tester.hits(mats, reach=support))
+            motions += len(mats)
+        assert motions >= 100_000
+        assert 0 < crossed < motions
+
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_tiny_crossing_segments(self, kappa):
+        # Two crossing segments of length 2e-7 overlap only by crossing;
+        # the integral is P_K P_L / 2pi.  (On the sphere the support is
+        # the whole surface and 2e4 samples would see no hit.)
+        curv = Curvature(kappa)
+        K, L = (segment_body(exp_at_base(curv, 1e-7, t),
+                             exp_at_base(curv, 1e-7, t + math.pi))
+                for t in (0.0, math.pi / 2))
+        est = kinematic_lhs(K, L, 20000, RandomStream(41))
+        rhs = kinematic_rhs(K, L)
+        assert est.mean > 0
+        assert abs(est.mean - rhs) < max(3 * est.std_error, 1e-3 * rhs)
 
 
 class TestContainmentCriterion:

@@ -10,7 +10,7 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
                               regular_ngon, segment_body)
-from curvedkin.radii import (_J, BodyMetrics, _disc_from_support, _midpoint,
+from curvedkin.radii import (BodyMetrics, _disc_from_support, _midpoint,
                              _normalize_rows, circumradius, inradius, metrics,
                              smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
@@ -20,6 +20,8 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                sample_isometry)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
+# The Minkowski signs as the enumeration oracle below spells them.
+_J = np.array([1.0, 1.0, -1.0])
 
 
 def flat_point(x, y):
