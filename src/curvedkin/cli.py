@@ -61,6 +61,11 @@ class CampaignConfig:
             raise ValueError("count must be >= 1")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be >= 1000")
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.max_vertices < 3:
+            raise ValueError(
+                f"max_vertices must be >= 3, got {self.max_vertices}")
         if not self.kappas:
             raise ValueError("at least one kappa is required")
         if self.fmt not in ("json", "csv"):

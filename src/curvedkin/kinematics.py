@@ -18,8 +18,8 @@ from .convex import (GeodesicPolygon, arc_crossings, area, contains_point,
                      perimeter, unit_arcs)
 from .radii import circumradius
 from .surface import (EPS, GeometryError, Isometry, RandomStream,
-                      motion_matrices, sample_isometry_matrices, support_area,
-                      translation_to)
+                      motion_columns, motion_matrices, sample_motions,
+                      support_area, translation_to)
 
 
 @dataclass(frozen=True)
@@ -46,75 +46,83 @@ def _recenter(K: GeodesicPolygon) -> tuple[float, Isometry, GeodesicPolygon]:
     return r, t, K.transformed(t.inverse())
 
 
+def _outer_table(normals: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Rows n (x) v over faces and vertices; row . motion columns = n . M v."""
+    return (normals[:, None, :, None]
+            * vertices[None, :, None, :]).reshape(-1, 9)
+
+
 class _OverlapTester:
-    """Vectorized emptiness test of K against many moved copies of L."""
+    """Vectorized emptiness test of K against many moved copies of L.
+
+    Both bodies span convex vertex cones in R^3, so a face plane of either
+    with every vertex of the other strictly outside separates them
+    (Gottschalk, Lin & Manocha, OBBTree, 1996).  Each side is one matmul of
+    an outer-product table with motion columns: K's normals against moved
+    L vertices, and L's unmoved edge normals against K vertices under the
+    inverse motion, as cross(Ma, Mb) = M^-T (a x b) when det M = 1.
+    """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
         K.curvature.require_same(L.curvature)
         self.curv = K.curvature
-        self.K = K
-        self.L = L
-        self.vK = K.vertex_array
-        self.vL = L.vertex_array
-        scale = float(max(np.max(np.abs(self.vK)), 1.0))
-        self.tol = EPS * scale
-        # Pre-apply the form signs so a plain dot gives signed distances.
-        self.K_normals_flat = (K.edge_normals * self.curv.form_signs
-                               if K.dim == 2 else None)
+        self.K, self.L = K, L
+        self.vK, self.vL = K.vertex_array, L.vertex_array
+        self.tol = EPS * float(max(np.max(np.abs(self.vK)), 1.0))
+        # (table, vertex count, 1 if the inverse motions act) per 2-D body.
+        # K's normals carry the form signs, so a plain dot is signed.
+        self.sides = []
+        if K.dim == 2:
+            normals = K.edge_normals * self.curv.form_signs
+            self.sides.append((_outer_table(normals, self.vL), len(self.vL), 0))
+        if L.dim == 2:
+            normals = np.cross(self.vL, np.roll(self.vL, -1, axis=0))
+            self.sides.append((_outer_table(normals, self.vK), len(self.vK), 1))
         self.pK, self.qK = unit_arcs(self.vK, K.edges)
 
-    def hits(self, mats: np.ndarray, chunk: int = 20000,
-             reach: Optional[float] = None) -> np.ndarray:
-        out = np.empty(len(mats), dtype=bool)
-        for lo in range(0, len(mats), chunk):
-            hi = min(lo + chunk, len(mats))
-            block = mats[lo:hi]
-            if self.curv.kappa > 0 and reach is not None:
-                # Overlap needs the moved base point within reach of the
-                # base point; its cosine distance is just M[2, 2].
-                cut = math.cos(min(math.pi, self.curv.scale * reach))
-                near = block[:, 2, 2] >= cut
-                sub = np.zeros(hi - lo, dtype=bool)
-                if np.any(near):
-                    sub[near] = self._hits_chunk(block[near])
-                out[lo:hi] = sub
-            else:
-                out[lo:hi] = self._hits_chunk(block)
+    def hits(self, r: np.ndarray, theta: np.ndarray, phi: np.ndarray,
+             reach: Optional[float] = None, chunk: int = 4096) -> np.ndarray:
+        """Overlap mask of K with L moved by each motion (r, theta, phi)."""
+        todo = np.arange(len(r))
+        if self.curv.kappa > 0 and reach is not None:
+            # Overlap needs the moved base point within reach of the base
+            # point; its cosine distance is the 3-3 entry cos(sqrt(k) r).
+            cut = math.cos(min(math.pi, self.curv.scale * reach))
+            todo = todo[np.cos(self.curv.scale * r) >= cut]
+        out = np.zeros(len(r), dtype=bool)
+        for lo in range(0, len(todo), chunk):
+            sub = todo[lo:lo + chunk]
+            out[sub] = self._hits_chunk(r[sub], theta[sub], phi[sub])
         return out
 
-    def _hits_chunk(self, mats: np.ndarray) -> np.ndarray:
-        n = len(mats)
-        vL = np.einsum("nij,kj->nki", mats, self.vL)
-        hit = np.zeros(n, dtype=bool)
-        # (a) some vertex of the moved L inside K
-        if self.K_normals_flat is not None:
-            s = np.einsum("nkc,jc->nkj", vL, self.K_normals_flat)
-            hit |= np.any(np.all(s >= -self.tol, axis=2), axis=1)
-        # (b) some vertex of K inside the moved L
-        if self.L.dim == 2:
-            crossL = np.cross(vL, np.roll(vL, -1, axis=1))
-            s2 = np.einsum("nec,vc->nev", crossL, self.vK)
-            hit |= np.any(np.all(s2 >= -self.tol, axis=1), axis=1)
+    def _hits_chunk(self, r: np.ndarray, theta: np.ndarray,
+                    phi: np.ndarray) -> np.ndarray:
+        cols = motion_columns(self.curv, r, theta, phi, with_inverse=True)
+        hit, apart = np.zeros((2, len(r)), dtype=bool)
+        for table, n_vertices, inverse in self.sides:
+            # (faces, vertices, samples).  A face with every vertex of the
+            # other body outside separates; a vertex inside all is contained.
+            s = (table @ cols[inverse]).reshape(-1, n_vertices, len(r))
+            apart |= np.any(np.max(s, axis=1) < -self.tol, axis=0)
+            hit |= np.any(np.min(s, axis=0) >= -self.tol, axis=0)
         if self.curv.kappa <= 0 and self.K.dim == 2 and self.L.dim == 2:
             # In the affine (flat) or Klein (hyperbolic) chart both bodies
-            # are convex Euclidean polygons and the edge signs above are
-            # chart side signs, so separating-axis decides overlap outright.
-            sepK = np.any(np.all(s < -self.tol, axis=1), axis=1)
-            sepL = np.any(np.all(s2 < -self.tol, axis=2), axis=1)
-            return ~(sepK | sepL)
-        # (c) boundaries cross without vertex containment
-        if self.K.dim >= 1 and self.L.dim >= 1:
-            undecided = np.nonzero(~hit)[0]
-            # Sub-chunk: the predicate builds (m, edges_K, edges_L, 3)
-            # arrays, so bound m by the edge-pair count.
-            pairs = len(self.pK) * len(self.L.edges)
-            block = max(1, 2_000_000 // pairs)
-            for lo in range(0, len(undecided), block):
-                sub = undecided[lo:lo + block]
-                hit[sub] = self._crossing(vL[sub])
+            # are convex Euclidean polygons, so face planes decide outright.
+            return ~apart
+        mats = cols[0].T.reshape(-1, 3, 3)
         if self.K.dim == 0 and self.L.dim == 0:
-            d = np.linalg.norm(vL[:, 0] - self.vK[0], axis=1)
-            hit |= d <= self.tol
+            moved = mats @ self.vL[0]
+            return np.linalg.norm(moved - self.vK[0], axis=1) <= self.tol
+        if self.K.dim == 0 or self.L.dim == 0:
+            return hit
+        # Neither a separating face nor a contained vertex: do the
+        # boundaries cross?  Sub-chunk: the predicate builds
+        # (m, edges_K, edges_L, 3) arrays, so bound m by the edge-pair count.
+        rest = np.nonzero(~(apart | hit))[0]
+        block = max(1, 2_000_000 // (len(self.pK) * len(self.L.edges)))
+        for lo in range(0, len(rest), block):
+            sub = rest[lo:lo + block]
+            hit[sub] = self._crossing(self.vL @ mats[sub].transpose(0, 2, 1))
         return hit
 
     def _crossing(self, vL: np.ndarray) -> np.ndarray:
@@ -135,8 +143,8 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     margin = 1e-6 * (1.0 + rk + rl)
     support = rk + rl + margin
     tester = _OverlapTester(Kc, Lc)
-    mats = sample_isometry_matrices(curv, support, n, rng)
-    k_hits = int(np.count_nonzero(tester.hits(mats, reach=support)))
+    hits = tester.hits(*sample_motions(curv, support, n, rng), reach=support)
+    k_hits = int(np.count_nonzero(hits))
     w = support_area(curv, support)
     p = k_hits / n
     return KinematicEstimate(mean=w * p,

@@ -334,33 +334,12 @@ class Isometry:
 
 def rotation_about_base(curvature: Curvature, phi: float) -> Isometry:
     """Rotation by phi about the base point (fixes x0 in every regime)."""
-    c, s = math.cos(phi), math.sin(phi)
-    return Isometry(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
-                    curvature)
-
-
-def _axis_translation(curvature: Curvature, r: float) -> np.ndarray:
-    """Matrix of the translation moving x0 by r along the theta = 0 geodesic."""
-    k = curvature.kappa
-    if k == 0.0:
-        return np.array([[1.0, 0.0, r], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    s = curvature.scale
-    if k > 0:
-        a = s * r
-        return np.array([[math.cos(a), 0.0, math.sin(a)],
-                         [0.0, 1.0, 0.0],
-                         [-math.sin(a), 0.0, math.cos(a)]])
-    b = s * r
-    return np.array([[math.cosh(b), 0.0, math.sinh(b)],
-                     [0.0, 1.0, 0.0],
-                     [math.sinh(b), 0.0, math.cosh(b)]])
+    return Isometry(motion_matrices(curvature, 0.0, 0.0, phi)[0], curvature)
 
 
 def translation_by_polar(curvature: Curvature, r: float, theta: float) -> Isometry:
     """The minimal translation/rotation carrying x0 to the point (r, theta)."""
-    rz = rotation_about_base(curvature, theta).matrix
-    rzinv = rotation_about_base(curvature, -theta).matrix
-    return Isometry(rz @ _axis_translation(curvature, r) @ rzinv, curvature)
+    return Isometry(motion_matrices(curvature, r, theta, 0.0)[0], curvature)
 
 
 def translation_to(x: SurfacePoint) -> Isometry:
@@ -438,61 +417,67 @@ def sample_positions(curvature: Curvature, support_radius: float, n: int,
     return r, np.asarray(theta)
 
 
-def motion_matrices(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
-                    phi: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) stack of motions t_(r, theta) . Rz(phi).
+def _rz_t_rz(c1, s1, a, b, e, c2, s2) -> np.ndarray:
+    """(9, n) row-major entries of Rz . [[a, 0, b], [0, 1, 0], [e, 0, a]] . Rz."""
+    ac, as_ = a * c1, a * s1
+    return np.stack([ac * c2 - s1 * s2, -ac * s2 - s1 * c2, c1 * b,
+                     as_ * c2 + c1 * s2, -as_ * s2 + c1 * c2, s1 * b,
+                     e * c2, -e * s2, a])
 
-    t_(r, theta) is the minimal translation/rotation carrying the base point
-    to polar position (r, theta); Rz(phi) spins about the base point first.
+
+def motion_columns(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
+                   phi: np.ndarray, with_inverse: bool = False):
+    """(9, n) row-major entries of the motions Rz(theta) t(r) Rz(phi - theta).
+
+    t(r) moves the base point by r along the theta = 0 geodesic, so each
+    motion spins by phi about the base point, then carries it to polar
+    position (r, theta).  with_inverse=True also returns the entries of the
+    inverses Rz(theta - phi) t(-r) Rz(-theta), from the same cosines.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.broadcast_to(np.asarray(theta, dtype=float), r.shape)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), r.shape)
-    n = len(r)
+    # t(r) = [[a, 0, b], [0, 1, 0], [e, 0, a]]
     k = curvature.kappa
-
-    def _rz(a):
-        c, s = np.cos(a), np.sin(a)
-        m = np.zeros((n, 3, 3))
-        m[:, 0, 0] = c
-        m[:, 0, 1] = -s
-        m[:, 1, 0] = s
-        m[:, 1, 1] = c
-        m[:, 2, 2] = 1.0
-        return m
-
-    t = np.zeros((n, 3, 3))
     if k == 0.0:
-        t[:] = np.eye(3)
-        t[:, 0, 2] = r
+        a, b, e = np.ones_like(r), r, np.zeros_like(r)
+    elif k > 0:
+        a, b = np.cos(curvature.scale * r), np.sin(curvature.scale * r)
+        e = -b
     else:
-        a = curvature.scale * r
-        if k > 0:
-            ca, sa = np.cos(a), np.sin(a)
-            t[:, 0, 0] = ca
-            t[:, 0, 2] = sa
-            t[:, 2, 0] = -sa
-            t[:, 2, 2] = ca
-        else:
-            ca, sa = np.cosh(a), np.sinh(a)
-            t[:, 0, 0] = ca
-            t[:, 0, 2] = sa
-            t[:, 2, 0] = sa
-            t[:, 2, 2] = ca
-        t[:, 1, 1] = 1.0
-    return _rz(theta) @ t @ _rz(phi - theta)
+        a = np.cosh(curvature.scale * r)
+        b = e = np.sinh(curvature.scale * r)
+    ct, st = np.cos(theta), np.sin(theta)
+    psi = phi - theta
+    cp, sp = np.cos(psi), np.sin(psi)
+    cols = _rz_t_rz(ct, st, a, b, e, cp, sp)
+    if not with_inverse:
+        return cols
+    return cols, _rz_t_rz(cp, -sp, a, -b, -e, ct, -st)
+
+
+def motion_matrices(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
+                    phi: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) stack of the motions of :func:`motion_columns`."""
+    return motion_columns(curvature, r, theta, phi).T.reshape(-1, 3, 3)
+
+
+def sample_motions(curvature: Curvature, support_radius: float, n: int,
+                   rng: RandomStream) -> tuple[np.ndarray, ...]:
+    """Haar samples (r, theta, phi) of motions t_x . gamma, vectorized.
+
+    gamma is a uniform rotation by phi about x0 and x = (r, theta) is
+    area-uniform over the support region (see :func:`sample_positions`).
+    """
+    r, theta = sample_positions(curvature, support_radius, n, rng)
+    return r, theta, rng.uniform(0.0, 2.0 * math.pi, n)
 
 
 def sample_isometry_matrices(curvature: Curvature, support_radius: float,
                              n: int, rng: RandomStream) -> np.ndarray:
-    """(n, 3, 3) stack of Haar samples t_x . gamma, vectorized.
-
-    gamma is a uniform rotation about x0 and x is area-uniform over the
-    support region (see :func:`sample_positions`).
-    """
-    r, theta = sample_positions(curvature, support_radius, n, rng)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return motion_matrices(curvature, r, theta, phi)
+    """(n, 3, 3) stack of the Haar samples of :func:`sample_motions`."""
+    return motion_matrices(curvature,
+                           *sample_motions(curvature, support_radius, n, rng))
 
 
 def sample_isometry(curvature: Curvature, support_radius: float,

@@ -47,9 +47,19 @@ def nondisc_body(curv, rng, **kwargs):
             return m
 
 
+# 0.999 quantile of chi-square with 150 degrees of freedom, from
+# scipy.stats.chi2.ppf(0.999, 150) = 209.2646; written out because scipy is
+# not a test dependency.
+CHI2_150_Q999 = 209.26
+
+
 def test_criterion_01_kinematic_formula():
     t0 = time.time()
     worst = 0.0
+    # The per-pair band misses a bias shared by all pairs; the sum of
+    # squared z-scores sees it.  A pair with zero standard error has none.
+    chi2 = 0.0
+    scored = 0
     for kappa in REGIMES:
         curv = Curvature(kappa)
         # Fixed seed: 150 draws against a 3 sigma band leave no headroom
@@ -62,10 +72,14 @@ def test_criterion_01_kinematic_formula():
             rhs = kinematic_rhs(K, L)
             tol = max(3.0 * est.std_error, 1e-3 * rhs)
             worst = max(worst, abs(est.mean - rhs) / tol)
+            if est.std_error > 0.0:
+                chi2 += ((est.mean - rhs) / est.std_error) ** 2
+                scored += 1
     elapsed = time.time() - t0
     report(1, "kinematic formula, 50 pairs x 3 regimes, 2e5 samples",
-           worst <= 1.0 and elapsed < 120.0,
-           f"worst deviation {worst:.2f} of tolerance, {elapsed:.0f}s")
+           worst <= 1.0 and chi2 <= CHI2_150_Q999 and elapsed < 120.0,
+           f"worst deviation {worst:.2f} of tolerance, chi2 {chi2:.1f} "
+           f"over {scored} pairs (gate {CHI2_150_Q999}), {elapsed:.0f}s")
 
 
 def test_criterion_02_two_disc_identity():

@@ -27,6 +27,12 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             CampaignConfig(mc_samples=999)
 
+    @pytest.mark.parametrize("field,value", [("budget", 0), ("budget", -5),
+                                             ("max_vertices", 2)])
+    def test_search_and_body_floors(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**{field: value})
+
     def test_empty_kappas(self):
         with pytest.raises(ValueError):
             CampaignConfig(kappas=())
@@ -227,6 +233,15 @@ class TestMain:
 
     def test_invalid_config_rejected(self, capsys):
         assert main(["metrics", "--count", "0"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"),
+                                            ("--budget", "-5"),
+                                            ("--max-vertices", "2")])
+    def test_out_of_range_flag(self, flag, value, capsys):
+        # Malformed input exits 2 with the option named, not 1 as a
+        # failed check or with numpy's bare "low >= high".
+        assert main(["verify-containment", "--count", "1", flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_malformed_env_seed(self, monkeypatch, capsys):
         # Exit 1 means a failed check, so malformed input must exit 2.

@@ -1,22 +1,25 @@
 """Tests for Monte Carlo kinematic integrals, containment, monotonicity."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from curvedkin.convex import (area, boundary_crossings, convex_hull,
+from curvedkin.convex import (GeodesicPolygon, arc_crossings, area,
+                              boundary_crossings, convex_hull,
                               euler_intersection, perimeter, point_body,
-                              regular_ngon, segment_body, DegeneratePosition)
+                              regular_ngon, segment_body, unit_arcs,
+                              DegeneratePosition)
 from curvedkin.kinematics import (_OverlapTester, _recenter, body_contains,
                                   containment_criterion, find_containment,
                                   kinematic_lhs, kinematic_rhs,
                                   monotonicity_probe)
 from curvedkin.radii import circumradius
-from curvedkin.surface import (Curvature, GeometryError, RandomStream,
+from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, disc_area, exp_at_base,
-                               sample_isometry, sample_isometry_matrices,
-                               Isometry, translation_by_polar)
+                               motion_matrices, sample_isometry,
+                               sample_motions, Isometry, translation_by_polar)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 
@@ -190,8 +193,9 @@ class TestCrossingOracle:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_same_predicate_and_hits(self, kappa, monkeypatch):
-        # 8 pairs x 25000 motions: 2e5 per regime.  On the sphere every
-        # pair reaches the crossing predicate; elsewhere the segment pairs.
+        # 8 pairs x 25000 motions: 2e5 per regime.  The predicate sees every
+        # motion here; inside hits, only those that neither a face plane
+        # nor a vertex settles.
         curv = Curvature(kappa)
         rng = RandomStream(211)
         crossed = motions = 0
@@ -199,7 +203,8 @@ class TestCrossingOracle:
             rk, _, Kc = _recenter(K)
             rl, _, Lc = _recenter(L)
             support = rk + rl + 1e-6 * (1.0 + rk + rl)
-            mats = sample_isometry_matrices(curv, support, self.MOTIONS, rng)
+            r, theta, phi = sample_motions(curv, support, self.MOTIONS, rng)
+            mats = motion_matrices(curv, r, theta, phi)
             tester = _OverlapTester(Kc, Lc)
             oracle = OldCrossing(Kc, Lc)
             for lo in range(0, len(mats), 5000):
@@ -207,13 +212,13 @@ class TestCrossingOracle:
                 new = tester._crossing(vL)
                 assert np.array_equal(new, oracle(vL))
                 crossed += int(np.count_nonzero(new))
-            hits = tester.hits(mats, reach=support)
+            hits = tester.hits(r, theta, phi, reach=support)
             monkeypatch.setattr(tester, "_crossing", oracle)
-            assert np.array_equal(hits, tester.hits(mats, reach=support))
+            assert np.array_equal(hits,
+                                  tester.hits(r, theta, phi, reach=support))
             motions += len(mats)
         assert motions >= 100_000
         assert 0 < crossed < motions
-
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0])
     def test_tiny_crossing_segments(self, kappa):
@@ -228,6 +233,146 @@ class TestCrossingOracle:
         rhs = kinematic_rhs(K, L)
         assert est.mean > 0
         assert abs(est.mean - rhs) < max(3 * est.std_error, 1e-3 * rhs)
+
+
+class OldOverlapTester:
+    """The overlap tester as it was before the fused kernel, kept verbatim
+    (bar its name and this docstring) as a differential oracle: it takes an
+    (n, 3, 3) stack of motion matrices and moves L's vertices with einsum."""
+
+    def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
+        K.curvature.require_same(L.curvature)
+        self.curv = K.curvature
+        self.K = K
+        self.L = L
+        self.vK = K.vertex_array
+        self.vL = L.vertex_array
+        scale = float(max(np.max(np.abs(self.vK)), 1.0))
+        self.tol = EPS * scale
+        # Pre-apply the form signs so a plain dot gives signed distances.
+        self.K_normals_flat = (K.edge_normals * self.curv.form_signs
+                               if K.dim == 2 else None)
+        self.pK, self.qK = unit_arcs(self.vK, K.edges)
+
+    def hits(self, mats: np.ndarray, chunk: int = 20000,
+             reach: Optional[float] = None) -> np.ndarray:
+        out = np.empty(len(mats), dtype=bool)
+        for lo in range(0, len(mats), chunk):
+            hi = min(lo + chunk, len(mats))
+            block = mats[lo:hi]
+            if self.curv.kappa > 0 and reach is not None:
+                # Overlap needs the moved base point within reach of the
+                # base point; its cosine distance is just M[2, 2].
+                cut = math.cos(min(math.pi, self.curv.scale * reach))
+                near = block[:, 2, 2] >= cut
+                sub = np.zeros(hi - lo, dtype=bool)
+                if np.any(near):
+                    sub[near] = self._hits_chunk(block[near])
+                out[lo:hi] = sub
+            else:
+                out[lo:hi] = self._hits_chunk(block)
+        return out
+
+    def _hits_chunk(self, mats: np.ndarray) -> np.ndarray:
+        n = len(mats)
+        vL = np.einsum("nij,kj->nki", mats, self.vL)
+        hit = np.zeros(n, dtype=bool)
+        # (a) some vertex of the moved L inside K
+        if self.K_normals_flat is not None:
+            s = np.einsum("nkc,jc->nkj", vL, self.K_normals_flat)
+            hit |= np.any(np.all(s >= -self.tol, axis=2), axis=1)
+        # (b) some vertex of K inside the moved L
+        if self.L.dim == 2:
+            crossL = np.cross(vL, np.roll(vL, -1, axis=1))
+            s2 = np.einsum("nec,vc->nev", crossL, self.vK)
+            hit |= np.any(np.all(s2 >= -self.tol, axis=1), axis=1)
+        if self.curv.kappa <= 0 and self.K.dim == 2 and self.L.dim == 2:
+            # In the affine (flat) or Klein (hyperbolic) chart both bodies
+            # are convex Euclidean polygons and the edge signs above are
+            # chart side signs, so separating-axis decides overlap outright.
+            sepK = np.any(np.all(s < -self.tol, axis=1), axis=1)
+            sepL = np.any(np.all(s2 < -self.tol, axis=2), axis=1)
+            return ~(sepK | sepL)
+        # (c) boundaries cross without vertex containment
+        if self.K.dim >= 1 and self.L.dim >= 1:
+            undecided = np.nonzero(~hit)[0]
+            # Sub-chunk: the predicate builds (m, edges_K, edges_L, 3)
+            # arrays, so bound m by the edge-pair count.
+            pairs = len(self.pK) * len(self.L.edges)
+            block = max(1, 2_000_000 // pairs)
+            for lo in range(0, len(undecided), block):
+                sub = undecided[lo:lo + block]
+                hit[sub] = self._crossing(vL[sub])
+        if self.K.dim == 0 and self.L.dim == 0:
+            d = np.linalg.norm(vL[:, 0] - self.vK[0], axis=1)
+            hit |= d <= self.tol
+        return hit
+
+    def _crossing(self, vL: np.ndarray) -> np.ndarray:
+        _, crossed = arc_crossings(self.pK, self.qK,
+                                   *unit_arcs(vL, self.L.edges))
+        return np.any(crossed, axis=(1, 2))
+
+
+def random_point(curv, rng, rho=0.7):
+    return point_body(exp_at_base(curv, float(rng.uniform(0.0, rho)),
+                                  float(rng.uniform(0, 2 * math.pi))))
+
+
+class TestOverlapKernel:
+    """The fused kernel decides exactly as the tester it replaced."""
+
+    MOTIONS = 100_000
+
+    def pairs(self, curv, rng):
+        polygon = lambda: random_body(curv, rng, n_points=8)
+        segment = lambda: random_segment(curv, rng)
+        point = lambda: random_point(curv, rng)
+        return [(polygon(), polygon()) for _ in range(4)] + [
+            (segment(), polygon()), (polygon(), segment()),
+            (point(), polygon()), (polygon(), point()),
+            (segment(), segment()), (polygon(), random_body(curv, rng, 3))]
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_same_hits_as_old_tester(self, kappa):
+        # 10 pairs x 1e5 motions: 1e6 per regime, segment and point bodies
+        # on either side.  The old tester gets the same motions as matrices.
+        curv = Curvature(kappa)
+        rng = RandomStream(307)
+        motions = 0
+        for K, L in self.pairs(curv, rng):
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            r, theta, phi = sample_motions(curv, support, self.MOTIONS, rng)
+            new = _OverlapTester(Kc, Lc).hits(r, theta, phi, reach=support)
+            old = OldOverlapTester(Kc, Lc).hits(
+                motion_matrices(curv, r, theta, phi), reach=support)
+            assert np.array_equal(new, old)
+            assert 0 < np.count_nonzero(new) < len(new)
+            motions += len(new)
+        assert motions >= 1_000_000
+
+    def test_sphere_reach_cut_drops_no_hit(self):
+        # Both bodies lie within 0.7 of the base point, so no overlap
+        # moves the base point further than 1.4.
+        curv = Curvature(1.0)
+        rng = RandomStream(311)
+        K, L = random_body(curv, rng), random_body(curv, rng)
+        r, theta, phi = sample_motions(curv, 1.5, 20_000, rng)
+        tester = _OverlapTester(K, L)
+        hits = tester.hits(r, theta, phi, reach=1.5)
+        assert np.count_nonzero(hits) > 0
+        assert np.array_equal(hits, tester.hits(r, theta, phi))
+
+    def test_point_bodies(self):
+        # Two points meet only when they coincide.
+        curv = Curvature(0.0)
+        p = point_body(exp_at_base(curv, 0.0, 0.0))
+        tester = _OverlapTester(p, p)
+        hits = tester.hits(np.array([0.0, 1e-3, 0.0]), np.zeros(3),
+                           np.array([0.0, 0.0, 2.0]))
+        assert hits.tolist() == [True, False, True]
 
 
 class TestContainmentCriterion:

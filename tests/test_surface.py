@@ -12,9 +12,11 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                Regime, SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, form_dot, gen_asin,
                                gen_cos, gen_sin, geodesic_distance,
+                               motion_columns, motion_matrices,
                                normalize_to_surface, point_polar,
                                rotation_about_base, sample_isometry,
-                               sample_isometry_matrices, support_area,
+                               sample_isometry_matrices, sample_motions,
+                               sample_positions, support_area,
                                translation_by_polar, translation_to)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
@@ -277,3 +279,99 @@ class TestHaarSampling:
     def test_support_area_values(self):
         assert abs(support_area(Curvature(1.0), 99.0) - 4 * math.pi) < 1e-12
         assert abs(support_area(Curvature(0.0), 2.0) - 4 * math.pi) < 1e-12
+
+
+def old_motion_matrices(curvature, r, theta, phi):
+    """The (n, 3, 3) motion builder before the closed form, kept verbatim
+    (bar its name) as an oracle: Rz(theta) . t . Rz(phi - theta) as two
+    zero-padded batched matmuls."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), r.shape)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), r.shape)
+    n = len(r)
+    k = curvature.kappa
+
+    def _rz(a):
+        c, s = np.cos(a), np.sin(a)
+        m = np.zeros((n, 3, 3))
+        m[:, 0, 0] = c
+        m[:, 0, 1] = -s
+        m[:, 1, 0] = s
+        m[:, 1, 1] = c
+        m[:, 2, 2] = 1.0
+        return m
+
+    t = np.zeros((n, 3, 3))
+    if k == 0.0:
+        t[:] = np.eye(3)
+        t[:, 0, 2] = r
+    else:
+        a = curvature.scale * r
+        if k > 0:
+            ca, sa = np.cos(a), np.sin(a)
+            t[:, 0, 0] = ca
+            t[:, 0, 2] = sa
+            t[:, 2, 0] = -sa
+            t[:, 2, 2] = ca
+        else:
+            ca, sa = np.cosh(a), np.sinh(a)
+            t[:, 0, 0] = ca
+            t[:, 0, 2] = sa
+            t[:, 2, 0] = sa
+            t[:, 2, 2] = ca
+        t[:, 1, 1] = 1.0
+    return _rz(theta) @ t @ _rz(phi - theta)
+
+
+class TestMotionColumns:
+    KAPPAS = [2.0, 0.25, 0.0, -0.25, -2.0]
+
+    def motions(self, seed, n=20_000):
+        rng = RandomStream(seed)
+        return (rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2 * math.pi, n),
+                rng.uniform(0.0, 2 * math.pi, n))
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_matches_old_stack(self, kappa):
+        c = Curvature(kappa)
+        r, theta, phi = self.motions(19)
+        old = old_motion_matrices(c, r, theta, phi)
+        new = motion_columns(c, r, theta, phi).T.reshape(-1, 3, 3)
+        assert np.all(np.abs(new - old)
+                      <= 1e-14 * np.maximum(1.0, np.abs(old)))
+        assert np.array_equal(motion_matrices(c, r, theta, phi), new)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_inverse_columns(self, kappa):
+        c = Curvature(kappa)
+        r, theta, phi = self.motions(23)
+        fwd, inv = motion_columns(c, r, theta, phi, with_inverse=True)
+        assert np.array_equal(fwd, motion_columns(c, r, theta, phi))
+        # The inverse of (r, theta, phi) is the motion (-r, theta - phi, -phi).
+        again = motion_columns(c, -r, theta - phi, -phi)
+        big = np.maximum(1.0, np.abs(inv))
+        assert np.all(np.abs(inv - again) <= 1e-13 * big)
+        prod = inv.T.reshape(-1, 3, 3) @ fwd.T.reshape(-1, 3, 3)
+        scale = np.max(np.abs(fwd), axis=0) ** 2
+        assert np.all(np.abs(prod - np.eye(3)).max(axis=(1, 2))
+                      <= 1e-14 * np.maximum(1.0, scale))
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_sample_motions_stream_order(self, kappa):
+        # Positions first, then the spin, as the matrix sampler drew them.
+        c = Curvature(kappa)
+        r, theta, phi = sample_motions(c, 1.0, 1000, RandomStream(29))
+        ref = RandomStream(29)
+        r0, theta0 = sample_positions(c, 1.0, 1000, ref)
+        assert np.array_equal(r, r0) and np.array_equal(theta, theta0)
+        assert np.array_equal(phi, ref.uniform(0.0, 2 * math.pi, 1000))
+        assert np.array_equal(
+            sample_isometry_matrices(c, 1.0, 1000, RandomStream(29)),
+            motion_matrices(c, r, theta, phi))
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_translation_by_polar_is_a_motion(self, kappa):
+        c = Curvature(kappa)
+        g = translation_by_polar(c, 0.9, 2.5)
+        ref = old_motion_matrices(c, 0.9, 2.5, 0.0)[0]
+        assert np.allclose(g.matrix, ref, rtol=0.0, atol=1e-14)
