@@ -19,12 +19,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
-                      exp_at_base, form_dot, geodesic_distance,
-                      normalize_to_surface)
+                      exp_at_base, form_dot, geodesic_distance, libm_map,
+                      normalize_to_surface, row_distances)
 
 
 class DegeneratePosition(GeometryError):
     """Boundaries share an edge segment; crossing counts are undefined."""
+
+
+def triple_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (i, j, k) of every i < j < k below n, lexicographically."""
+    less = np.triu(np.ones((n, n), dtype=bool), 1)
+    return np.nonzero(less[:, :, None] & less[None, :, :])
 
 
 def hemisphere_direction(curvature: Curvature,
@@ -52,22 +58,17 @@ def hemisphere_direction(curvature: Curvature,
         return cand[i], float(margins[i])
 
     # Cheap first pass: mean, the points, pair bisectors.
-    cheap = [unit.sum(axis=0, keepdims=True), unit]
-    if n >= 2:
-        ii, jj = np.triu_indices(n, 1)
-        cheap.append(unit[ii] + unit[jj])
-    best, best_margin = best_of(np.concatenate(cheap))
+    ii, jj = np.triu_indices(n, 1)
+    best, best_margin = best_of(np.concatenate(
+        [unit.sum(axis=0, keepdims=True), unit, unit[ii] + unit[jj]]))
     if best is not None and best_margin > EPS * scale:
         return best
     # Exact pass: circumcenter directions of triples, both signs.
-    if n >= 3:
-        ii, jj, kk = (np.array(t) for t in zip(
-            *[(i, j, k) for i in range(n) for j in range(i + 1, n)
-              for k in range(j + 1, n)]))
-        tri = np.cross(unit[ii] - unit[jj], unit[jj] - unit[kk])
-        cand, margin = best_of(np.concatenate([tri, -tri]))
-        if cand is not None and margin > best_margin:
-            best, best_margin = cand, margin
+    ii, jj, kk = triple_indices(n)
+    tri = np.cross(unit[ii] - unit[jj], unit[jj] - unit[kk])
+    cand, margin = best_of(np.concatenate([tri, -tri]))
+    if cand is not None and margin > best_margin:
+        best, best_margin = cand, margin
     if best is None or best_margin <= EPS * scale:
         raise GeometryError("points do not fit in an open hemisphere")
     return best
@@ -166,6 +167,12 @@ class GeodesicPolygon:
         return [(i, (i + 1) % n) for i in range(n)]
 
     @cached_property
+    def edge_planes(self) -> np.ndarray:
+        """Unnormalized interior half-space normals: endpoint cross products."""
+        va = self.vertex_array
+        return np.cross(va, np.roll(va, -1, axis=0))[:len(self.edges)]
+
+    @cached_property
     def edge_normals(self) -> np.ndarray:
         """Form-normalized inward normals, one per edge; gen_sin-valued distances.
 
@@ -174,45 +181,45 @@ class GeodesicPolygon:
         positive on the interior side.
         """
         k = self.curvature.kappa
-        va = self.vertex_array
-        normals = []
-        for i, j in self.edges:
-            nu = np.cross(va[i], va[j])
-            if k < 0:
-                norm2 = nu[0] ** 2 + nu[1] ** 2 - nu[2] ** 2
-                if norm2 <= 0:
-                    raise GeometryError("edge does not support a geodesic")
-                normals.append(nu * self.curvature.form_signs
-                               / math.sqrt(norm2))
-            elif k > 0:
-                normals.append(nu / np.linalg.norm(nu))
-            else:
-                normals.append(nu / math.hypot(nu[0], nu[1]))
-        return np.array(normals)
+        nu = self.edge_planes
+        if k < 0:
+            # libm pow, as ** on one scalar; ** on an array multiplies.
+            sq = np.float_power(nu, 2)
+            norm2 = sq[:, 0] + sq[:, 1] - sq[:, 2]
+            if np.any(norm2 <= 0):
+                raise GeometryError("edge does not support a geodesic")
+            return nu * self.curvature.form_signs / np.sqrt(norm2)[:, None]
+        if k > 0:
+            # Per row, the BLAS dot that np.linalg.norm takes of one vector.
+            norm = np.sqrt(nu[:, None, :] @ nu[:, :, None])[:, 0]
+        else:
+            norm = libm_map(math.hypot, nu[:, 0], nu[:, 1])[:, None]
+        return nu / norm
 
     def _validate(self):
         n = self.n_vertices
-        va = np.array([v.coords for v in self.vertices])
+        va = self.vertex_array
         scale = float(np.max(np.abs(va))) + 1.0
-        for i in range(n):
-            j = (i + 1) % n
-            if n > 1 and np.all(np.abs(va[i] - va[j]) < EPS * scale):
-                raise GeometryError(f"repeated adjacent vertices {i}, {j}")
+        nxt = np.roll(va, -1, axis=0)
+        repeated = np.all(np.abs(va - nxt) < EPS * scale, axis=1)
+        if n > 1 and repeated.any():
+            i = int(np.argmax(repeated))
+            raise GeometryError(f"repeated adjacent vertices {i}, {(i + 1) % n}")
         if self.curvature.kappa > 0:
             hemisphere_direction(self.curvature, va)  # raises on violation
         if n < 3:
             return
-        dists = form_dot(self.curvature, self.edge_normals[:, None, :],
-                         va[None, :, :])
+        dists = self.signed_edge_distances(va)
         if np.min(dists) < -EPS * scale:
             raise GeometryError(
                 "vertex cycle is not convex/counterclockwise "
                 f"(worst signed distance {np.min(dists):.3g})")
         # Canonical form: no three consecutive collinear vertices.
-        for i in range(n):
-            d = dists[(i - 1) % n, (i + 1) % n]
-            if abs(d) < 1e-13 * scale:
-                raise GeometryError(f"vertex {i + 1} is collinear with neighbours")
+        idx = np.arange(n)
+        collinear = np.abs(dists[idx - 1, (idx + 1) % n]) < 1e-13 * scale
+        if collinear.any():
+            i = int(np.argmax(collinear))
+            raise GeometryError(f"vertex {i + 1} is collinear with neighbours")
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
         """gen_sin of the signed distance from each edge geodesic (rows)."""
@@ -239,10 +246,7 @@ def segment_body(a: SurfacePoint, b: SurfacePoint) -> GeodesicPolygon:
 
 def _canonical_rotation(points: list[SurfacePoint]) -> list[SurfacePoint]:
     """Rotate the cycle so the lexicographically smallest vertex is first."""
-    if len(points) <= 1:
-        return points
-    keys = [tuple(p.coords) for p in points]
-    start = min(range(len(points)), key=keys.__getitem__)
+    start = min(range(len(points)), key=lambda i: tuple(points[i].coords))
     return points[start:] + points[:start]
 
 
@@ -255,13 +259,10 @@ def convex_hull(points: Iterable[SurfacePoint]) -> GeodesicPolygon:
     for p in pts:
         curv.require_same(p.curvature)
     coords = np.array([p.coords for p in pts])
-    scale = float(np.max(np.abs(coords))) + 1.0
-    # Drop duplicates, keeping first occurrences.
-    keep: list[int] = []
-    for i in range(len(pts)):
-        if all(np.max(np.abs(coords[i] - coords[j])) > EPS * scale
-               for j in keep):
-            keep.append(i)
+    # Drop points within tolerance of an earlier one.
+    tol = EPS * (float(np.max(np.abs(coords))) + 1.0)
+    near = np.max(np.abs(coords[:, None] - coords[None]), axis=2) <= tol
+    keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
     if len(keep) == 1:
         return GeodesicPolygon([pts[keep[0]]], curv)
     u = hemisphere_direction(curv, coords) if curv.kappa > 0 else None
@@ -277,25 +278,10 @@ def convex_hull(points: Iterable[SurfacePoint]) -> GeodesicPolygon:
 
 def perimeter(K: GeodesicPolygon) -> float:
     """Boundary length; twice the length for a segment body, 0 for a point."""
-    n = K.n_vertices
-    if n == 1:
-        return 0.0
-    if n == 2:
-        return 2.0 * geodesic_distance(K.vertices[0], K.vertices[1])
-    return sum(geodesic_distance(K.vertices[i], K.vertices[j])
-               for i, j in K.edges)
-
-
-def _interior_angle(curv: Curvature, a: np.ndarray, b: np.ndarray,
-                    c: np.ndarray) -> float:
-    """Angle at b between the geodesics toward a and c (form metric)."""
-    bb = form_dot(curv, b, b)
-    u = a - (form_dot(curv, a, b) / bb) * b
-    v = c - (form_dot(curv, c, b) / bb) * b
-    uu = form_dot(curv, u, u)
-    vv = form_dot(curv, v, v)
-    cosang = form_dot(curv, u, v) / math.sqrt(uu * vv)
-    return math.acos(min(1.0, max(-1.0, float(cosang))))
+    # A segment's vertex cycle runs there and back; a point's stays put.
+    va = K.vertex_array
+    return sum(row_distances(K.curvature, va,
+                             np.roll(va, -1, axis=0)).tolist())
 
 
 def area(K: GeodesicPolygon) -> float:
@@ -303,14 +289,19 @@ def area(K: GeodesicPolygon) -> float:
     if K.dim < 2:
         return 0.0
     va = K.vertex_array
-    n = K.n_vertices
-    k = K.curvature.kappa
-    if k == 0.0:
+    curv = K.curvature
+    if curv.kappa == 0.0:
         x, y = va[:, 0], va[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    total = sum(_interior_angle(K.curvature, va[i - 1], va[i], va[(i + 1) % n])
-                for i in range(n))
-    return (total - (n - 2) * math.pi) / k
+    # Angle at each b between the geodesics toward a and c (form metric).
+    a, b, c = np.roll(va, 1, axis=0), va, np.roll(va, -1, axis=0)
+    bb = form_dot(curv, b, b)
+    u = a - (form_dot(curv, a, b) / bb)[:, None] * b
+    v = c - (form_dot(curv, c, b) / bb)[:, None] * b
+    cosang = form_dot(curv, u, v) / np.sqrt(form_dot(curv, u, u)
+                                            * form_dot(curv, v, v))
+    total = sum(libm_map(math.acos, np.clip(cosang, -1.0, 1.0)).tolist())
+    return (total - (len(va) - 2) * math.pi) / curv.kappa
 
 
 def contains_point(K: GeodesicPolygon, p: SurfacePoint) -> bool:
@@ -368,12 +359,6 @@ def _clip_segment(pa: np.ndarray, pb: np.ndarray, planes: np.ndarray,
     return pa, pb
 
 
-def _edge_planes(K: GeodesicPolygon) -> np.ndarray:
-    """Unnormalized interior half-space normals (Euclidean cross products)."""
-    va = K.vertex_array
-    return np.array([np.cross(va[i], va[j]) for i, j in K.edges])
-
-
 def _points_to_body(coords: np.ndarray,
                     curv: Curvature) -> Optional[GeodesicPolygon]:
     if len(coords) == 0:
@@ -400,12 +385,12 @@ def intersect_convex(K: GeodesicPolygon,
         K, L = L, K
     if L.dim == 1:
         seg = _clip_segment(L.vertex_array[0], L.vertex_array[1],
-                            _edge_planes(K), curv, tol)
+                            K.edge_planes, curv, tol)
         if seg is None:
             return None
         return _points_to_body(np.array(seg), curv)
     coords = K.vertex_array
-    for nu in _edge_planes(L):
+    for nu in L.edge_planes:
         coords = _clip_cycle(coords, nu, curv, tol)
         if len(coords) == 0:
             return None

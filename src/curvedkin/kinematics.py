@@ -76,8 +76,8 @@ class _OverlapTester:
             normals = K.edge_normals * self.curv.form_signs
             self.sides.append((_outer_table(normals, self.vL), len(self.vL), 0))
         if L.dim == 2:
-            normals = np.cross(self.vL, np.roll(self.vL, -1, axis=0))
-            self.sides.append((_outer_table(normals, self.vK), len(self.vK), 1))
+            self.sides.append((_outer_table(L.edge_planes, self.vK),
+                               len(self.vK), 1))
         self.pK, self.qK = unit_arcs(self.vK, K.edges)
 
     def hits(self, r: np.ndarray, theta: np.ndarray, phi: np.ndarray,
@@ -86,9 +86,9 @@ class _OverlapTester:
         todo = np.arange(len(r))
         if self.curv.kappa > 0 and reach is not None:
             # Overlap needs the moved base point within reach of the base
-            # point; its cosine distance is the 3-3 entry cos(sqrt(k) r).
-            cut = math.cos(min(math.pi, self.curv.scale * reach))
-            todo = todo[np.cos(self.curv.scale * r) >= cut]
+            # point.  sqrt(k) r lies in [0, pi], so no cosine is needed.
+            s = self.curv.scale
+            todo = todo[s * r <= min(math.pi, s * reach)]
         out = np.zeros(len(r), dtype=bool)
         for lo in range(0, len(todo), chunk):
             sub = todo[lo:lo + chunk]

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .convex import GeodesicPolygon, area, perimeter
+from .convex import GeodesicPolygon, area, perimeter, triple_indices
 from .surface import (Curvature, GeometryError, SurfacePoint, form_dot,
-                      gen_asin, geodesic_distance, normalize_to_surface)
+                      gen_asin, normalize_to_surface, row_distances)
 
 # random_convex_body's default max_vertices: random bodies solve in one round.
 _FIRST_WORKING_SET = 12
@@ -79,23 +78,19 @@ def _midpoint(curv: Curvature, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _disc_from_support(curv: Curvature,
-                       support: list[np.ndarray]) -> Optional[tuple]:
-    """Smallest geodesic disc with the given boundary points."""
-    pts = [SurfacePoint(c, curv) for c in support]
-    if len(support) == 0:
-        return None
-    if len(support) == 1:
-        return support[0], 0.0
+                       support: np.ndarray) -> Optional[tuple]:
+    """Smallest geodesic disc with the given boundary points, (m, 3)."""
+    if len(support) < 2:
+        return (support[0], 0.0) if len(support) else None
     if len(support) == 2:
         c = _midpoint(curv, support[0], support[1])
-        return c, geodesic_distance(SurfacePoint(c, curv), pts[0])
-    best = None
-    for c in _circumcenter3(curv, *support):
-        cp = SurfacePoint(c, curv)
-        r = max(geodesic_distance(cp, p) for p in pts)
-        if best is None or r < best[1]:
-            best = (c, r)
-    return best
+        return c, float(row_distances(curv, c, support[0]))
+    centers = _circumcenter3(curv, *support)
+    if not centers:
+        return None
+    r = row_distances(curv, np.array(centers)[:, None], support).max(axis=1)
+    i = int(np.argmin(r))
+    return centers[i], float(r[i])
 
 
 def smallest_enclosing_disc(curv: Curvature,
@@ -104,33 +99,42 @@ def smallest_enclosing_disc(curv: Curvature,
 
     The iterative form: a point outside the current disc restarts the scan
     over the points inserted before it with that point on the rim, so the
-    loops nest at most three deep whatever the point count.  The shuffle is
-    seeded deterministically from the point count, so support sets (and
+    loops nest at most three deep whatever the point count.  Each new disc
+    tests every point in one row_distances call.  The shuffle is seeded
+    deterministically from the point count, so support sets (and
     tie-breaks) are reproducible run to run.
     """
     n = len(coords)
     rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
     pts = coords[rng.permutation(n)[::-1]]
 
-    def outside(disc, p: np.ndarray) -> bool:
+    def outside(disc) -> np.ndarray:
+        """Mask of the points outside the disc; every point, if no disc."""
         if disc is None:
-            return True
+            return np.ones(n, dtype=bool)
         c, r = disc
-        return (geodesic_distance(SurfacePoint(c, curv), SurfacePoint(p, curv))
-                > r + 1e-12 * (1.0 + r))
+        return row_distances(curv, c, pts) > r + 1e-12 * (1.0 + r)
 
-    disc = None
-    for i in range(n):
-        if not outside(disc, pts[i]):
-            continue
-        disc = _disc_from_support(curv, [pts[i]])
-        for j in range(i):
-            if not outside(disc, pts[j]):
-                continue
-            disc = _disc_from_support(curv, [pts[i], pts[j]])
-            for m in range(j):
-                if outside(disc, pts[m]):
-                    disc = _disc_from_support(curv, [pts[i], pts[j], pts[m]])
+    def first(far: np.ndarray, lo: int, hi: int) -> int:
+        """Index of the first outside point of pts[lo:hi], else hi."""
+        hits = np.flatnonzero(far[lo:hi])
+        return lo + int(hits[0]) if len(hits) else hi
+
+    disc, i = None, 0  # the first point lies outside the empty disc
+    while i < n:
+        disc = _disc_from_support(curv, pts[[i]])
+        far = outside(disc)
+        j = first(far, 0, i)
+        while j < i:
+            disc = _disc_from_support(curv, pts[[i, j]])
+            far = outside(disc)
+            m = first(far, 0, j)
+            while m < j:
+                disc = _disc_from_support(curv, pts[[i, j, m]])
+                far = outside(disc)
+                m = first(far, m + 1, j)
+            j = first(far, j + 1, i)
+        i = first(far, i + 1, n)
     if disc is None:
         raise GeometryError("minidisc failed (degenerate input)")
     return disc
@@ -139,8 +143,6 @@ def smallest_enclosing_disc(curv: Curvature,
 def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     """Radius and center of the smallest enclosing geodesic disc."""
     curv = K.curvature
-    if K.n_vertices == 1:
-        return 0.0, K.vertices[0]
     c, r = smallest_enclosing_disc(curv, K.vertex_array)
     if curv.kappa > 0 and r >= curv.hemisphere_limit:
         raise GeometryError("enclosing disc leaves the hemisphere; "
@@ -171,9 +173,9 @@ def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
     n = len(normals)
     k = curv.kappa
     candidate_sets = []
-    idx = np.array(list(combinations(range(n), 3)))
-    d1 = normals[idx[:, 0]] - normals[idx[:, 1]]
-    d2 = normals[idx[:, 1]] - normals[idx[:, 2]]
+    ii, jj, kk = triple_indices(n)
+    d1 = normals[ii] - normals[jj]
+    d2 = normals[jj] - normals[kk]
     if k == 0.0:
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         ok = np.abs(det) > 1e-14

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -162,10 +161,10 @@ def form_dot(curvature: Curvature, u, v) -> float:
     u = np.asarray(u)
     v = np.asarray(v)
     if curvature.kappa < 0:
-        return np.sum(u * v * curvature.form_signs, axis=-1)
+        return (u * v * curvature.form_signs).sum(axis=-1)
     # The signs are ones here; skipping their multiply speeds up the
     # single-point calls that distances make.
-    return np.sum(u * v, axis=-1)
+    return (u * v).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -240,21 +239,35 @@ def normalize_to_surface(curvature: Curvature, v: np.ndarray) -> np.ndarray:
     return w
 
 
+def libm_map(f, *xs: np.ndarray) -> np.ndarray:
+    """The math function f over the entries of equal-shape arrays.
+
+    numpy's arcsin, arccos, arcsinh and hypot differ from math's by 1-2 ulp
+    on some hosts (AVX-512), which would make results depend on the host.
+    """
+    return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
+
+
+def row_distances(curvature: Curvature, P: np.ndarray,
+                  Q: np.ndarray) -> np.ndarray:
+    """Geodesic distances between the rows of P and Q; (..., 3), broadcasts."""
+    d = np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)
+    k = curvature.kappa
+    if k == 0.0:
+        return np.hypot(d[..., 0], d[..., 1])
+    # Half-chord formula: accurate near zero, unlike acos/acosh of the form
+    # product, which loses half the digits there.
+    s = curvature.scale
+    half = 0.5 * s * np.sqrt(np.maximum(0.0, form_dot(curvature, d, d)))
+    if k > 0:
+        return 2.0 * libm_map(math.asin, np.minimum(1.0, half)) / s
+    return 2.0 * libm_map(math.asinh, half) / s
+
+
 def geodesic_distance(p: SurfacePoint, q: SurfacePoint) -> float:
     """Length of the geodesic segment joining p and q."""
     p.curvature.require_same(q.curvature)
-    k = p.curvature.kappa
-    if k == 0.0:
-        return float(np.hypot(*(p.coords[:2] - q.coords[:2])))
-    # Half-chord formula: accurate near zero, unlike acos/acosh of the form
-    # product, which loses half the digits there.
-    s = p.curvature.scale
-    chord2 = float(form_dot(p.curvature, p.coords - q.coords,
-                            p.coords - q.coords))
-    half = 0.5 * s * math.sqrt(max(0.0, chord2))
-    if k > 0:
-        return 2.0 * math.asin(min(1.0, half)) / s
-    return 2.0 * math.asinh(half) / s
+    return float(row_distances(p.curvature, p.coords, q.coords))
 
 
 def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:

@@ -1,24 +1,29 @@
 """Tests for convex polygons: hulls, area, perimeter, intersections."""
 
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
+                              _canonical_rotation, _chart, _hull_indices,
                               _segment_intersections, area,
                               boundary_crossings, contains_point, convex_hull,
-                              euler_intersection, intersect_convex, perimeter,
-                              point_body, polygons_close, regular_ngon,
-                              segment_body)
+                              euler_intersection, hemisphere_direction,
+                              intersect_convex, perimeter, point_body,
+                              polygons_close, regular_ngon, segment_body,
+                              triple_indices)
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
-                               exp_at_base, geodesic_distance,
+                               exp_at_base, form_dot, geodesic_distance,
                                normalize_to_surface, rotation_about_base,
                                sample_isometry, translation_by_polar,
                                translation_to)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
+ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
 
 
 def flat_point(x, y):
@@ -43,6 +48,22 @@ def random_body(curv, rng, n_points=6, rho=0.8):
     return convex_hull(pts)
 
 
+def flat_polygon(*xy):
+    return GeodesicPolygon([flat_point(x, y) for x, y in xy])
+
+
+def unchecked_point(coords, curv):
+    """A SurfacePoint with coordinates its constructor would reject."""
+    p = object.__new__(SurfacePoint)
+    object.__setattr__(p, "coords", np.array(coords, dtype=float))
+    object.__setattr__(p, "curvature", curv)
+    return p
+
+
+def raises_exactly(message):
+    return pytest.raises(GeometryError, match=f"^{re.escape(message)}$")
+
+
 class TestConstruction:
     def test_point_and_segment_bodies(self):
         p = exp_at_base(Curvature(-1.0), 0.5, 1.0)
@@ -52,8 +73,56 @@ class TestConstruction:
 
     def test_repeated_adjacent_vertices_rejected(self):
         p = flat_point(0.0, 0.0)
-        with pytest.raises(GeometryError):
+        with raises_exactly("repeated adjacent vertices 0, 1"):
             GeodesicPolygon([p, p])
+
+    @pytest.mark.parametrize("xy, message", [
+        ([(0, 0), (1, 0), (1, 0), (0, 1)], "repeated adjacent vertices 1, 2"),
+        ([(0, 0), (1, 0), (0, 1), (0, 0)], "repeated adjacent vertices 3, 0"),
+        ([(0, 0), (1, 0), (1, 0), (0, 1), (0, 1)],
+         "repeated adjacent vertices 1, 2"),
+    ])
+    def test_repeated_vertex_named(self, xy, message):
+        # The first repeated pair is named, from 0, wrapping at the end.
+        with raises_exactly(message):
+            flat_polygon(*xy)
+
+    @pytest.mark.parametrize("xy, message", [
+        ([(0, 0), (1, 0), (2, 0), (1, 1)],
+         "vertex 2 is collinear with neighbours"),
+        ([(0, 0), (2, 0), (2, 2), (0, 2), (0, 1)],
+         "vertex 5 is collinear with neighbours"),
+        ([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 2)],
+         "vertex 2 is collinear with neighbours"),
+    ])
+    def test_collinear_vertex_named(self, xy, message):
+        # The first collinear middle vertex, counted from 1 (unlike the
+        # repeated-vertex message, which counts from 0).
+        with raises_exactly(message):
+            flat_polygon(*xy)
+
+    def test_clockwise_cycle_named(self):
+        with raises_exactly("vertex cycle is not convex/counterclockwise "
+                            "(worst signed distance -1)"):
+            flat_polygon((0, 0), (0, 1), (1, 0))
+
+    def test_edge_without_geodesic(self):
+        # Points of the hyperboloid always span a geodesic; two spacelike
+        # vertices, planted past SurfacePoint's own check, do not.
+        curv = Curvature(-1.0)
+        pts = [unchecked_point(c, curv)
+               for c in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])]
+        with raises_exactly("edge does not support a geodesic"):
+            GeodesicPolygon(pts)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sphere_body_off_the_hemisphere(self, n):
+        # Antipodes, or three equator points summing to zero.
+        c = Curvature(1.0)
+        pts = [SurfacePoint(np.array([math.cos(t), math.sin(t), 0.0]), c)
+               for t in 2 * math.pi * np.arange(n) / n]
+        with raises_exactly("points do not fit in an open hemisphere"):
+            GeodesicPolygon(pts)
 
     def test_nonconvex_cycle_rejected(self):
         pts = [flat_point(*xy) for xy in
@@ -536,3 +605,201 @@ class TestIsometryInvariance:
             moved = body.transformed(g)
             assert abs(area(moved) - area(body)) < 1e-8
             assert abs(perimeter(moved) - perimeter(body)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The per-vertex loops that the array kernels replaced, kept verbatim (bar
+# self -> K) as differential oracles.
+# ---------------------------------------------------------------------------
+
+def old_edge_normals(K):
+    k = K.curvature.kappa
+    va = K.vertex_array
+    normals = []
+    for i, j in K.edges:
+        nu = np.cross(va[i], va[j])
+        if k < 0:
+            norm2 = nu[0] ** 2 + nu[1] ** 2 - nu[2] ** 2
+            if norm2 <= 0:
+                raise GeometryError("edge does not support a geodesic")
+            normals.append(nu * K.curvature.form_signs
+                           / math.sqrt(norm2))
+        elif k > 0:
+            normals.append(nu / np.linalg.norm(nu))
+        else:
+            normals.append(nu / math.hypot(nu[0], nu[1]))
+    return np.array(normals)
+
+
+def old_perimeter(K):
+    """Boundary length; twice the length for a segment body, 0 for a point."""
+    n = K.n_vertices
+    if n == 1:
+        return 0.0
+    if n == 2:
+        return 2.0 * geodesic_distance(K.vertices[0], K.vertices[1])
+    return sum(geodesic_distance(K.vertices[i], K.vertices[j])
+               for i, j in K.edges)
+
+
+def _old_interior_angle(curv, a, b, c):
+    """Angle at b between the geodesics toward a and c (form metric)."""
+    bb = form_dot(curv, b, b)
+    u = a - (form_dot(curv, a, b) / bb) * b
+    v = c - (form_dot(curv, c, b) / bb) * b
+    uu = form_dot(curv, u, u)
+    vv = form_dot(curv, v, v)
+    cosang = form_dot(curv, u, v) / math.sqrt(uu * vv)
+    return math.acos(min(1.0, max(-1.0, float(cosang))))
+
+
+def old_area(K):
+    """Area via the shoelace formula (flat) or angle excess over kappa."""
+    if K.dim < 2:
+        return 0.0
+    va = K.vertex_array
+    n = K.n_vertices
+    k = K.curvature.kappa
+    if k == 0.0:
+        x, y = va[:, 0], va[:, 1]
+        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    total = sum(_old_interior_angle(K.curvature, va[i - 1], va[i],
+                                    va[(i + 1) % n])
+                for i in range(n))
+    return (total - (n - 2) * math.pi) / k
+
+
+def old_convex_hull(points):
+    """Minimal convex polygon containing the points; vertices are inputs."""
+    pts = list(points)
+    if not pts:
+        raise GeometryError("empty point set")
+    curv = pts[0].curvature
+    for p in pts:
+        curv.require_same(p.curvature)
+    coords = np.array([p.coords for p in pts])
+    scale = float(np.max(np.abs(coords))) + 1.0
+    # Drop duplicates, keeping first occurrences.
+    keep = []
+    for i in range(len(pts)):
+        if all(np.max(np.abs(coords[i] - coords[j])) > EPS * scale
+               for j in keep):
+            keep.append(i)
+    if len(keep) == 1:
+        return GeodesicPolygon([pts[keep[0]]], curv)
+    u = hemisphere_direction(curv, coords) if curv.kappa > 0 else None
+    xy = _chart(curv, coords[keep], u)
+    hull = _hull_indices(xy)
+    chosen = _canonical_rotation([pts[keep[i]] for i in hull])
+    return GeodesicPolygon(chosen, curv)
+
+
+def old_triples(n):
+    """hemisphere_direction's exact-pass triple loop."""
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n)
+            for k in range(j + 1, n)]
+
+
+def assert_agree(new, old, ulps=0):
+    """Within ulps units in the last place of old; 0 asks for the same bits.
+
+    The array kernels keep the scalar arithmetic, libm calls included, so
+    they reproduce its bits.  Only spherical edge norms go through BLAS,
+    whose builds may round a dot product differently; they get 4 ulp.
+    """
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= ulps * np.spacing(np.abs(old))), \
+        (new, old)
+
+
+def body_limit(curv):
+    if curv.kappa > 0:
+        return 0.9 * curv.hemisphere_limit
+    return 2.0 / max(1.0, curv.scale)
+
+
+def random_point_set(curv, rng):
+    """1 to 12 points in a random disc; a fifth get planted duplicates.
+
+    Duplicates are exact copies, or points 1e-11 rad round the circle,
+    which the hull's 1e-9 coordinate tolerance merges.
+    """
+    m = int(rng.generator.choice([1, 2] + list(range(3, 13))))
+    rho = float(rng.uniform(0.05, body_limit(curv)))
+    polar = [(float(rng.uniform(0.0, rho)), float(rng.uniform(0, 2 * math.pi)))
+             for _ in range(m)]
+    if rng.uniform() < 0.2:
+        for _ in range(int(rng.integers(1, 4))):
+            r, t = polar[int(rng.integers(m))]
+            polar.insert(int(rng.integers(len(polar) + 1)),
+                         (r, t + float(rng.generator.choice([0.0, 1e-11]))))
+    return [exp_at_base(curv, r, t) for r, t in polar]
+
+
+def same_hull(pts):
+    """The hull, after asserting it is the old hull, or raises as it did."""
+    try:
+        old = old_convex_hull(pts)
+    except GeometryError as e:
+        with raises_exactly(str(e)):
+            convex_hull(pts)
+        return None
+    new = convex_hull(pts)
+    assert np.array_equal(new.vertex_array, old.vertex_array)
+    return new
+
+
+class TestArrayKernels:
+    """Construction, area and perimeter agree with the loops they replaced."""
+
+    BODIES = 2000
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_random_bodies_match_scalar_loops(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(151)
+        dims = set()
+        for _ in range(self.BODIES):
+            K = same_hull(random_point_set(curv, rng))
+            if K is None:
+                continue
+            dims.add(K.dim)
+            if K.dim > 0:
+                assert_agree(K.edge_normals, old_edge_normals(K),
+                             ulps=4 if kappa > 0 else 0)
+            assert_agree(area(K), old_area(K))
+            assert_agree(perimeter(K), old_perimeter(K))
+        assert dims == {0, 1, 2}
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_large_cyclic_polygons(self, kappa):
+        curv = Curvature(kappa)
+        for n in (50, 200):
+            K = regular_ngon(curv, 0.6, n, phase=0.1)
+            assert_agree(K.edge_normals, old_edge_normals(K),
+                         ulps=4 if kappa > 0 else 0)
+            assert_agree(area(K), old_area(K))
+            assert_agree(perimeter(K), old_perimeter(K))
+
+    def test_duplicate_chain_drops_every_later_point(self):
+        # a, b, c 0.6 tol apart in x: b is near a and c near b only.  The
+        # hull drops every point near an earlier one, so c goes with b.
+        tol = EPS * 3.0
+        pts = [flat_point(2.0 + 0.6 * tol * i, 0.0) for i in range(3)]
+        pts += [flat_point(0.0, 0.0), flat_point(0.0, 1.0)]
+        hull = convex_hull(pts)
+        assert hull.n_vertices == 3
+        assert pts[0] in hull.vertices
+
+    def test_triple_indices_in_loop_order(self):
+        for n in range(9):
+            got = list(zip(*(t.tolist() for t in triple_indices(n))))
+            assert got == old_triples(n) == list(combinations(range(n), 3))
+
+    def test_segment_and_point_edge_planes(self):
+        p = exp_at_base(Curvature(1.0), 0.3, 0.1)
+        q = exp_at_base(Curvature(1.0), 0.5, 2.0)
+        assert point_body(p).edge_planes.shape == (0, 3)
+        seg = segment_body(p, q)
+        assert np.array_equal(seg.edge_planes, [np.cross(p.coords, q.coords)])

@@ -10,7 +10,8 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
                               regular_ngon, segment_body)
-from curvedkin.radii import (BodyMetrics, _disc_from_support, _midpoint,
+from curvedkin.radii import (BodyMetrics, _circumcenter3, _disc_from_support,
+                             _midpoint,
                              _normalize_rows, circumradius, inradius, metrics,
                              smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
@@ -20,6 +21,7 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                sample_isometry)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
+ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
 # The Minkowski signs as the enumeration oracle below spells them.
 _J = np.array([1.0, 1.0, -1.0])
 
@@ -104,7 +106,8 @@ def enumeration_inradius(K):
     return gen_asin(curv, best_val), SurfacePoint(best, curv)
 
 
-def recursive_enclosing_disc(curv, coords):
+def recursive_enclosing_disc(curv, coords,
+                             disc_from_support=_disc_from_support):
     """The recursive Welzl that ``smallest_enclosing_disc`` replaced.
 
     Its depth grows with the point count; kept as the differential oracle
@@ -116,7 +119,7 @@ def recursive_enclosing_disc(curv, coords):
 
     def welzl(idx, boundary):
         if not idx or len(boundary) == 3:
-            return _disc_from_support(curv, boundary)
+            return disc_from_support(curv, boundary)
         first, rest = idx[0], idx[1:]
         disc = welzl(rest, boundary)
         p = SurfacePoint(coords[first], curv)
@@ -128,6 +131,41 @@ def recursive_enclosing_disc(curv, coords):
         return welzl(rest, boundary + [coords[first]])
 
     return welzl(order, [])
+
+
+def old_disc_from_support(curv, support):
+    """The per-point ``_disc_from_support`` that the array form replaced.
+
+    Kept verbatim as the differential oracle.
+    """
+    pts = [SurfacePoint(c, curv) for c in support]
+    if len(support) == 0:
+        return None
+    if len(support) == 1:
+        return support[0], 0.0
+    if len(support) == 2:
+        c = _midpoint(curv, support[0], support[1])
+        return c, geodesic_distance(SurfacePoint(c, curv), pts[0])
+    best = None
+    for c in _circumcenter3(curv, *support):
+        cp = SurfacePoint(c, curv)
+        r = max(geodesic_distance(cp, p) for p in pts)
+        if best is None or r < best[1]:
+            best = (c, r)
+    return best
+
+
+def assert_agree(new, old, ulps=0):
+    """Within ulps units in the last place of old; 0 asks for the same bits.
+
+    The array kernels keep the scalar arithmetic, libm calls included, so
+    they reproduce its bits.  Only spherical edge norms go through BLAS,
+    whose builds may round a dot product differently; they get 4 ulp.
+    """
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= ulps * np.spacing(np.abs(old))), \
+        (new, old)
 
 
 def circumdisc_oracle(K):
@@ -495,3 +533,43 @@ class TestWelzlDeterminism:
         c1, r1 = smallest_enclosing_disc(curv, body.vertex_array)
         c2, r2 = smallest_enclosing_disc(curv, body.vertex_array)
         assert np.array_equal(c1, c2) and r1 == r2
+
+
+class TestDiscFromSupport:
+    """The array form agrees with the per-point one it replaced."""
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_matches_scalar_form(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(173)
+        reach = (0.9 * curv.hemisphere_limit if kappa > 0
+                 else 3.0 / max(1.0, curv.scale))
+        sizes = set()
+        for _ in range(2000):
+            m = int(rng.integers(1, 4))
+            support = np.array([
+                exp_at_base(curv, float(rng.uniform(0.0, reach)),
+                            float(rng.uniform(0, 2 * math.pi))).coords
+                for _ in range(m)])
+            old = old_disc_from_support(curv, list(support))
+            new = _disc_from_support(curv, support)
+            if old is None:
+                assert new is None
+                continue
+            sizes.add(m)
+            assert_agree(new[0], old[0])
+            assert_agree(new[1], old[1])
+        assert sizes == {1, 2, 3}
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_welzl_matches_scalar_form(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(179)
+        for _ in range(200):
+            coords = random_body(
+                curv, rng, n_points=int(rng.integers(3, 30))).vertex_array
+            c, r = smallest_enclosing_disc(curv, coords)
+            c0, r0 = recursive_enclosing_disc(curv, coords,
+                                              old_disc_from_support)
+            assert_agree(c, c0)
+            assert_agree(r, r0)

@@ -12,12 +12,14 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                Regime, SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, form_dot, gen_asin,
                                gen_cos, gen_sin, geodesic_distance,
+                               libm_map,
                                motion_columns, motion_matrices,
                                normalize_to_surface, point_polar,
                                rotation_about_base, sample_isometry,
                                sample_isometry_matrices, sample_motions,
-                               sample_positions, support_area,
-                               translation_by_polar, translation_to)
+                               row_distances, sample_positions,
+                               support_area, translation_by_polar,
+                               translation_to)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
@@ -158,6 +160,67 @@ class TestDistance:
                        for _ in range(3))
             assert (geodesic_distance(p, s) <= geodesic_distance(p, q)
                     + geodesic_distance(q, s) + 1e-12)
+
+
+def old_geodesic_distance(p: SurfacePoint, q: SurfacePoint) -> float:
+    """The scalar distance that row_distances replaced, kept verbatim."""
+    p.curvature.require_same(q.curvature)
+    k = p.curvature.kappa
+    if k == 0.0:
+        return float(np.hypot(*(p.coords[:2] - q.coords[:2])))
+    # Half-chord formula: accurate near zero, unlike acos/acosh of the form
+    # product, which loses half the digits there.
+    s = p.curvature.scale
+    chord2 = float(form_dot(p.curvature, p.coords - q.coords,
+                            p.coords - q.coords))
+    half = 0.5 * s * math.sqrt(max(0.0, chord2))
+    if k > 0:
+        return 2.0 * math.asin(min(1.0, half)) / s
+    return 2.0 * math.asinh(half) / s
+
+
+def random_surface_points(c: Curvature, rng: RandomStream, n: int):
+    hi = 0.95 * math.pi / c.scale if c.kappa > 0 else 3.0
+    # Cubing crowds radii near 0, so pairs span many distance scales.
+    r = hi * rng.uniform(0.0, 1.0, n) ** 3
+    return [exp_at_base(c, float(x), float(t))
+            for x, t in zip(r, rng.uniform(0, 2 * math.pi, n))]
+
+
+class TestRowDistances:
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_matches_scalar_distance(self, kappa):
+        c = Curvature(kappa)
+        rng = RandomStream(163)
+        P = random_surface_points(c, rng, 2000)
+        Q = random_surface_points(c, rng, 2000)
+        Q[::7] = P[::7]
+        # Rebuilt from polar coordinates: apart by rounding only.
+        Q[1::7] = [exp_at_base(c, *point_polar(p)) for p in P[1::7]]
+        old = np.array([old_geodesic_distance(p, q) for p, q in zip(P, Q)])
+        rows = row_distances(c, np.array([p.coords for p in P]),
+                             np.array([q.coords for q in Q]))
+        # The same arithmetic, libm calls included, so the same bits.
+        assert np.array_equal(rows, old)
+        assert np.all(rows[::7] == 0.0)
+        for p, q, d in zip(P[:50], Q[:50], old):
+            assert geodesic_distance(p, q) == d
+
+    def test_broadcasts_one_point_against_rows(self):
+        c = Curvature(-1.0)
+        rng = RandomStream(167)
+        P = random_surface_points(c, rng, 5)
+        grid = np.array([[q.coords for q in P]] * 2)
+        d = row_distances(c, P[0].coords, grid)
+        assert d.shape == (2, 5)
+        assert d[0, 0] == 0.0 and np.array_equal(d[0], d[1])
+
+    def test_libm_map_keeps_shape_and_math_values(self):
+        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        got = libm_map(math.acos, x)
+        assert got.shape == (3, 4) and got.dtype == float
+        assert got.ravel().tolist() == [math.acos(v) for v in x.ravel()]
+        assert libm_map(math.hypot, np.float64(3.0), np.float64(4.0)) == 5.0
 
 
 class TestExpAndPolar:
