@@ -5,9 +5,9 @@ from .surface import (EPS, Curvature, CurvatureMismatch, GeometryError,
                       Isometry, RandomStream, Regime, SurfacePoint,
                       base_point, disc_area, disc_perimeter, exp_at_base,
                       form_dot, gen_asin, gen_cos, gen_sin, geodesic_distance,
-                      identity_isometry, normalize_to_surface, point_polar,
-                      rotation_about_base, sample_isometry, support_area,
-                      translation_by_polar, translation_to)
+                      normalize_to_surface, point_polar, rotation_about_base,
+                      sample_isometry, support_area, translation_by_polar,
+                      translation_to)
 from .convex import (DegeneratePosition, GeodesicPolygon, area,
                      boundary_crossings, contains_point, convex_hull,
                      euler_intersection, intersect_convex, perimeter,

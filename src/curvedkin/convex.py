@@ -33,100 +33,6 @@ def triple_indices(n: int) -> tuple[np.ndarray, ...]:
     return np.nonzero(less[:, :, None] & less[None, :, :])
 
 
-def hemisphere_direction(curvature: Curvature,
-                         coords: np.ndarray) -> np.ndarray:
-    """A unit direction u with <u, v> > 0 for every point, or raise.
-
-    The direction maximizing the worst margin over unit points is supported
-    by at most three of them: it is a point itself, the bisector of a pair,
-    or the circumcenter direction of a triple.  Enumerating those candidates
-    makes the search exact at polygon sizes.
-    """
-    coords = np.atleast_2d(coords)
-    scale = np.max(np.linalg.norm(coords, axis=1))
-    unit = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-    n = len(unit)
-
-    def best_of(candidates: np.ndarray):
-        norms = np.linalg.norm(candidates, axis=1)
-        ok = norms > EPS
-        if not np.any(ok):
-            return None, 0.0
-        cand = candidates[ok] / norms[ok, None]
-        margins = np.min(coords @ cand.T, axis=0)
-        i = int(np.argmax(margins))
-        return cand[i], float(margins[i])
-
-    # Cheap first pass: mean, the points, pair bisectors.
-    ii, jj = np.triu_indices(n, 1)
-    best, best_margin = best_of(np.concatenate(
-        [unit.sum(axis=0, keepdims=True), unit, unit[ii] + unit[jj]]))
-    if best is not None and best_margin > EPS * scale:
-        return best
-    # Exact pass: circumcenter directions of triples, both signs.
-    ii, jj, kk = triple_indices(n)
-    tri = np.cross(unit[ii] - unit[jj], unit[jj] - unit[kk])
-    cand, margin = best_of(np.concatenate([tri, -tri]))
-    if cand is not None and margin > best_margin:
-        best, best_margin = cand, margin
-    if best is None or best_margin <= EPS * scale:
-        raise GeometryError("points do not fit in an open hemisphere")
-    return best
-
-
-def _chart(curvature: Curvature, coords: np.ndarray,
-           u: Optional[np.ndarray] = None) -> np.ndarray:
-    """Project to a chart where geodesics are straight lines.
-
-    Gnomonic for the sphere (about the hemisphere direction u), Klein for
-    the hyperbolic plane, identity for the flat plane.
-    """
-    k = curvature.kappa
-    coords = np.atleast_2d(coords)
-    if k == 0.0:
-        return coords[:, :2].copy()
-    if k < 0:
-        return coords[:, :2] / coords[:, 2:3]
-    if u is None:
-        u = hemisphere_direction(curvature, coords)
-    # Right-handed basis (e1, e2, u) so chart orientation matches det sign.
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(u @ a) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    e1 = a - (a @ u) * u
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    denom = coords @ u
-    return np.stack([coords @ e1 / denom, coords @ e2 / denom], axis=1)
-
-
-def _hull_indices(xy: np.ndarray) -> list[int]:
-    """Andrew monotone chain; returns CCW indices, strict turns only."""
-    n = len(xy)
-    scale = max(1.0, float(np.max(np.abs(xy))))
-    tol = 1e-12 * scale * scale
-    order = sorted(range(n), key=lambda i: (xy[i, 0], xy[i, 1]))
-
-    def cross(o, a, b):
-        return ((xy[a, 0] - xy[o, 0]) * (xy[b, 1] - xy[o, 1])
-                - (xy[a, 1] - xy[o, 1]) * (xy[b, 0] - xy[o, 0]))
-
-    def build(seq):
-        h: list[int] = []
-        for i in seq:
-            while len(h) >= 2 and cross(h[-2], h[-1], i) <= tol:
-                h.pop()
-            h.append(i)
-        return h
-
-    lower = build(order)
-    upper = build(reversed(order))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:
-        hull = [order[0]]
-    return hull
-
-
 class GeodesicPolygon:
     """Compact convex polygon; immutable after construction."""
 
@@ -205,8 +111,8 @@ class GeodesicPolygon:
         if n > 1 and repeated.any():
             i = int(np.argmax(repeated))
             raise GeometryError(f"repeated adjacent vertices {i}, {(i + 1) % n}")
-        if self.curvature.kappa > 0:
-            hemisphere_direction(self.curvature, va)  # raises on violation
+        if self.curvature.kappa > 0 and n > 1 and not self._fits_hemisphere():
+            raise GeometryError("points do not fit in an open hemisphere")
         if n < 3:
             return
         dists = self.signed_edge_distances(va)
@@ -219,7 +125,27 @@ class GeodesicPolygon:
         collinear = np.abs(dists[idx - 1, (idx + 1) % n]) < 1e-13 * scale
         if collinear.any():
             i = int(np.argmax(collinear))
-            raise GeometryError(f"vertex {i + 1} is collinear with neighbours")
+            raise GeometryError(f"vertex {i} is collinear with neighbours")
+
+    def _fits_hemisphere(self) -> bool:
+        """Does some unit u give <u, v> > EPS * scale at every vertex v?
+
+        The sum of the unit edge normals (a + b for a segment) is tried
+        first, then the minidisc center, which maximizes the worst margin.
+        A 0/0 normal gives NaN, and a failed minidisc no center: no fit.
+        """
+        from .radii import smallest_enclosing_disc
+        va = self.vertex_array
+        bound = EPS * float(np.max(np.linalg.norm(va, axis=1)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = (va if self.n_vertices == 2 else self.edge_normals).sum(axis=0)
+            if np.min(va @ u) / np.linalg.norm(u) > bound:
+                return True
+            try:
+                u, _ = smallest_enclosing_disc(self.curvature, va)
+            except GeometryError:
+                return False
+            return bool(np.min(va @ u) / np.linalg.norm(u) > bound)
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
         """gen_sin of the signed distance from each edge geodesic (rows)."""
@@ -250,6 +176,66 @@ def _canonical_rotation(points: list[SurfacePoint]) -> list[SurfacePoint]:
     return points[start:] + points[:start]
 
 
+def _hull_cycle(curv: Curvature, c: np.ndarray) -> list[int]:
+    """Counterclockwise indices of the hull of the rows of c, strict turns only.
+
+    Incremental on the edge-plane predicate det(a, b, p) = (a x b) . p,
+    positive left of the geodesic a -> b on every surface.  A point on the
+    nonpositive side of every hull edge has its antipode in the hull's cone,
+    so the points fit in no open hemisphere.
+    """
+    tol = 1e-12 * float(np.abs(c).max())
+    no_fit = GeometryError("points do not fit in an open hemisphere")
+    # Python floats: on the few points of a typical body, numpy's per-call
+    # cost would exceed the arithmetic.
+    rows = c.tolist()
+
+    def plane(i: int, j: int) -> list[float]:
+        # Unit length, so det(a, b, p) is p's distance from the geodesic
+        # however near a and b are.  Antipodes are left to the validation.
+        (x0, x1, x2), (y0, y1, y2) = rows[i], rows[j]
+        n = [x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0]
+        norm = math.hypot(*n) or 1.0
+        return [v / norm for v in n]
+
+    # The first edge: the point farthest from point 0 by form chord, and the
+    # point farthest from that.  On one geodesic, these are its two ends.
+    a = int((((c - c[0]) ** 2) @ curv.form_signs).argmax())
+    b = int((((c - c[a]) ** 2) @ curv.form_signs).argmax())
+    off = c @ plane(a, b)
+    k = int(np.abs(off).argmax())
+    if abs(off[k]) <= tol:
+        # On the sphere every point must lie on the arc from a to b.
+        mid = c[a] + c[b]
+        if curv.kappa > 0 and np.min(c @ mid) < c[a] @ mid - tol:
+            raise no_fit
+        return [a, b]
+    hull = [a, b, k] if off[k] > 0 else [b, a, k]
+    planes = [plane(*e) for e in zip(hull, hull[1:] + hull[:1])]
+    for p in range(len(c)):
+        if p in (a, b, k):
+            continue
+        x, y, z = rows[p]
+        s = [u * x + v * y + w * z for u, v, w in planes]
+        first = min(range(len(s)), key=s.__getitem__)
+        if s[first] >= -tol:
+            continue  # inside, or on the boundary
+        if max(s) <= tol:
+            raise no_fit
+        # Edges lo..hi, the weak run round a visible one, give way to p;
+        # their inner vertices go, collinear ones included.
+        lo = hi = first
+        while s[lo - 1] <= tol:
+            lo -= 1
+        while s[(hi + 1) % len(s)] <= tol:
+            hi += 1
+        rest = hi - lo + 1
+        hull, planes = hull[lo:] + hull[:lo], planes[lo:] + planes[:lo]
+        hull = [hull[0], p] + hull[rest:]
+        planes = [plane(hull[0], p), plane(p, hull[2])] + planes[rest:]
+    return hull
+
+
 def convex_hull(points: Iterable[SurfacePoint]) -> GeodesicPolygon:
     """Minimal convex polygon containing the points; vertices are inputs."""
     pts = list(points)
@@ -265,9 +251,7 @@ def convex_hull(points: Iterable[SurfacePoint]) -> GeodesicPolygon:
     keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
     if len(keep) == 1:
         return GeodesicPolygon([pts[keep[0]]], curv)
-    u = hemisphere_direction(curv, coords) if curv.kappa > 0 else None
-    xy = _chart(curv, coords[keep], u)
-    hull = _hull_indices(xy)
+    hull = _hull_cycle(curv, coords[keep])
     chosen = _canonical_rotation([pts[keep[i]] for i in hull])
     return GeodesicPolygon(chosen, curv)
 

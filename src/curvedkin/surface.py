@@ -316,10 +316,6 @@ class Isometry:
         self.curvature.require_same(p.curvature)
         return SurfacePoint(self.matrix @ p.coords, self.curvature)
 
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Apply to an (n, 3) array of embedded coordinates."""
-        return np.asarray(coords) @ self.matrix.T
-
     def compose(self, other: "Isometry") -> "Isometry":
         self.curvature.require_same(other.curvature)
         return Isometry(self.matrix @ other.matrix, self.curvature)
@@ -359,10 +355,6 @@ def translation_to(x: SurfacePoint) -> Isometry:
     """The minimal translation/rotation carrying the base point to x."""
     r, theta = point_polar(x)
     return translation_by_polar(x.curvature, r, theta)
-
-
-def identity_isometry(curvature: Curvature) -> Isometry:
-    return Isometry(np.eye(3), curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +478,9 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     return r, theta, rng.uniform(0.0, 2.0 * math.pi, n)
 
 
-def sample_isometry_matrices(curvature: Curvature, support_radius: float,
-                             n: int, rng: RandomStream) -> np.ndarray:
-    """(n, 3, 3) stack of the Haar samples of :func:`sample_motions`."""
-    return motion_matrices(curvature,
-                           *sample_motions(curvature, support_radius, n, rng))
-
-
 def sample_isometry(curvature: Curvature, support_radius: float,
                     rng: RandomStream) -> Isometry:
-    """One Haar-style isometry sample; see :func:`sample_isometry_matrices`."""
-    m = sample_isometry_matrices(curvature, support_radius, 1, rng)[0]
+    """One Haar-style isometry sample; see :func:`sample_motions`."""
+    m = motion_matrices(curvature,
+                        *sample_motions(curvature, support_radius, 1, rng))[0]
     return Isometry(m, curvature)

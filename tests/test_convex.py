@@ -3,18 +3,19 @@
 import math
 import re
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
-                              _canonical_rotation, _chart, _hull_indices,
-                              _segment_intersections, area,
-                              boundary_crossings, contains_point, convex_hull,
-                              euler_intersection, hemisphere_direction,
+                              _canonical_rotation, _segment_intersections,
+                              area, boundary_crossings, contains_point,
+                              convex_hull, euler_intersection,
                               intersect_convex, perimeter, point_body,
                               polygons_close, regular_ngon, segment_body,
                               triple_indices)
+from curvedkin.radii import metrics
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                exp_at_base, form_dot, geodesic_distance,
@@ -89,15 +90,15 @@ class TestConstruction:
 
     @pytest.mark.parametrize("xy, message", [
         ([(0, 0), (1, 0), (2, 0), (1, 1)],
-         "vertex 2 is collinear with neighbours"),
+         "vertex 1 is collinear with neighbours"),
         ([(0, 0), (2, 0), (2, 2), (0, 2), (0, 1)],
-         "vertex 5 is collinear with neighbours"),
+         "vertex 4 is collinear with neighbours"),
         ([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 2)],
-         "vertex 2 is collinear with neighbours"),
+         "vertex 1 is collinear with neighbours"),
     ])
     def test_collinear_vertex_named(self, xy, message):
-        # The first collinear middle vertex, counted from 1 (unlike the
-        # repeated-vertex message, which counts from 0).
+        # The first collinear middle vertex, counted from 0 as in the
+        # repeated-vertex message.
         with raises_exactly(message):
             flat_polygon(*xy)
 
@@ -123,6 +124,8 @@ class TestConstruction:
                for t in 2 * math.pi * np.arange(n) / n]
         with raises_exactly("points do not fit in an open hemisphere"):
             GeodesicPolygon(pts)
+        with raises_exactly("points do not fit in an open hemisphere"):
+            convex_hull(pts)
 
     def test_nonconvex_cycle_rejected(self):
         pts = [flat_point(*xy) for xy in
@@ -669,6 +672,103 @@ def old_area(K):
     return (total - (n - 2) * math.pi) / k
 
 
+# The chart hull and the hemisphere search that the edge-plane hull and
+# GeodesicPolygon._fits_hemisphere replaced, kept verbatim.
+
+def hemisphere_direction(curvature: Curvature,
+                         coords: np.ndarray) -> np.ndarray:
+    """A unit direction u with <u, v> > 0 for every point, or raise.
+
+    The direction maximizing the worst margin over unit points is supported
+    by at most three of them: it is a point itself, the bisector of a pair,
+    or the circumcenter direction of a triple.  Enumerating those candidates
+    makes the search exact at polygon sizes.
+    """
+    coords = np.atleast_2d(coords)
+    scale = np.max(np.linalg.norm(coords, axis=1))
+    unit = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    n = len(unit)
+
+    def best_of(candidates: np.ndarray):
+        norms = np.linalg.norm(candidates, axis=1)
+        ok = norms > EPS
+        if not np.any(ok):
+            return None, 0.0
+        cand = candidates[ok] / norms[ok, None]
+        margins = np.min(coords @ cand.T, axis=0)
+        i = int(np.argmax(margins))
+        return cand[i], float(margins[i])
+
+    # Cheap first pass: mean, the points, pair bisectors.
+    ii, jj = np.triu_indices(n, 1)
+    best, best_margin = best_of(np.concatenate(
+        [unit.sum(axis=0, keepdims=True), unit, unit[ii] + unit[jj]]))
+    if best is not None and best_margin > EPS * scale:
+        return best
+    # Exact pass: circumcenter directions of triples, both signs.
+    ii, jj, kk = triple_indices(n)
+    tri = np.cross(unit[ii] - unit[jj], unit[jj] - unit[kk])
+    cand, margin = best_of(np.concatenate([tri, -tri]))
+    if cand is not None and margin > best_margin:
+        best, best_margin = cand, margin
+    if best is None or best_margin <= EPS * scale:
+        raise GeometryError("points do not fit in an open hemisphere")
+    return best
+
+
+def _chart(curvature: Curvature, coords: np.ndarray,
+           u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Project to a chart where geodesics are straight lines.
+
+    Gnomonic for the sphere (about the hemisphere direction u), Klein for
+    the hyperbolic plane, identity for the flat plane.
+    """
+    k = curvature.kappa
+    coords = np.atleast_2d(coords)
+    if k == 0.0:
+        return coords[:, :2].copy()
+    if k < 0:
+        return coords[:, :2] / coords[:, 2:3]
+    if u is None:
+        u = hemisphere_direction(curvature, coords)
+    # Right-handed basis (e1, e2, u) so chart orientation matches det sign.
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(u @ a) > 0.9:
+        a = np.array([0.0, 1.0, 0.0])
+    e1 = a - (a @ u) * u
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    denom = coords @ u
+    return np.stack([coords @ e1 / denom, coords @ e2 / denom], axis=1)
+
+
+def _hull_indices(xy: np.ndarray) -> list[int]:
+    """Andrew monotone chain; returns CCW indices, strict turns only."""
+    n = len(xy)
+    scale = max(1.0, float(np.max(np.abs(xy))))
+    tol = 1e-12 * scale * scale
+    order = sorted(range(n), key=lambda i: (xy[i, 0], xy[i, 1]))
+
+    def cross(o, a, b):
+        return ((xy[a, 0] - xy[o, 0]) * (xy[b, 1] - xy[o, 1])
+                - (xy[a, 1] - xy[o, 1]) * (xy[b, 0] - xy[o, 0]))
+
+    def build(seq):
+        h: list[int] = []
+        for i in seq:
+            while len(h) >= 2 and cross(h[-2], h[-1], i) <= tol:
+                h.pop()
+            h.append(i)
+        return h
+
+    lower = build(order)
+    upper = build(reversed(order))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) == 0:
+        hull = [order[0]]
+    return hull
+
+
 def old_convex_hull(points):
     """Minimal convex polygon containing the points; vertices are inputs."""
     pts = list(points)
@@ -685,6 +785,29 @@ def old_convex_hull(points):
         if all(np.max(np.abs(coords[i] - coords[j])) > EPS * scale
                for j in keep):
             keep.append(i)
+    if len(keep) == 1:
+        return GeodesicPolygon([pts[keep[0]]], curv)
+    u = hemisphere_direction(curv, coords) if curv.kappa > 0 else None
+    xy = _chart(curv, coords[keep], u)
+    hull = _hull_indices(xy)
+    chosen = _canonical_rotation([pts[keep[i]] for i in hull])
+    return GeodesicPolygon(chosen, curv)
+
+
+def chart_convex_hull(points):
+    """convex_hull before the edge-plane hull: the same duplicate mask, then
+    the hemisphere search, the chart and the monotone chain."""
+    pts = list(points)
+    if not pts:
+        raise GeometryError("empty point set")
+    curv = pts[0].curvature
+    for p in pts:
+        curv.require_same(p.curvature)
+    coords = np.array([p.coords for p in pts])
+    # Drop points within tolerance of an earlier one.
+    tol = EPS * (float(np.max(np.abs(coords))) + 1.0)
+    near = np.max(np.abs(coords[:, None] - coords[None]), axis=2) <= tol
+    keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
     if len(keep) == 1:
         return GeodesicPolygon([pts[keep[0]]], curv)
     u = hemisphere_direction(curv, coords) if curv.kappa > 0 else None
@@ -737,10 +860,10 @@ def random_point_set(curv, rng):
     return [exp_at_base(curv, r, t) for r, t in polar]
 
 
-def same_hull(pts):
+def same_hull(pts, oracle=old_convex_hull):
     """The hull, after asserting it is the old hull, or raises as it did."""
     try:
-        old = old_convex_hull(pts)
+        old = oracle(pts)
     except GeometryError as e:
         with raises_exactly(str(e)):
             convex_hull(pts)
@@ -803,3 +926,142 @@ class TestArrayKernels:
         assert point_body(p).edge_planes.shape == (0, 3)
         seg = segment_body(p, q)
         assert np.array_equal(seg.edge_planes, [np.cross(p.coords, q.coords)])
+
+
+def sphere_points(coords):
+    return [SurfacePoint(np.asarray(v, dtype=float), Curvature(1.0))
+            for v in coords]
+
+
+def hard_sphere_set(rng):
+    """3 to 29 points in a randomly rotated cap of radius up to 1.9.
+
+    Caps past pi/2 give sets that fit in no open hemisphere, and sets that
+    fit with little margin.
+    """
+    m = int(rng.integers(3, 30))
+    rho = float(rng.uniform(0.05, 1.9))
+    z = 1.0 - rng.uniform(0.0, 1.0 - math.cos(rho), m)
+    t = rng.uniform(0.0, 2.0 * math.pi, m)
+    s = np.sqrt(1.0 - z * z)
+    g = sample_isometry(Curvature(1.0), 1.0, rng).matrix
+    return sphere_points(np.stack([s * np.cos(t), s * np.sin(t), z], 1) @ g.T)
+
+
+def normal_sum_margin(K):
+    """The worst vertex margin of the unit edge normals' sum."""
+    u = K.edge_normals.sum(axis=0)
+    return float(np.min(K.vertex_array @ u) / np.linalg.norm(u))
+
+
+def lens(length, width, lower, upper):
+    """A thin spherical lens along the x0-x2 great circle.
+
+    Its ends lie at -+length/2; vertices at arclengths lower (rising) and
+    upper (falling) sit off the axis by a parabola of the given width.
+    """
+    def at(t, h):
+        return [math.sin(t) * math.cos(h), math.sin(h),
+                math.cos(t) * math.cos(h)]
+
+    def h(t):
+        return 0.5 * width * (1.0 - (2.0 * t / length) ** 2)
+
+    return sphere_points([at(-length / 2, 0.0)]
+                         + [at(t, -h(t)) for t in lower]
+                         + [at(length / 2, 0.0)]
+                         + [at(t, h(t)) for t in upper])
+
+
+class TestEdgePlaneHull:
+    """The edge-plane hull and hemisphere test against the chart code."""
+
+    def test_hard_sphere_sets(self):
+        rng = RandomStream(157)
+        misfits = 0
+        for _ in range(20_000):
+            misfits += same_hull(hard_sphere_set(rng),
+                                 oracle=chart_convex_hull) is None
+        assert 500 < misfits < 5000
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_grid_sets_with_collinear_runs(self, kappa):
+        # Points on a polar grid share geodesics through the base point, so
+        # later points extend earlier hull edges.  On the sphere the chart
+        # hull got one of these sets wrong: gnomonic rounding made it keep
+        # an inner point of a run and leave the far end outside.  There the
+        # hull must contain every point.
+        curv = Curvature(kappa)
+        rng = RandomStream(163)
+        for _ in range(1000):
+            m = int(rng.integers(3, 13))
+            pts = [exp_at_base(curv, 0.2 * int(rng.integers(0, 5)),
+                               0.25 * math.pi * int(rng.integers(0, 8)))
+                   for _ in range(m)]
+            if kappa > 0:
+                K = convex_hull(pts)
+                assert all(contains_point(K, p) for p in pts)
+            else:
+                same_hull(pts)
+
+    def test_thin_triangle_accepted(self):
+        # Side 1 rad, height 1e-10: the normal sum has a margin of 1e-10,
+        # the minidisc center one of cos 0.5.
+        c = Curvature(1.0)
+        pts = [exp_at_base(c, 0.5, 0.0), exp_at_base(c, 1e-10, math.pi / 2),
+               exp_at_base(c, 0.5, math.pi)]
+        K = GeodesicPolygon(pts)
+        assert normal_sum_margin(K) <= EPS
+        assert same_hull(pts).n_vertices == 3
+
+    def test_long_lens_accepted(self):
+        # 3.1 rad long and 1e-8 wide, six vertices a side toward opposite
+        # ends: the normal sum leans off the hemisphere.
+        pts = lens(3.1, 1e-8, [-0.988, -0.561, -0.444, -0.37, 0.737, 1.366],
+                   [-0.13, -0.485, -0.945, -0.966, -1.215, -1.382])
+        K = GeodesicPolygon(pts)
+        assert normal_sum_margin(K) <= EPS
+        best = np.min(K.vertex_array
+                      @ hemisphere_direction(K.curvature, K.vertex_array))
+        assert best > 0.02
+        assert same_hull(pts) is not None
+
+    @pytest.mark.parametrize("coords", [
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+        [(0, 0, 1), (0.6, 0.8, 0), (0, 0, -1)],
+    ], ids=["a,-a,b", "a,b,-a"])
+    def test_antipodal_vertices(self, coords):
+        # The antipodal edge has a 0/0 normal.
+        pts = sphere_points(coords)
+        with raises_exactly("points do not fit in an open hemisphere"):
+            GeodesicPolygon(pts)
+        with raises_exactly("points do not fit in an open hemisphere"):
+            convex_hull(pts)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_regular_ngons_at_the_hemisphere(self, n):
+        c = Curvature(1.0)
+        verdicts = set()
+        for delta in 10.0 ** -np.arange(3, 11):
+            verts = [exp_at_base(c, math.pi / 2 - delta, 2 * math.pi * i / n)
+                     for i in range(n)]
+            try:
+                hemisphere_direction(c, np.array([v.coords for v in verts]))
+                fits = True
+            except GeometryError:
+                fits = False
+            try:
+                GeodesicPolygon(verts)
+                built = True
+            except GeometryError as e:
+                assert str(e) == "points do not fit in an open hemisphere"
+                built = False
+            assert built == fits, delta
+            same_hull(verts)
+            verdicts.add(fits)
+        assert verdicts == {True, False}
+
+    def test_spherical_1100_gon(self):
+        R = 1.2
+        K = regular_ngon(Curvature(1.0), R, 1100, phase=0.1)
+        assert abs(metrics(K).R_circ - R) <= 1e-9

@@ -19,6 +19,8 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                disc_perimeter, exp_at_base, form_dot, gen_asin,
                                geodesic_distance, normalize_to_surface,
                                sample_isometry)
+# The chart and hemisphere search the library no longer has.
+from test_convex import _chart, hemisphere_direction
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
@@ -195,7 +197,6 @@ def inradius_grid_oracle(K, steps=500):
     diam = 2.0 * r_c
     step = diam / steps
     # Chart grid over the circumdisc's bounding box, mapped back.
-    from curvedkin.convex import _chart, hemisphere_direction
     u = (hemisphere_direction(curv, K.vertex_array)
          if curv.kappa > 0 else None)
     xy = _chart(curv, K.vertex_array, u)
@@ -210,7 +211,6 @@ def inradius_grid_oracle(K, steps=500):
         z2 = 1.0 / (-curv.kappa) + X.ravel() ** 2 + Y.ravel() ** 2
         emb = np.stack([X.ravel(), Y.ravel(), np.sqrt(z2)], axis=1)
     else:
-        from curvedkin.convex import _chart as chart_fn
         a = np.array([1.0, 0.0, 0.0])
         if abs(u @ a) > 0.9:
             a = np.array([0.0, 1.0, 0.0])

@@ -16,8 +16,8 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                motion_columns, motion_matrices,
                                normalize_to_surface, point_polar,
                                rotation_about_base, sample_isometry,
-                               sample_isometry_matrices, sample_motions,
-                               row_distances, sample_positions,
+                               sample_motions, row_distances,
+                               sample_positions,
                                support_area, translation_by_polar,
                                translation_to)
 
@@ -329,7 +329,7 @@ class TestHaarSampling:
         # chi-square over the eight octants of g x0 for kappa = 1.
         c = Curvature(1.0)
         rng = RandomStream(17)
-        mats = sample_isometry_matrices(c, 1.0, 100000, rng)
+        mats = motion_matrices(c, *sample_motions(c, 1.0, 100000, rng))
         pts = mats @ base_point(c).coords
         signs = (pts > 0).astype(int)
         octant = signs[:, 0] * 4 + signs[:, 1] * 2 + signs[:, 2]
@@ -428,9 +428,12 @@ class TestMotionColumns:
         r0, theta0 = sample_positions(c, 1.0, 1000, ref)
         assert np.array_equal(r, r0) and np.array_equal(theta, theta0)
         assert np.array_equal(phi, ref.uniform(0.0, 2 * math.pi, 1000))
-        assert np.array_equal(
-            sample_isometry_matrices(c, 1.0, 1000, RandomStream(29)),
-            motion_matrices(c, r, theta, phi))
+        # sample_isometry draws one motion in the same order.
+        ref = RandomStream(29)
+        one = motion_matrices(c, *sample_positions(c, 1.0, 1, ref),
+                              ref.uniform(0.0, 2 * math.pi, 1))[0]
+        assert np.array_equal(sample_isometry(c, 1.0, RandomStream(29)).matrix,
+                              one)
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_translation_by_polar_is_a_motion(self, kappa):
