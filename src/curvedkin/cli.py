@@ -2,18 +2,19 @@
 
 Reports are flat records, one per (body, bound) or per pair, so the output
 is trivially diffable and plottable.  Runs are deterministic for a fixed
-seed: every task gets its own pre-split random stream indexed by position.
+seed: every (suite, kappa) task gets its own pre-split random stream indexed
+by position.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,92 +180,87 @@ def _bodies_for(config: CampaignConfig, curv: Curvature,
 # Suites
 # ---------------------------------------------------------------------------
 
-def run_metrics_suite(config: CampaignConfig, rng: RandomStream) -> list[dict]:
+def run_metrics_suite(config: CampaignConfig, kappa: float,
+                      rng: RandomStream) -> list[dict]:
     records = []
-    streams = rng.split(len(config.kappas))
-    for curv_stream, kappa in zip(streams, config.kappas):
-        curv = Curvature(kappa)
-        for body_id, body in _bodies_for(config, curv, curv_stream):
-            m = metrics(body)
-            ok = 0.0 <= m.r_in <= m.R_circ + 1e-9
+    for body_id, body in _bodies_for(config, Curvature(kappa), rng):
+        m = metrics(body)
+        ok = 0.0 <= m.r_in <= m.R_circ + 1e-9
+        records.append(_record(
+            suite="metrics", seed=config.seed, kappa=kappa,
+            body_id=body_id, A=m.A, P=m.P, r_in=m.r_in, R_circ=m.R_circ,
+            satisfied=bool(ok), tolerance=1e-9))
+    return records
+
+
+def run_bonnesen_suite(config: CampaignConfig, kappa: float,
+                       rng: RandomStream) -> list[dict]:
+    records = []
+    curv = Curvature(kappa)
+    for body_id, body in _bodies_for(config, curv, rng):
+        m = metrics(body)
+        rep = deficit_report(curv, m)
+        for b in rep.bounds:
             records.append(_record(
-                suite="metrics", seed=config.seed, kappa=kappa,
-                body_id=body_id, A=m.A, P=m.P, r_in=m.r_in, R_circ=m.R_circ,
-                satisfied=bool(ok), tolerance=1e-9))
+                suite="bonnesen", seed=config.seed, kappa=kappa,
+                body_id=body_id, A=m.A, P=m.P, r_in=m.r_in,
+                R_circ=m.R_circ, deficit=rep.deficit,
+                bound_name=b.name.value,
+                bound_value=None if not b.applicable else b.value,
+                slack=None if not b.applicable else rep.slack(b),
+                satisfied=bool(rep.satisfied(b)), tolerance=1e-9))
     return records
 
 
-def run_bonnesen_suite(config: CampaignConfig, rng: RandomStream) -> list[dict]:
+def run_kinematic_suite(config: CampaignConfig, kappa: float,
+                        rng: RandomStream) -> list[dict]:
     records = []
-    streams = rng.split(len(config.kappas))
-    for curv_stream, kappa in zip(streams, config.kappas):
-        curv = Curvature(kappa)
-        for body_id, body in _bodies_for(config, curv, curv_stream):
-            m = metrics(body)
-            rep = deficit_report(curv, m)
-            for b in rep.bounds:
-                records.append(_record(
-                    suite="bonnesen", seed=config.seed, kappa=kappa,
-                    body_id=body_id, A=m.A, P=m.P, r_in=m.r_in,
-                    R_circ=m.R_circ, deficit=rep.deficit,
-                    bound_name=b.name.value,
-                    bound_value=None if not b.applicable else b.value,
-                    slack=None if not b.applicable else rep.slack(b),
-                    satisfied=bool(rep.satisfied(b)), tolerance=1e-9))
+    gen, mc = rng.split(2)
+    bodies = _bodies_for(config, Curvature(kappa), gen)
+    task_streams = mc.split(max(1, len(bodies) // 2))
+    for i in range(len(bodies) // 2):
+        (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
+        est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
+        rhs = kinematic_rhs(ka, kb)
+        tol = max(3.0 * est.std_error, 1e-3 * rhs)
+        records.append(_record(
+            suite="kinematic", seed=config.seed, kappa=kappa,
+            body_id=f"{id_a}|{id_b}", bound_value=rhs,
+            mc_mean=est.mean, mc_stderr=est.std_error,
+            samples=est.samples, tolerance=tol,
+            satisfied=bool(abs(est.mean - rhs) <= tol)))
     return records
 
 
-def run_kinematic_suite(config: CampaignConfig, rng: RandomStream) -> list[dict]:
+def run_containment_suite(config: CampaignConfig, kappa: float,
+                          rng: RandomStream) -> list[dict]:
     records = []
-    streams = rng.split(len(config.kappas))
-    for curv_stream, kappa in zip(streams, config.kappas):
-        curv = Curvature(kappa)
-        gen, mc = curv_stream.split(2)
-        bodies = _bodies_for(config, curv, gen)
-        task_streams = mc.split(max(1, len(bodies) // 2))
-        for i in range(len(bodies) // 2):
-            (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
-            est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
-            rhs = kinematic_rhs(ka, kb)
-            tol = max(3.0 * est.std_error, 1e-3 * rhs)
-            records.append(_record(
-                suite="kinematic", seed=config.seed, kappa=kappa,
-                body_id=f"{id_a}|{id_b}", bound_value=rhs,
-                mc_mean=est.mean, mc_stderr=est.std_error,
-                samples=est.samples, tolerance=tol,
-                satisfied=bool(abs(est.mean - rhs) <= tol)))
+    curv = Curvature(kappa)
+    gen, search = rng.split(2)
+    found_pairs = []
+    attempts = 0
+    while len(found_pairs) < config.count and attempts < config.count * 200:
+        attempts += 1
+        a = random_convex_body(curv, gen, max_vertices=config.max_vertices)
+        b = random_convex_body(curv, gen, max_vertices=config.max_vertices)
+        try:
+            if containment_criterion(a, b, slack=-1e-3):
+                found_pairs.append((a, b))
+        except GeometryError:
+            continue
+    task_streams = search.split(max(1, len(found_pairs)))
+    for i, (a, b) in enumerate(found_pairs):
+        witness = find_containment(a, b, config.budget, task_streams[i])
+        records.append(_record(
+            suite="containment", seed=config.seed, kappa=kappa,
+            body_id=f"pair{i}", samples=config.budget,
+            satisfied=witness is not None, tolerance=1e-9))
     return records
 
 
-def run_containment_suite(config: CampaignConfig, rng: RandomStream) -> list[dict]:
-    records = []
-    streams = rng.split(len(config.kappas))
-    for curv_stream, kappa in zip(streams, config.kappas):
-        curv = Curvature(kappa)
-        gen, search = curv_stream.split(2)
-        found_pairs = []
-        attempts = 0
-        while len(found_pairs) < config.count and attempts < config.count * 200:
-            attempts += 1
-            a = random_convex_body(curv, gen, max_vertices=config.max_vertices)
-            b = random_convex_body(curv, gen, max_vertices=config.max_vertices)
-            try:
-                if containment_criterion(a, b, slack=-1e-3):
-                    found_pairs.append((a, b))
-            except GeometryError:
-                continue
-        task_streams = search.split(max(1, len(found_pairs)))
-        for i, (a, b) in enumerate(found_pairs):
-            witness = find_containment(a, b, config.budget, task_streams[i])
-            records.append(_record(
-                suite="containment", seed=config.seed, kappa=kappa,
-                body_id=f"pair{i}", samples=config.budget,
-                satisfied=witness is not None, tolerance=1e-9))
-    return records
-
-
-def run_sweep_suite(config: CampaignConfig, rng: RandomStream) -> list[dict]:
-    del rng  # deterministic suite
+def run_sweep_suite(config: CampaignConfig, kappa: Optional[float],
+                    rng: RandomStream) -> list[dict]:
+    del kappa, rng  # deterministic suite over SWEEP_KAPPAS
     records = []
     rows = kappa_limit_sweep(DEFAULT_SQUARE, SWEEP_KAPPAS)
     reference = rows[0].euclid_reference
@@ -299,24 +295,60 @@ SUITES = {
 }
 
 
+def _tasks(config: CampaignConfig, suites: Sequence[str]) -> list[tuple]:
+    """(suite, kappa, stream) in suite order, then kappa order.
+
+    Each suite's stream is split once into one stream per kappa, in the
+    order of ``config.kappas``; the sweep does not depend on kappa and stays
+    one task.
+    """
+    master = RandomStream(config.seed)
+    streams = dict(zip(SUITES, master.split(len(SUITES))))
+    tasks = []
+    for name in suites:
+        if name == "sweep-kappa":
+            tasks.append((name, None, streams[name]))
+            continue
+        per_kappa = streams[name].split(len(config.kappas))
+        tasks.extend((name, kappa, stream)
+                     for kappa, stream in zip(config.kappas, per_kappa))
+    return tasks
+
+
+def _run_task(config: CampaignConfig, task: tuple) -> list[dict]:
+    # The suite is looked up here, in the worker, so only its name is sent.
+    name, kappa, rng = task
+    return SUITES[name](config, kappa, rng)
+
+
 def run_campaign(config: CampaignConfig,
                  suites: Sequence[str]) -> tuple[int, list[dict]]:
     """Run the selected suites; exit status 0 iff everything is satisfied.
 
-    Suites run on a thread pool with one thread per core, but each owns a
-    pre-split stream indexed by its fixed position in SUITES and records are
-    assembled in request order, so the output is identical for any core
+    The work is split into (suite, kappa) tasks, each with its own pre-split
+    stream, and run on a fork process pool with one worker per core.  On
+    one core, or where there is no ``fork``, the tasks run inline.  Records
+    are assembled in task order, so the output is identical for any core
     count.
     """
-    master = RandomStream(config.seed)
-    streams = dict(zip(SUITES, master.split(len(SUITES))))
-    records: list[dict] = []
-    workers = min(os.cpu_count() or 1, len(suites))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(SUITES[name], config, streams[name])
-                   for name in suites]
-        for future in futures:
-            records.extend(future.result())
+    # Imported here: at module level, multiprocessing and the process pool
+    # add about 14 ms to every import of this module.
+    import multiprocessing
+
+    tasks = _tasks(config, suites)
+    run = functools.partial(_run_task, config)
+    workers = min(os.cpu_count() or 1, len(tasks))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Not spawn or forkserver: both re-run an unguarded __main__.  With
+        # fork the executor starts every worker before its own threads.
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(run, tasks))
+    else:
+        results = list(map(run, tasks))
+    records = [rec for result in results for rec in result]
     ok = all(rec["satisfied"] for rec in records if rec["satisfied"] is not None)
     if config.output:
         write_report(records, config.output, config.fmt)

@@ -186,12 +186,15 @@ class SurfacePoint:
     def _validate(self):
         k = self.curvature.kappa
         x, y, z = self.coords
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise GeometryError(
+                f"point coordinates must be finite, got {x}, {y}, {z}")
         if k == 0.0:
             if z != 1.0:
                 raise GeometryError(f"flat-regime point must have z = 1, got {z}")
             return
         q = x * x + y * y + (z * z if k > 0 else -z * z)
-        if abs(q - 1.0 / k) > 1e-9 * abs(1.0 / k):
+        if not abs(q - 1.0 / k) <= 1e-9 * abs(1.0 / k):
             raise GeometryError(
                 f"point does not satisfy the quadric constraint: {q} vs {1.0 / k}")
         if k < 0 and z <= 0:
@@ -272,6 +275,9 @@ def geodesic_distance(p: SurfacePoint, q: SurfacePoint) -> float:
 
 def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:
     """Point at geodesic distance r from the base point, in direction theta."""
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise GeometryError(
+            f"polar coordinates must be finite, got r = {r}, theta = {theta}")
     if r < 0:
         raise GeometryError(f"radius must be nonnegative, got {r}")
     k = curvature.kappa

@@ -1,8 +1,10 @@
 """Tests for the campaign runner: body files, reports, determinism, CLI."""
 
 import csv
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -13,6 +15,13 @@ from curvedkin.cli import (BodyFileError, CampaignConfig, DEFAULT_SQUARE,
                            run_campaign, SUITES)
 from curvedkin.convex import polygons_close, regular_ngon
 from curvedkin.surface import Curvature, exp_at_base
+
+# sha256 of the JSON report of `curvedkin all --seed 42 --count 3
+# --samples 2000 --budget 500`, recorded when the suites still ran on a
+# thread pool with one task per suite.
+GOLDEN_ALL_SMALL = (
+    "6fdbe67e622cfadd6d47c5618f8613e7e0800df1a326df447ffc8ac3a8006a5b")
+GOLDEN_CONFIG = dict(seed=42, count=3, mc_samples=2000, budget=500)
 
 
 class TestCampaignConfig:
@@ -181,14 +190,34 @@ class TestReports:
 
     def test_worker_count_does_not_change_output(self, tmp_path,
                                                  monkeypatch):
-        outs = []
+        # One core runs the tasks inline, four run them on the pool; both
+        # give the pinned bytes.
         for cores in (1, 4):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
             out = str(tmp_path / f"w{cores}.json")
-            run_campaign(CampaignConfig(count=3, output=out),
-                         ["metrics", "verify-bonnesen", "sweep-kappa"])
-            outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1]
+            run_campaign(CampaignConfig(**GOLDEN_CONFIG, output=out),
+                         list(SUITES))
+            digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+            assert digest == GOLDEN_ALL_SMALL, f"{cores} cores"
+
+    def test_no_fork_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setitem(SUITES, "sweep-kappa", _pid_suite)
+        _, records = run_campaign(CampaignConfig(count=1), ["sweep-kappa"])
+        assert records[0]["body_id"] == str(os.getpid())
+
+    def test_pool_runs_tasks_in_workers(self, monkeypatch):
+        # The task is sent by suite name and looked up in the worker, so a
+        # suite that cannot be pickled still runs there.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setitem(SUITES, "sweep-kappa", _pid_suite)
+        _, records = run_campaign(CampaignConfig(count=1, kappas=(0.0,)),
+                                  ["metrics", "sweep-kappa"])
+        assert [r["suite"] for r in records] == ["metrics", "pid"]
+        assert records[-1]["body_id"] != str(os.getpid())
+        assert not multiprocessing.active_children()
 
     def test_different_seed_differs(self, tmp_path):
         out1 = str(tmp_path / "a.json")
@@ -249,6 +278,32 @@ class TestMain:
         assert main(["metrics", "--count", "1"]) == 2
         assert "abc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", ["-1.0", "0.0", "1.0"])
+    @pytest.mark.parametrize("vertex", ["nan 0.1", "inf 0.1", "0.5 nan",
+                                        "0.5 inf"])
+    def test_non_finite_vertex_in_body_file(self, tmp_path, capsys, kappa,
+                                            vertex):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"kappa {kappa}\nv 0.5 2.0\nv {vertex}\nv 0.5 4.0\n")
+        assert main(["metrics", "--body-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.txt:3: vertex 1 invalid: polar coordinates must be " \
+               "finite" in err
+
+    def test_worker_error_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        # A body file that fails in every task of `all` gives the one-line
+        # message of `metrics`, and leaves no worker behind.
+        path = tmp_path / "bad.txt"
+        path.write_text("kappa 1.0\nv 0.3 0.0\nv 9.9 0.5\n")
+        assert main(["metrics", "--body-file", str(path)]) == 2
+        expected = capsys.readouterr().err
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(["all", "--body-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected and captured.out == ""
+        assert len(expected.splitlines()) == 1
+        assert not multiprocessing.active_children()
+
     def test_trailing_tokens_in_body_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("kappa 1.0\nv 0.3 0.0\nv 0.3 2.1 9\nv 0.3 4.2\n")
@@ -268,3 +323,8 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["metrics", "--workers", "2"])
         assert exc.value.code == 2
+
+
+def _pid_suite(config, kappa, rng):
+    """A stand-in suite that records the process it ran in."""
+    return [{"suite": "pid", "body_id": str(os.getpid()), "satisfied": True}]

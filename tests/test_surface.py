@@ -129,6 +129,22 @@ class TestSurfacePoint:
         with pytest.raises(GeometryError):
             SurfacePoint(np.array([0.0, 0.0, 2.0]), Curvature(0.0))
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_coordinates_rejected(self, kappa, bad, axis):
+        coords = base_point(Curvature(kappa)).coords.copy()
+        coords[axis] = bad
+        with pytest.raises(GeometryError, match="must be finite"):
+            SurfacePoint(coords, Curvature(kappa))
+
+    def test_overflowing_quadric_rejected(self):
+        # Finite coordinates whose squares overflow give q = inf - inf =
+        # nan on the hyperboloid; the quadric test must reject it.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(GeometryError, match="quadric"):
+            SurfacePoint(np.array([1e200, 0.0, 1e200]), Curvature(-1.0))
+
 
 class TestDistance:
     def test_zero_iff_same(self):
@@ -245,6 +261,14 @@ class TestExpAndPolar:
     def test_injectivity_bound(self):
         with pytest.raises(GeometryError):
             exp_at_base(Curvature(1.0), math.pi + 0.01, 0.0)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("r,theta", [(math.nan, 0.1), (math.inf, 0.1),
+                                         (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_polar_rejected(self, kappa, r, theta):
+        with pytest.raises(GeometryError, match="polar coordinates must be "
+                                                "finite"):
+            exp_at_base(Curvature(kappa), r, theta)
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_polar_round_trip(self, kappa):
