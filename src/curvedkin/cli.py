@@ -39,6 +39,9 @@ DEFAULT_SQUARE = ((math.sqrt(0.5), math.pi / 4),
 
 SWEEP_KAPPAS = (0.1, -0.1, 0.01, -0.01, 0.001, -0.001, 0.0001, -0.0001)
 
+# Two-sided false-alarm rate of one pair held to a 3 sigma band, 0.27%.
+KINEMATIC_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
+
 
 class BodyFileError(ValueError):
     """Parse or validation failure in a body file, with position info."""
@@ -212,17 +215,31 @@ def run_bonnesen_suite(config: CampaignConfig, kappa: float,
     return records
 
 
+def kinematic_band(config: CampaignConfig) -> float:
+    """The Bonferroni z of each of the run's kinematic pairs, over all kappas:
+    a run of correct pairs then fails with probability KINEMATIC_ALPHA."""
+    from statistics import NormalDist  # here: about 3 ms to import
+    if config.body_file is not None:
+        kappas = [c.kappa for c, _ in parse_body_file(config.body_file)]
+        pairs = sum(kappas.count(k) // 2 for k in config.kappas)
+    else:  # a disc run has one body per kappa, so no pair
+        pairs = 0 if config.disc_ngon else (
+            config.count // 2 * len(config.kappas))
+    return NormalDist().inv_cdf(1.0 - KINEMATIC_ALPHA / (2.0 * max(1, pairs)))
+
+
 def run_kinematic_suite(config: CampaignConfig, kappa: float,
                         rng: RandomStream) -> list[dict]:
     records = []
     gen, mc = rng.split(2)
     bodies = _bodies_for(config, Curvature(kappa), gen)
     task_streams = mc.split(max(1, len(bodies) // 2))
+    z = kinematic_band(config)
     for i in range(len(bodies) // 2):
         (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
         est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
         rhs = kinematic_rhs(ka, kb)
-        tol = max(3.0 * est.std_error, 1e-3 * rhs)
+        tol = max(z * est.std_error, 1e-3 * rhs)
         records.append(_record(
             suite="kinematic", seed=config.seed, kappa=kappa,
             body_id=f"{id_a}|{id_b}", bound_value=rhs,

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
-                      exp_at_base, form_dot, geodesic_distance, libm_map,
-                      normalize_to_surface, row_distances)
+                      exp_at_base, geodesic_distance, libm_map,
+                      normalize_to_surface, row_distances, squared_chords)
 
 
 class DegeneratePosition(GeometryError):
@@ -80,27 +80,17 @@ class GeodesicPolygon:
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
-        """Form-normalized inward normals, one per edge; gen_sin-valued distances.
+        """Inward edge-plane normals nu / sqrt(nu^T Lambda nu), one per edge.
 
-        For a point p, form_dot(curvature, normal, p) equals gen_sin of the
-        signed geodesic distance from the edge's supporting geodesic,
-        positive on the interior side.
+        For a point p, normal . p is gen_sin of its signed distance from the
+        edge's geodesic, positive inside.  A spacelike vertex pair raises;
+        antipodal sphere vertices give a 0/0 normal, NaN.
         """
-        k = self.curvature.kappa
         nu = self.edge_planes
-        if k < 0:
-            # libm pow, as ** on one scalar; ** on an array multiplies.
-            sq = np.float_power(nu, 2)
-            norm2 = sq[:, 0] + sq[:, 1] - sq[:, 2]
-            if np.any(norm2 <= 0):
-                raise GeometryError("edge does not support a geodesic")
-            return nu * self.curvature.form_signs / np.sqrt(norm2)[:, None]
-        if k > 0:
-            # Per row, the BLAS dot that np.linalg.norm takes of one vector.
-            norm = np.sqrt(nu[:, None, :] @ nu[:, :, None])[:, 0]
-        else:
-            norm = libm_map(math.hypot, nu[:, 0], nu[:, 1])[:, None]
-        return nu / norm
+        norm2 = (nu * nu * self.curvature.line_form).sum(axis=-1)
+        if np.any(norm2 < 0):
+            raise GeometryError("edge does not support a geodesic")
+        return nu / np.sqrt(norm2)[:, None]
 
     def _validate(self):
         n = self.n_vertices
@@ -128,29 +118,32 @@ class GeodesicPolygon:
             raise GeometryError(f"vertex {i} is collinear with neighbours")
 
     def _fits_hemisphere(self) -> bool:
-        """Does some unit u give <u, v> > EPS * scale at every vertex v?
+        """Does some plane normal u give <u, v> > EPS * scale |u| at every v?
 
-        The sum of the unit edge normals (a + b for a segment) is tried
-        first, then the minidisc center, which maximizes the worst margin.
+        The sum of the edge normals (G (a + b) for a segment) is tried first,
+        then G c for the minidisc center c, which maximizes the worst margin.
         A 0/0 normal gives NaN, and a failed minidisc no center: no fit.
         """
         from .radii import smallest_enclosing_disc
         va = self.vertex_array
+        g = self.curvature.point_form
         bound = EPS * float(np.max(np.linalg.norm(va, axis=1)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            u = (va if self.n_vertices == 2 else self.edge_normals).sum(axis=0)
+            u = (va * g if self.n_vertices == 2
+                 else self.edge_normals).sum(axis=0)
             if np.min(va @ u) / np.linalg.norm(u) > bound:
                 return True
             try:
                 u, _ = smallest_enclosing_disc(self.curvature, va)
             except GeometryError:
                 return False
+            u = u * g
             return bool(np.min(va @ u) / np.linalg.norm(u) > bound)
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
         """gen_sin of the signed distance from each edge geodesic (rows)."""
-        return form_dot(self.curvature, self.edge_normals[:, None, :],
-                        np.atleast_2d(coords)[None, :, :])
+        return (self.edge_normals[:, None, :]
+                * np.atleast_2d(coords)[None, :, :]).sum(axis=-1)
 
     def transformed(self, g: Isometry) -> "GeodesicPolygon":
         self.curvature.require_same(g.curvature)
@@ -198,15 +191,15 @@ def _hull_cycle(curv: Curvature, c: np.ndarray) -> list[int]:
         norm = math.hypot(*n) or 1.0
         return [v / norm for v in n]
 
-    # The first edge: the point farthest from point 0 by form chord, and the
+    # The first edge: the point farthest from point 0 by chord, and the
     # point farthest from that.  On one geodesic, these are its two ends.
-    a = int((((c - c[0]) ** 2) @ curv.form_signs).argmax())
-    b = int((((c - c[a]) ** 2) @ curv.form_signs).argmax())
+    a = int(squared_chords(curv, c, c[0]).argmax())
+    b = int(squared_chords(curv, c, c[a]).argmax())
     off = c @ plane(a, b)
     k = int(np.abs(off).argmax())
     if abs(off[k]) <= tol:
         # On the sphere every point must lie on the arc from a to b.
-        mid = c[a] + c[b]
+        mid = (c[a] + c[b]) * curv.point_form
         if curv.kappa > 0 and np.min(c @ mid) < c[a] @ mid - tol:
             raise no_fit
         return [a, b]
@@ -269,23 +262,33 @@ def perimeter(K: GeodesicPolygon) -> float:
 
 
 def area(K: GeodesicPolygon) -> float:
-    """Area via the shoelace formula (flat) or angle excess over kappa."""
+    """Sum over the fan of triangles (v0, v_i, v_i+1) of the Van Oosterom-
+    Strackee area 2 atan2(kappa det, D)/kappa, D = 1 + sum of pairwise G
+    products (IEEE TBME 30 (1983) 125).  For small |u| = |kappa det/D| it is
+    2 (det/D) atan(u)/u by series: exact as kappa -> 0, half det at 0.
+    """
     if K.dim < 2:
         return 0.0
-    va = K.vertex_array
     curv = K.curvature
-    if curv.kappa == 0.0:
-        x, y = va[:, 0], va[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    # Angle at each b between the geodesics toward a and c (form metric).
-    a, b, c = np.roll(va, 1, axis=0), va, np.roll(va, -1, axis=0)
-    bb = form_dot(curv, b, b)
-    u = a - (form_dot(curv, a, b) / bb)[:, None] * b
-    v = c - (form_dot(curv, c, b) / bb)[:, None] * b
-    cosang = form_dot(curv, u, v) / np.sqrt(form_dot(curv, u, u)
-                                            * form_dot(curv, v, v))
-    total = sum(libm_map(math.acos, np.clip(cosang, -1.0, 1.0)).tolist())
-    return (total - (len(va) - 2) * math.pi) / curv.kappa
+    va = K.vertex_array
+    a, b, c = va[0], va[1:-1], va[2:]
+    g = curv.point_form
+    # det(a, b, c) = det(a, b - a, c - a) = -(b - a) . (a x (c - a)), with
+    # the edges from a small where the triangle is, and a x as one matrix.
+    cross_a = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]],
+                        [-a[1], a[0], 0.0]])
+    det = -((b - a) * ((c - a) @ cross_a.T)).sum(axis=-1)
+    den = 1.0 + b @ (a * g) + (b * c) @ g + c @ (a * g)
+    u = curv.kappa * det / den
+    # den <= 0 only for a spherical triangle of excess pi or more.
+    small = (np.abs(u) < 1e-3) & (den > 0)
+    u2 = u[small] ** 2
+    tri = np.empty_like(det)
+    tri[small] = (2.0 * det[small] / den[small]
+                  * (1.0 - u2 / 3.0 + u2 * u2 / 5.0 - u2 ** 3 / 7.0))
+    tri[~small] = 2.0 * libm_map(math.atan2, curv.kappa * det[~small],
+                                 den[~small]) / curv.kappa
+    return sum(tri.tolist())
 
 
 def contains_point(K: GeodesicPolygon, p: SurfacePoint) -> bool:

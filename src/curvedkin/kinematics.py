@@ -70,11 +70,10 @@ class _OverlapTester:
         self.vK, self.vL = K.vertex_array, L.vertex_array
         self.tol = EPS * float(max(np.max(np.abs(self.vK)), 1.0))
         # (table, vertex count, 1 if the inverse motions act) per 2-D body.
-        # K's normals carry the form signs, so a plain dot is signed.
         self.sides = []
         if K.dim == 2:
-            normals = K.edge_normals * self.curv.form_signs
-            self.sides.append((_outer_table(normals, self.vL), len(self.vL), 0))
+            self.sides.append((_outer_table(K.edge_normals, self.vL),
+                               len(self.vL), 0))
         if L.dim == 2:
             self.sides.append((_outer_table(L.edge_planes, self.vK),
                                len(self.vK), 1))
@@ -169,14 +168,6 @@ def body_contains(outer: GeodesicPolygon, inner: GeodesicPolygon) -> bool:
     return all(contains_point(outer, v) for v in inner.vertices)
 
 
-def _score_batch(vI: np.ndarray, outer_normals_flat: np.ndarray,
-                 mats: np.ndarray) -> np.ndarray:
-    """Worst signed distance of moved inner vertices against outer's edges."""
-    moved = np.einsum("nij,kj->nki", mats, vI)
-    s = np.einsum("nkc,jc->nkj", moved, outer_normals_flat)
-    return np.min(s, axis=(1, 2))
-
-
 def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                      rng: RandomStream) -> Optional[Isometry]:
     """Search for g with gK inside L or gL inside K; None if the budget runs out.
@@ -197,8 +188,9 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     for attempt, (inner, outer, t_in, t_out, flipped) in enumerate(pairs):
         if outer.dim < 2:
             continue
-        nf = outer.edge_normals * curv.form_signs
-        vI = inner.vertex_array
+        # Rows edge normal (x) inner vertex: against motion columns, the
+        # gen_sin distances of the moved vertices from outer's edges.
+        table = _outer_table(outer.edge_normals, inner.vertex_array)
         r_out, _ = circumradius(outer)
         sigma = max(r_out, 1e-3)
         best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
@@ -218,8 +210,8 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                 r = np.hypot(x, y)
                 theta = np.arctan2(y, x)
                 phi = bph + rng.normal(0.0, 0.3 + sigma, m)
-            mats = motion_matrices(curv, r, theta, phi)
-            scores = _score_batch(vI, nf, mats)
+            scores = np.min(table @ motion_columns(curv, r, theta, phi),
+                            axis=0)
             used += m
             spent += m
             i = int(np.argmax(scores))

@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .convex import GeodesicPolygon, area, perimeter, triple_indices
-from .surface import (Curvature, GeometryError, SurfacePoint, form_dot,
-                      gen_asin, normalize_to_surface, row_distances)
+from .surface import (Curvature, GeometryError, SurfacePoint,
+                      bisector_normals, form_dot, gen_asin, gen_sin,
+                      normalize_to_surface, row_distances, squared_chords)
 
 # random_convex_body's default max_vertices: random bodies solve in one round.
 _FIRST_WORKING_SET = 12
@@ -38,39 +39,17 @@ class BodyMetrics:
         return self.incenter.curvature.kappa
 
 
-def _surface_candidates(curv: Curvature, v: np.ndarray) -> list[np.ndarray]:
-    """Surface points on the line through v, if any (both signs on the sphere)."""
-    out = []
-    for s in (1.0, -1.0):
-        try:
-            out.append(normalize_to_surface(curv, s * v))
-        except GeometryError:
-            pass
-        if curv.kappa <= 0:
-            break  # sign is fixed by the sheet / plane choice
-    return out
-
-
 def _circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
-                   p3: np.ndarray) -> list[np.ndarray]:
-    """Candidate centers equidistant from three points."""
-    k = curv.kappa
-    if k == 0.0:
-        ax, ay = p1[:2]
-        bx, by = p2[:2]
-        cx, cy = p3[:2]
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if abs(d) < 1e-14 * (1.0 + abs(ax) + abs(bx) + abs(cx)) ** 2:
-            return []
-        ux = ((ax ** 2 + ay ** 2) * (by - cy) + (bx ** 2 + by ** 2) * (cy - ay)
-              + (cx ** 2 + cy ** 2) * (ay - by)) / d
-        uy = ((ax ** 2 + ay ** 2) * (cx - bx) + (bx ** 2 + by ** 2) * (ax - cx)
-              + (cx ** 2 + cy ** 2) * (bx - ax)) / d
-        return [np.array([ux, uy, 1.0])]
-    v = np.cross(p1 - p2, p2 - p3) * curv.form_signs
-    if np.linalg.norm(v) < 1e-14:
-        return []
-    return _surface_candidates(curv, v)
+                   p3: np.ndarray) -> np.ndarray:
+    """Candidate centers equidistant from three points, as rows.
+
+    The center lies on both perpendicular bisectors, so along the cross
+    product of their normals (see :func:`bisector_normals`).
+    """
+    (ax, ay, az), (bx, by, bz) = bisector_normals(
+        curv, np.array([p1, p2]), np.array([p2, p3])).tolist()
+    return _normalize_rows(curv, np.array(
+        [[ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]]))
 
 
 def _midpoint(curv: Curvature, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -86,9 +65,9 @@ def _disc_from_support(curv: Curvature,
         c = _midpoint(curv, support[0], support[1])
         return c, float(row_distances(curv, c, support[0]))
     centers = _circumcenter3(curv, *support)
-    if not centers:
+    if not len(centers):
         return None
-    r = row_distances(curv, np.array(centers)[:, None], support).max(axis=1)
+    r = row_distances(curv, centers[:, None], support).max(axis=1)
     i = int(np.argmin(r))
     return centers[i], float(r[i])
 
@@ -100,9 +79,9 @@ def smallest_enclosing_disc(curv: Curvature,
     The iterative form: a point outside the current disc restarts the scan
     over the points inserted before it with that point on the rim, so the
     loops nest at most three deep whatever the point count.  Each new disc
-    tests every point in one row_distances call.  The shuffle is seeded
-    deterministically from the point count, so support sets (and
-    tie-breaks) are reproducible run to run.
+    tests every point in one squared_chords call, against the chord of its
+    radius.  The shuffle is seeded deterministically from the point count,
+    so support sets (and tie-breaks) are reproducible run to run.
     """
     n = len(coords)
     rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
@@ -113,7 +92,8 @@ def smallest_enclosing_disc(curv: Curvature,
         if disc is None:
             return np.ones(n, dtype=bool)
         c, r = disc
-        return row_distances(curv, c, pts) > r + 1e-12 * (1.0 + r)
+        chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
+        return squared_chords(curv, c, pts) > chord * chord
 
     def first(far: np.ndarray, lo: int, hi: int) -> int:
         """Index of the first outside point of pts[lo:hi], else hi."""
@@ -151,75 +131,61 @@ def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
 
 
 def _normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
-    """Vectorized surface normalization; invalid rows are dropped."""
-    k = curv.kappa
-    if k == 0.0:
-        ok = np.abs(v[:, 2]) > 1e-14
-        return v[ok] / v[ok, 2:3]
-    # Lines that meet the sphere have form > 0; those meeting the sheet, < 0.
-    q = form_dot(curv, v, v) * math.copysign(1.0, k)
+    """The surface points on the lines through the rows of v.
+
+    Lines that meet the surface have G(v, v) > 0; rows at infinity or
+    spacelike ones drop out.  The sphere gives both points of a line, the
+    other surfaces the one with z > 0.
+    """
+    q = form_dot(curv, v, v)
     ok = q > 1e-28
-    w = v[ok] / (np.sqrt(q[ok])[:, None] * curv.scale)
-    return np.concatenate([w, -w]) if k > 0 else w * np.sign(w[:, 2:3])
+    w = v[ok] / np.sqrt(q[ok])[:, None]
+    return (np.concatenate([w, -w]) if curv.kappa > 0
+            else w * np.sign(w[:, 2:3]))
 
 
 def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
     """Every stationary point of the common edge distance, for these edges.
 
-    Three-edge equidistant points everywhere; off the flat regime, where edge
-    distance is not monotone along a bisector, also the stationary points on
-    each two-edge bisector geodesic, and on the sphere the edge poles.
+    The three-edge equidistant points; the stationary points on each
+    two-edge bisector geodesic, where normal . x peaks at Lambda times the
+    Lambda-projection of the normal sum; and the edge poles, Lambda nu.  The
+    last two lie at infinity on the flat plane and are spacelike on the
+    hyperbolic one, where edge distance is monotone along a bisector, so
+    there the normalization drops them.
     """
     n = len(normals)
-    k = curv.kappa
-    candidate_sets = []
+    lam = curv.line_form
     ii, jj, kk = triple_indices(n)
-    d1 = normals[ii] - normals[jj]
-    d2 = normals[jj] - normals[kk]
-    if k == 0.0:
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        ok = np.abs(det) > 1e-14
-        x = (-d1[ok, 2] * d2[ok, 1] + d2[ok, 2] * d1[ok, 1]) / det[ok]
-        y = (-d1[ok, 0] * d2[ok, 2] + d2[ok, 0] * d1[ok, 2]) / det[ok]
-        candidate_sets.append(
-            np.stack([x, y, np.ones(len(x))], axis=1))
-    else:
-        candidate_sets.append(
-            _normalize_rows(curv, np.cross(d1, d2) * curv.form_signs))
-        # Two-edge stationary points: maximize <n_i, x> on the bisector
-        # plane <n_i - n_j, x> = 0 by form-projecting the normal sum.
-        ii, jj = np.triu_indices(n, 1)
-        d = normals[ii] - normals[jj]
-        s = normals[ii] + normals[jj]
-        dd = form_dot(curv, d, d)
-        ok = np.abs(dd) > 1e-20
-        sd = form_dot(curv, s[ok], d[ok])
-        candidate_sets.append(_normalize_rows(
-            curv, s[ok] - (sd / dd[ok])[:, None] * d[ok]))
-        if k > 0:
-            # Poles of the edge geodesics (single active edge at pi/2).
-            candidate_sets.append(_normalize_rows(curv, normals.copy()))
-    return np.concatenate(candidate_sets)
+    triples = np.cross(normals[ii] - normals[jj], normals[jj] - normals[kk])
+    ii, jj = np.triu_indices(n, 1)
+    d = normals[ii] - normals[jj]
+    s = normals[ii] + normals[jj]
+    dd = (d * d) @ lam
+    ok = np.abs(dd) > 1e-20
+    d, s = d[ok], s[ok]
+    pairs = (s - ((s * d) @ lam / dd[ok])[:, None] * d) * lam
+    return _normalize_rows(curv, np.concatenate([triples, pairs,
+                                                 normals * lam]))
 
 
-def _close_working_set(curv: Curvature, normals_flat: np.ndarray,
+def _close_working_set(curv: Curvature, normals: np.ndarray,
                        work: np.ndarray) -> np.ndarray:
     """Add edges until consecutive working edges meet on the surface.
 
     Edge geodesics i and j meet where the embedding line along
-    normals_flat[i] x normals_flat[j] crosses the surface; that point lies
-    ahead of both edges when the line points into the upper half-space
-    (flat) or the future light cone (hyperbolic).  When every consecutive
-    pair meets so, the working edges bound a compact polygon.  A failing
-    pair gets the edge midway between them in K's edge order.
+    normals[i] x normals[j] crosses the surface; that point lies ahead of
+    both edges when the cross product itself is a surface direction:
+    G(w, w) > 0 with z > 0.  When every consecutive pair meets so, the
+    working edges bound a compact polygon.  A failing pair gets the edge
+    midway between them in K's edge order.
     """
-    n = len(normals_flat)
+    n = len(normals)
     while True:
         nxt = np.roll(work, -1)
-        w = np.cross(normals_flat[work], normals_flat[nxt])
-        floor = np.hypot(w[:, 0], w[:, 1]) if curv.kappa < 0 else 0.0
+        w = np.cross(normals[work], normals[nxt])
         gap = (nxt - work) % n
-        bad = (w[:, 2] <= floor) & (gap > 1)
+        bad = ((w[:, 2] <= 0) | (form_dot(curv, w, w) <= 0)) & (gap > 1)
         if not bad.any():
             return work
         work = np.union1d(work, (work[bad] + gap[bad] // 2) % n)
@@ -254,27 +220,25 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         return 0.0, SurfacePoint(mid, curv)
     normals = K.edge_normals
     n = len(normals)
-    k = curv.kappa
-    normals_flat = normals * curv.form_signs
     m = min(n, _FIRST_WORKING_SET)
     work = np.arange(m) * n // m
     while True:
-        if k <= 0:
-            work = _close_working_set(curv, normals_flat, work)
+        if curv.kappa <= 0:
+            work = _close_working_set(curv, normals, work)
         cand = _incenter_candidates(curv, normals[work])
         best_val = -math.inf
         best = None
         # A working set can grow to all n edges; bound the value matrix.
         chunk = max(1, 20_000_000 // len(work))
         for lo in range(0, len(cand), chunk):
-            vals = np.min(cand[lo:lo + chunk] @ normals_flat[work].T, axis=1)
+            vals = np.min(cand[lo:lo + chunk] @ normals[work].T, axis=1)
             i = int(np.argmax(vals))
             if float(vals[i]) > best_val:
                 best_val = float(vals[i])
                 best = cand[lo + i]
         if best is None:
             raise GeometryError("incenter search failed")
-        slack = normals_flat @ best - best_val
+        slack = normals @ best - best_val
         slack[work] = 0.0
         j = int(np.argmin(slack))
         if slack[j] >= 0.0:
@@ -282,7 +246,7 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         work = np.union1d(work, [j])
     if best_val < 0:
         raise GeometryError("incenter search failed")
-    return gen_asin(curv, best_val), SurfacePoint(best, curv)
+    return float(gen_asin(curv, best_val)), SurfacePoint(best, curv)
 
 
 def metrics(K: GeodesicPolygon) -> BodyMetrics:

@@ -1,15 +1,14 @@
-"""Model surfaces of constant Gauss curvature in a unified 3-coordinate embedding.
+"""Model surfaces of constant Gauss curvature in one Cayley-Klein embedding.
 
-The three geometries live on quadric slices of R^3:
-
-* kappa > 0: the sphere x^2 + y^2 + z^2 = 1/kappa,
-* kappa < 0: the upper sheet of x^2 + y^2 - z^2 = 1/kappa (z > 0),
-* kappa = 0: the affine plane z = 1.
-
-With this choice every isometry is a 3x3 matrix (a rotation, a Lorentz
-matrix, or a homogeneous rigid motion) and geodesics are the traces of
-planes through the origin, so one set of linear-algebra predicates serves
-all three regimes.
+A point of curvature kappa is (x, y, z) with z^2 + kappa (x^2 + y^2) = 1, and
+z > 0 when kappa <= 0: the quadric of the point form G = diag(kappa, kappa, 1)
+(Herranz, Ortega & Santander, J. Phys. A 33 (2000) 4525).  It is a sphere for
+kappa > 0, a hyperboloid sheet for kappa < 0, and the plane z = 1 at kappa = 0,
+reached continuously; the base point is (0, 0, 1).  Geodesics are traces of
+planes through the origin, their normals measured by the line form Lambda =
+diag(1, 1, kappa): for a Lambda-unit normal nu, nu . p is gen_sin of p's signed
+distance from the geodesic.  Isometries are the 3x3 matrices preserving G, so
+one set of linear-algebra predicates serves every curvature.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ EPS = 1e-9
 # Below |kappa| * t^2 = TAYLOR_CUTOFF the generalized trig functions switch
 # to series evaluation; (1 - cos)/kappa cancels catastrophically otherwise.
 TAYLOR_CUTOFF = 1e-8
-
-# Diagonals of the embedding's bilinear form; Curvature.form_signs picks one.
-_MINKOWSKI_SIGNS = np.array([1.0, 1.0, -1.0])
-_EUCLIDEAN_SIGNS = np.ones(3)
-_MINKOWSKI_SIGNS.setflags(write=False)
-_EUCLIDEAN_SIGNS.setflags(write=False)
 
 
 class GeometryError(ValueError):
@@ -80,9 +73,14 @@ class Curvature:
         return math.inf
 
     @property
-    def form_signs(self) -> np.ndarray:
-        """Diagonal of the form: (1, 1, -1) for kappa < 0, ones otherwise."""
-        return _MINKOWSKI_SIGNS if self.kappa < 0 else _EUCLIDEAN_SIGNS
+    def point_form(self) -> np.ndarray:
+        """The diagonal of G: points have G-norm 1."""
+        return np.array([self.kappa, self.kappa, 1.0])
+
+    @property
+    def line_form(self) -> np.ndarray:
+        """The diagonal of Lambda, the form on plane normals."""
+        return np.array([1.0, 1.0, self.kappa])
 
     def require_same(self, other: "Curvature") -> None:
         if self.kappa != other.kappa:
@@ -90,37 +88,49 @@ class Curvature:
                 f"curvatures differ: {self.kappa} vs {other.kappa}")
 
 
-def gen_cos(curvature: Curvature, t: float) -> float:
-    """cos(sqrt(k) t), cosh(sqrt(-k) t), or 1, by regime."""
-    k = curvature.kappa
+def gen_cos_sin(curvature: Curvature, t) -> tuple:
+    """(gen_cos, gen_sin) of t: by series where |kappa t^2| < TAYLOR_CUTOFF,
+    else from cos and sin (cosh and sinh for kappa < 0) of sqrt|kappa| t.
+
+    A float t is evaluated with math, so that a point's coordinates do not
+    depend on numpy's SIMD builds (see libm_map); an array with numpy.
+    """
+    k, s = curvature.kappa, curvature.scale
     u = k * t * t
-    if abs(u) < TAYLOR_CUTOFF:
-        return 1.0 - u / 2.0 + u * u / 24.0 - u ** 3 / 720.0 + u ** 4 / 40320.0
-    if k > 0:
-        return math.cos(curvature.scale * t)
-    return math.cosh(curvature.scale * t)
+    array = isinstance(t, np.ndarray)
+    small = (np.abs if array else abs)(u) < TAYLOR_CUTOFF
+    if small.all() if array else small:
+        return (1.0 + u * (-1 / 2 + u * (1 / 24 + u * (-1 / 720 + u / 40320))),
+                t * (1.0 + u * (-1 / 6 + u * (1 / 120 - u / 5040))))
+    lib = np if array else math
+    cos, sin = (lib.cos, lib.sin) if k > 0 else (lib.cosh, lib.sinh)
+    c, sn = cos(s * t), sin(s * t) / s
+    if array and small.any():
+        series = gen_cos_sin(curvature, np.where(small, t, 0.0))
+        c, sn = np.where(small, series[0], c), np.where(small, series[1], sn)
+    return c, sn
 
 
-def gen_sin(curvature: Curvature, t: float) -> float:
+def gen_cos(curvature: Curvature, t):
+    """cos(sqrt(k) t), cosh(sqrt(-k) t), or 1, by regime; floats or arrays."""
+    return gen_cos_sin(curvature, t)[0]
+
+
+def gen_sin(curvature: Curvature, t):
     """sin(sqrt(k) t)/sqrt(k), sinh(sqrt(-k) t)/sqrt(-k), or t, by regime."""
-    k = curvature.kappa
-    u = k * t * t
-    if abs(u) < TAYLOR_CUTOFF:
-        return t * (1.0 - u / 6.0 + u * u / 120.0 - u ** 3 / 5040.0)
-    if k > 0:
-        return math.sin(curvature.scale * t) / curvature.scale
-    return math.sinh(curvature.scale * t) / curvature.scale
+    return gen_cos_sin(curvature, t)[1]
 
 
-def gen_asin(curvature: Curvature, x: float) -> float:
-    """Inverse of gen_sin on the monotone branch [0, pi/(2 sqrt(k))]."""
+def gen_asin(curvature: Curvature, x):
+    """Inverse of gen_sin on [0, pi/(2 sqrt(k))]; libm on array entries."""
     k = curvature.kappa
     if k == 0.0:
         return x
     s = curvature.scale
     if k > 0:
-        return math.asin(min(1.0, max(-1.0, s * x))) / s
-    return math.asinh(s * x) / s
+        x = np.minimum(1.0, np.maximum(-1.0, s * x))
+        return libm_map(math.asin, x) / s
+    return libm_map(math.asinh, s * x) / s
 
 
 def _versine_over_kappa(curvature: Curvature, t: float) -> float:
@@ -153,18 +163,9 @@ def _check_disc_radius(curvature: Curvature, r: float) -> None:
             f"{math.pi / curvature.scale}")
 
 
-def form_dot(curvature: Curvature, u, v) -> float:
-    """Bilinear form of the embedding: Euclidean for k >= 0, Minkowski for k < 0.
-
-    Accepts arrays with trailing dimension 3 and broadcasts.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if curvature.kappa < 0:
-        return (u * v * curvature.form_signs).sum(axis=-1)
-    # The signs are ones here; skipping their multiply speeds up the
-    # single-point calls that distances make.
-    return (u * v).sum(axis=-1)
+def form_dot(curvature: Curvature, u, v):
+    """u^T G v, broadcast; gen_cos of the distance of two surface points."""
+    return (np.asarray(u) * np.asarray(v) * curvature.point_form).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -189,16 +190,13 @@ class SurfacePoint:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise GeometryError(
                 f"point coordinates must be finite, got {x}, {y}, {z}")
-        if k == 0.0:
-            if z != 1.0:
-                raise GeometryError(f"flat-regime point must have z = 1, got {z}")
-            return
-        q = x * x + y * y + (z * z if k > 0 else -z * z)
-        if not abs(q - 1.0 / k) <= 1e-9 * abs(1.0 / k):
+        # Relative to the terms' size, which far out cancel to 1.
+        q = z * z + k * (x * x + y * y)
+        if not abs(q - 1.0) <= 1e-9 * (z * z + abs(k) * (x * x + y * y)):
             raise GeometryError(
-                f"point does not satisfy the quadric constraint: {q} vs {1.0 / k}")
-        if k < 0 and z <= 0:
-            raise GeometryError("hyperbolic point must lie on the upper sheet")
+                f"point does not satisfy the quadric constraint: {q} vs 1")
+        if k <= 0 and z <= 0:
+            raise GeometryError("point must lie on the sheet z > 0")
 
     def __eq__(self, other):
         return (isinstance(other, SurfacePoint)
@@ -210,36 +208,21 @@ class SurfacePoint:
 
 
 def base_point(curvature: Curvature) -> SurfacePoint:
-    """The distinguished base point x0 on the z axis."""
-    k = curvature.kappa
-    z = 1.0 if k == 0.0 else 1.0 / curvature.scale
-    return SurfacePoint(np.array([0.0, 0.0, z]), curvature)
+    """The distinguished base point x0 = (0, 0, 1)."""
+    return SurfacePoint(np.array([0.0, 0.0, 1.0]), curvature)
 
 
 def normalize_to_surface(curvature: Curvature, v: np.ndarray) -> np.ndarray:
-    """Radially project an embedding vector onto the surface.
-
-    Raises if the vector does not point at the surface (e.g. a spacelike
-    vector in the hyperbolic regime, or z <= 0 in the flat one).
+    """The surface point on the line through v: v's direction on the sphere,
+    z > 0 elsewhere.  Raises where G(v, v) <= EPS^2 (at infinity, spacelike).
     """
-    k = curvature.kappa
     v = np.asarray(v, dtype=float)
-    if k == 0.0:
-        if abs(v[2]) < EPS:
-            raise GeometryError("vector does not meet the plane z = 1")
-        return v / v[2]
-    q = form_dot(curvature, v, v)
-    if k > 0:
-        n = math.sqrt(q)
-        if n < EPS:
-            raise GeometryError("cannot normalize a near-zero vector")
-        return v / (n * curvature.scale)
-    if q >= 0:
-        raise GeometryError("vector is not timelike; no hyperboloid point")
-    w = v / (math.sqrt(-q) * curvature.scale)
-    if w[2] < 0:
-        w = -w
-    return w
+    x, y, z = v.tolist()
+    q = z * z + curvature.kappa * (x * x + y * y)
+    if not q > EPS * EPS:
+        raise GeometryError("vector does not point at the surface")
+    w = v / math.sqrt(q)
+    return -w if curvature.kappa <= 0 and z < 0 else w
 
 
 def libm_map(f, *xs: np.ndarray) -> np.ndarray:
@@ -251,20 +234,68 @@ def libm_map(f, *xs: np.ndarray) -> np.ndarray:
     return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
 
 
+def _dz_over_kappa(curvature: Curvature, d: np.ndarray,
+                   t: np.ndarray) -> np.ndarray:
+    """dz/kappa for rows d = p - q and t = p + q of surface points.
+
+    From the quadric, -(|p_xy|^2 - |q_xy|^2)/(p_z + q_z): finite as kappa ->
+    0.  Only on the sphere can p_z + q_z fall below 1, where that quotient
+    loses digits and dz/kappa itself is taken.
+    """
+    dt = d * t
+    far = t[..., 2] < 1.0
+    if not far.any():
+        return -(dt[..., 0] + dt[..., 1]) / t[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(far, d[..., 2] / curvature.kappa,
+                        -(dt[..., 0] + dt[..., 1]) / t[..., 2])
+
+
+def bisector_normals(curvature: Curvature, P: np.ndarray,
+                     Q: np.ndarray) -> np.ndarray:
+    """(dx, dy, dz/kappa) = G (p - q)/kappa for the rows of P - Q, broadcast:
+    the normal of p and q's perpendicular bisector, of line form |chord|^2."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    d = P - Q
+    d[..., 2] = _dz_over_kappa(curvature, d, P + Q)
+    return d
+
+
+def squared_chords(curvature: Curvature, P: np.ndarray,
+                   Q: np.ndarray) -> np.ndarray:
+    """|dxy|^2 + kappa (dz/kappa)^2 for the rows of P - Q; broadcasts.
+
+    Far out on the hyperboloid a radial pair's two terms cancel, with error
+    eps |dxy|^2; 2 (1 - G(p, q))/kappa, with error 2 eps T/|kappa| for T the
+    size of G's terms, is taken where that is smaller.
+    """
+    k = curvature.kappa
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    d = P - Q
+    w = _dz_over_kappa(curvature, d, P + Q)
+    dd = d * d
+    e = dd[..., 0] + dd[..., 1]
+    kw2 = k * (w * w)
+    lost = kw2 < -0.75 * e
+    if not lost.any():
+        return e + kw2
+    pq = P * Q
+    terms = np.abs(pq[..., 2]) - k * np.abs(pq[..., :2]).sum(axis=-1)
+    return np.where(lost & (2.0 * terms < -k * e),
+                    2.0 * (1.0 - form_dot(curvature, P, Q)) / k, e + kw2)
+
+
 def row_distances(curvature: Curvature, P: np.ndarray,
                   Q: np.ndarray) -> np.ndarray:
-    """Geodesic distances between the rows of P and Q; (..., 3), broadcasts."""
-    d = np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)
-    k = curvature.kappa
-    if k == 0.0:
-        return np.hypot(d[..., 0], d[..., 1])
-    # Half-chord formula: accurate near zero, unlike acos/acosh of the form
-    # product, which loses half the digits there.
-    s = curvature.scale
-    half = 0.5 * s * np.sqrt(np.maximum(0.0, form_dot(curvature, d, d)))
-    if k > 0:
-        return 2.0 * libm_map(math.asin, np.minimum(1.0, half)) / s
-    return 2.0 * libm_map(math.asinh, half) / s
+    """Geodesic distances between the rows of P and Q; (..., 3), broadcasts.
+
+    By half chord: accurate near zero, where acos/acosh of the form product
+    loses half the digits.
+    """
+    chord = np.sqrt(np.maximum(0.0, squared_chords(curvature, P, Q)))
+    return 2.0 * gen_asin(curvature, 0.5 * chord)
 
 
 def geodesic_distance(p: SurfacePoint, q: SurfacePoint) -> float:
@@ -280,16 +311,11 @@ def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:
             f"polar coordinates must be finite, got r = {r}, theta = {theta}")
     if r < 0:
         raise GeometryError(f"radius must be nonnegative, got {r}")
-    k = curvature.kappa
-    if k > 0 and r >= math.pi / curvature.scale:
+    if curvature.kappa > 0 and r >= math.pi / curvature.scale:
         raise GeometryError(f"radius {r} exceeds the injectivity bound")
-    s = gen_sin(curvature, r)
-    if k == 0.0:
-        z = 1.0
-    else:
-        z = gen_cos(curvature, r) / curvature.scale
-    return SurfacePoint(
-        np.array([s * math.cos(theta), s * math.sin(theta), z]), curvature)
+    c, s = gen_cos_sin(curvature, r)
+    return SurfacePoint(np.array([s * math.cos(theta), s * math.sin(theta),
+                                  c]), curvature)
 
 
 def point_polar(p: SurfacePoint) -> tuple[float, float]:
@@ -333,18 +359,17 @@ class Isometry:
         return Isometry(np.linalg.inv(self.matrix), self.curvature)
 
     def check_form(self, tol: float = EPS) -> bool:
-        """Does the matrix preserve the regime's quadratic form and orientation?"""
+        """Does the matrix preserve both forms, the orientation and the sheet?
+
+        On the plane G alone leaves the linear part free; Lambda pins it.
+        """
         m = self.matrix
-        k = self.curvature.kappa
-        if k == 0.0:
-            rot = m[:2, :2]
-            ok = (np.allclose(rot.T @ rot, np.eye(2), atol=tol)
-                  and np.allclose(m[2], [0.0, 0.0, 1.0], atol=tol))
-            return bool(ok and np.linalg.det(rot) > 0)
-        j = np.diag(self.curvature.form_signs)
-        ok = (np.allclose(m.T @ j @ m, j, atol=tol)
-              and np.linalg.det(m) > 1.0 - 1e-6)
-        return bool(ok and (k > 0 or m[2, 2] > 0))
+        g = np.diag(self.curvature.point_form)
+        lam = np.diag(self.curvature.line_form)
+        ok = (np.allclose(m.T @ g @ m, g, atol=tol)
+              and np.allclose(m @ lam @ m.T, lam, atol=tol))
+        return bool(ok and np.linalg.det(m) > 0
+                    and (self.curvature.kappa > 0 or m[2, 2] > 0))
 
 
 def rotation_about_base(curvature: Curvature, phi: float) -> Isometry:
@@ -448,16 +473,9 @@ def motion_columns(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.broadcast_to(np.asarray(theta, dtype=float), r.shape)
     phi = np.broadcast_to(np.asarray(phi, dtype=float), r.shape)
-    # t(r) = [[a, 0, b], [0, 1, 0], [e, 0, a]]
-    k = curvature.kappa
-    if k == 0.0:
-        a, b, e = np.ones_like(r), r, np.zeros_like(r)
-    elif k > 0:
-        a, b = np.cos(curvature.scale * r), np.sin(curvature.scale * r)
-        e = -b
-    else:
-        a = np.cosh(curvature.scale * r)
-        b = e = np.sinh(curvature.scale * r)
+    # t(r) = [[C, 0, S], [0, 1, 0], [-kappa S, 0, C]]
+    a, b = gen_cos_sin(curvature, r)
+    e = -curvature.kappa * b
     ct, st = np.cos(theta), np.sin(theta)
     psi = phi - theta
     cp, sp = np.cos(psi), np.sin(psi)

@@ -18,10 +18,13 @@ from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
 from curvedkin.radii import metrics
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
-                               exp_at_base, form_dot, geodesic_distance,
-                               normalize_to_surface, rotation_about_base,
-                               sample_isometry, translation_by_polar,
-                               translation_to)
+                               exp_at_base, normalize_to_surface,
+                               rotation_about_base, sample_isometry,
+                               translation_by_polar, translation_to)
+
+import exact
+from parent import (ParentPolygon, _J, form_dot, geodesic_distance,
+                    normals_from_parent)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
@@ -625,7 +628,7 @@ def old_edge_normals(K):
             norm2 = nu[0] ** 2 + nu[1] ** 2 - nu[2] ** 2
             if norm2 <= 0:
                 raise GeometryError("edge does not support a geodesic")
-            normals.append(nu * K.curvature.form_signs
+            normals.append(nu * _J
                            / math.sqrt(norm2))
         elif k > 0:
             normals.append(nu / np.linalg.norm(nu))
@@ -873,6 +876,63 @@ def same_hull(pts, oracle=old_convex_hull):
     return new
 
 
+class Replaced:
+    """Values of the new formulas, the scalar loops' and 60-digit ones.
+
+    Edge normals, area and perimeter are new formulas, so their bits may
+    move; collected over a test's bodies, they may not lose accuracy
+    against mpmath (see exact.no_worse).
+    """
+
+    def __init__(self):
+        self.columns = {name: ([], [], [], []) for name in
+                        ("normal", "area", "perimeter")}
+
+    def add(self, name, new, old, ref, unit):
+        for column, values in zip(self.columns[name], (new, old, ref, unit)):
+            column.extend(values)
+
+    def check(self, K):
+        curv, kappa = K.curvature, K.curvature.kappa
+        va, P = K.vertex_array, ParentPolygon(K)
+        if K.dim > 0:
+            new, old = K.edge_normals, normals_from_parent(
+                curv, old_edge_normals(P))
+            for row, (i, j) in enumerate(K.edges):
+                if not np.array_equal(new[row], old[row]):
+                    # A short edge's cross product carries the rounding of
+                    # its endpoints, scaled up by |p| |q| / |p x q|, and the
+                    # normalization the ratio of its terms' size to 1.
+                    nu = np.cross(va[i], va[j])
+                    cond = (np.linalg.norm(va[i]) * np.linalg.norm(va[j])
+                            / np.linalg.norm(nu))
+                    cond += ((nu * nu) @ [1.0, 1.0, abs(kappa)]
+                             / ((nu * nu) @ [1.0, 1.0, kappa]))
+                    unit = np.spacing(np.abs(new[row]).max()) * (1.0 + cond)
+                    self.add("normal", new[row], old[row],
+                             exact.unit_normal(kappa, va[i], va[j]),
+                             [unit] * 3)
+        if area(K) != old_area(P):
+            # A thin polygon's area is a small sum of products of its
+            # edges from a vertex: their size sets the rounding unit.
+            edges = np.linalg.norm(va[1:] - va[0], axis=1)
+            unit = np.spacing(max(area(K), float(edges[:-1] @ edges[1:])))
+            self.add("area", [area(K)], [old_area(P)],
+                     [exact.area(kappa, va)], [unit])
+        if perimeter(K) != old_perimeter(P):
+            # A sum of n distances: their rounding units, and an ulp of the
+            # sum for each term and each addition.
+            unit = (len(K.edges) * np.spacing(perimeter(K))
+                    + sum(exact.distance_ulp(kappa, va[i], va[j])
+                          for i, j in K.edges))
+            self.add("perimeter", [perimeter(K)], [old_perimeter(P)],
+                     [exact.perimeter(kappa, va)], [unit])
+
+    def assert_no_worse(self):
+        for name, column in self.columns.items():
+            assert exact.no_worse(*column[:3], units=column[3]), name
+
+
 class TestArrayKernels:
     """Construction, area and perimeter agree with the loops they replaced."""
 
@@ -883,27 +943,23 @@ class TestArrayKernels:
         curv = Curvature(kappa)
         rng = RandomStream(151)
         dims = set()
+        replaced = Replaced()
         for _ in range(self.BODIES):
             K = same_hull(random_point_set(curv, rng))
             if K is None:
                 continue
             dims.add(K.dim)
-            if K.dim > 0:
-                assert_agree(K.edge_normals, old_edge_normals(K),
-                             ulps=4 if kappa > 0 else 0)
-            assert_agree(area(K), old_area(K))
-            assert_agree(perimeter(K), old_perimeter(K))
+            replaced.check(K)
         assert dims == {0, 1, 2}
+        replaced.assert_no_worse()
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_large_cyclic_polygons(self, kappa):
         curv = Curvature(kappa)
+        replaced = Replaced()
         for n in (50, 200):
-            K = regular_ngon(curv, 0.6, n, phase=0.1)
-            assert_agree(K.edge_normals, old_edge_normals(K),
-                         ulps=4 if kappa > 0 else 0)
-            assert_agree(area(K), old_area(K))
-            assert_agree(perimeter(K), old_perimeter(K))
+            replaced.check(regular_ngon(curv, 0.6, n, phase=0.1))
+        replaced.assert_no_worse()
 
     def test_duplicate_chain_drops_every_later_point(self):
         # a, b, c 0.6 tol apart in x: b is near a and c near b only.  The

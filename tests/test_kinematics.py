@@ -11,15 +11,19 @@ from curvedkin.convex import (GeodesicPolygon, arc_crossings, area,
                               euler_intersection, perimeter, point_body,
                               regular_ngon, segment_body, unit_arcs,
                               DegeneratePosition)
-from curvedkin.kinematics import (_OverlapTester, _recenter, body_contains,
+from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
+                                  body_contains,
                                   containment_criterion, find_containment,
                                   kinematic_lhs, kinematic_rhs,
                                   monotonicity_probe)
 from curvedkin.radii import circumradius
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, disc_area, exp_at_base,
-                               motion_matrices, sample_isometry,
+                               motion_columns, motion_matrices,
+                               sample_isometry,
                                sample_motions, Isometry, translation_by_polar)
+
+from parent import ParentPolygon, _J, to_parent
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 
@@ -250,7 +254,8 @@ class OldOverlapTester:
         scale = float(max(np.max(np.abs(self.vK)), 1.0))
         self.tol = EPS * scale
         # Pre-apply the form signs so a plain dot gives signed distances.
-        self.K_normals_flat = (K.edge_normals * self.curv.form_signs
+        self.K_normals_flat = (K.edge_normals * (_J if self.curv.kappa < 0
+                                                 else np.ones(3))
                                if K.dim == 2 else None)
         self.pK, self.qK = unit_arcs(self.vK, K.edges)
 
@@ -346,8 +351,9 @@ class TestOverlapKernel:
             support = rk + rl + 1e-6 * (1.0 + rk + rl)
             r, theta, phi = sample_motions(curv, support, self.MOTIONS, rng)
             new = _OverlapTester(Kc, Lc).hits(r, theta, phi, reach=support)
-            old = OldOverlapTester(Kc, Lc).hits(
-                motion_matrices(curv, r, theta, phi), reach=support)
+            old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
+                to_parent(curv, motion_matrices(curv, r, theta, phi),
+                          matrix=True), reach=support)
             assert np.array_equal(new, old)
             assert 0 < np.count_nonzero(new) < len(new)
             motions += len(new)
@@ -403,7 +409,38 @@ class TestContainmentCriterion:
             containment_criterion(seg, unit_square())
 
 
+def _score_batch(vI: np.ndarray, outer_normals_flat: np.ndarray,
+                 mats: np.ndarray) -> np.ndarray:
+    """Worst signed distance of moved inner vertices against outer's edges."""
+    moved = np.einsum("nij,kj->nki", mats, vI)
+    s = np.einsum("nkc,jc->nkj", moved, outer_normals_flat)
+    return np.min(s, axis=(1, 2))
+
+
 class TestFindContainment:
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_table_scores_match_the_einsum_scorer(self, kappa):
+        # find_containment scores a batch with the Monte Carlo kernel's
+        # outer-product table; _score_batch, which it replaced, is kept
+        # verbatim as the oracle and gets the same motions as matrices.
+        curv = Curvature(kappa)
+        rng = RandomStream(43)
+        for _ in range(50):
+            outer = random_body(curv, rng, n_points=6)
+            inner = random_body(curv, rng, n_points=5, rho=0.3)
+            r = np.abs(rng.normal(0.0, 0.5, 256))
+            theta, phi = rng.uniform(0.0, 2 * math.pi, (2, 256))
+            new = np.min(_outer_table(outer.edge_normals, inner.vertex_array)
+                         @ motion_columns(curv, r, theta, phi), axis=0)
+            nf = ParentPolygon(outer).edge_normals * (
+                _J if kappa < 0 else np.ones(3))
+            old = _score_batch(
+                to_parent(curv, inner.vertex_array), nf,
+                to_parent(curv, motion_matrices(curv, r, theta, phi),
+                          matrix=True))
+            assert np.all(np.abs(new - old) <= 1e-14 * (1.0 + np.abs(old)))
+            assert int(np.argmax(new)) == int(np.argmax(old))
+
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_concentric_discs(self, kappa):
         curv = Curvature(kappa)

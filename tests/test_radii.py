@@ -10,15 +10,18 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
                               regular_ngon, segment_body)
-from curvedkin.radii import (BodyMetrics, _circumcenter3, _disc_from_support,
-                             _midpoint,
-                             _normalize_rows, circumradius, inradius, metrics,
-                             smallest_enclosing_disc)
+from curvedkin.radii import (BodyMetrics, _disc_from_support, circumradius,
+                             inradius, metrics, smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
-                               disc_perimeter, exp_at_base, form_dot, gen_asin,
-                               geodesic_distance, normalize_to_surface,
+                               disc_perimeter, exp_at_base, gen_asin,
+                               geodesic_distance, row_distances,
                                sample_isometry)
+
+import exact
+from parent import (ParentPolygon, _circumcenter3, _midpoint, _normalize_rows,
+                    from_parent, old_disc_from_support, recursive_enclosing_disc,
+                    to_parent)
 # The chart and hemisphere search the library no longer has.
 from test_convex import _chart, hemisphere_direction
 
@@ -108,55 +111,6 @@ def enumeration_inradius(K):
     return gen_asin(curv, best_val), SurfacePoint(best, curv)
 
 
-def recursive_enclosing_disc(curv, coords,
-                             disc_from_support=_disc_from_support):
-    """The recursive Welzl that ``smallest_enclosing_disc`` replaced.
-
-    Its depth grows with the point count; kept as the differential oracle
-    for the iterative form on bodies small enough to recurse.
-    """
-    n = len(coords)
-    rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
-    order = list(rng.permutation(n))
-
-    def welzl(idx, boundary):
-        if not idx or len(boundary) == 3:
-            return disc_from_support(curv, boundary)
-        first, rest = idx[0], idx[1:]
-        disc = welzl(rest, boundary)
-        p = SurfacePoint(coords[first], curv)
-        if disc is not None:
-            c, r = disc
-            if (geodesic_distance(SurfacePoint(c, curv), p)
-                    <= r + 1e-12 * (1.0 + r)):
-                return disc
-        return welzl(rest, boundary + [coords[first]])
-
-    return welzl(order, [])
-
-
-def old_disc_from_support(curv, support):
-    """The per-point ``_disc_from_support`` that the array form replaced.
-
-    Kept verbatim as the differential oracle.
-    """
-    pts = [SurfacePoint(c, curv) for c in support]
-    if len(support) == 0:
-        return None
-    if len(support) == 1:
-        return support[0], 0.0
-    if len(support) == 2:
-        c = _midpoint(curv, support[0], support[1])
-        return c, geodesic_distance(SurfacePoint(c, curv), pts[0])
-    best = None
-    for c in _circumcenter3(curv, *support):
-        cp = SurfacePoint(c, curv)
-        r = max(geodesic_distance(cp, p) for p in pts)
-        if best is None or r < best[1]:
-            best = (c, r)
-    return best
-
-
 def assert_agree(new, old, ulps=0):
     """Within ulps units in the last place of old; 0 asks for the same bits.
 
@@ -172,7 +126,6 @@ def assert_agree(new, old, ulps=0):
 
 def circumdisc_oracle(K):
     """Min over all vertex pair/triple circumdiscs that enclose everything."""
-    from curvedkin.radii import _circumcenter3, _midpoint
     curv = K.curvature
     va = K.vertex_array
     pts = list(K.vertices)
@@ -358,7 +311,9 @@ def closed_form_inradius(curv, R, n):
 
 def assert_same_incircle(K):
     r, center = inradius(K)
-    r0, center0 = enumeration_inradius(K)
+    r0, center0 = enumeration_inradius(ParentPolygon(K))
+    center0 = SurfacePoint(from_parent(K.curvature, center0.coords),
+                           K.curvature)
     scale = 1.0 + float(np.max(np.abs(center0.coords)))
     assert abs(r - r0) <= 1e-12, (K, r, r0)
     assert np.max(np.abs(center.coords - center0.coords)) <= 1e-12 * scale, K
@@ -377,15 +332,31 @@ class TestWorkingSetInradius:
         # Up to 12 edges the first working set is the whole edge set.
         curv = Curvature(kappa)
         rng = RandomStream(131)
+        news, olds, refs = [], [], []
         for _ in range(200):
             K = random_body(curv, rng, n_points=int(rng.integers(3, 20)))
             r, center = inradius(K)
-            r0, center0 = enumeration_inradius(K)
-            if K.n_vertices <= 12:
-                assert r == r0
-                assert np.array_equal(center.coords, center0.coords)
-            else:
+            r0, center0 = enumeration_inradius(ParentPolygon(K))
+            center0 = SurfacePoint(from_parent(curv, center0.coords), curv)
+            if K.n_vertices > 12:
                 assert_same_incircle(K)
+            elif r != r0 or not np.array_equal(center.coords, center0.coords):
+                # The edge normals' norm is a new formula on the sphere and
+                # the flat plane: the same incircle, its last bits against
+                # a 60-digit one from the same active edges.
+                sines = K.signed_edge_distances(center.coords)
+                active = np.flatnonzero(sines <= sines.min() + 1e-9)
+                assert len(active) in (2, 3)
+                ref, value = exact.incenter(kappa, K.vertex_array, active)
+                news.append([*center.coords, r])
+                olds.append([*center0.coords, r0])
+                refs.append([*ref, exact.to_float(value)[0]])
+        for col in range(4):
+            column = [[x[col] for x in rows] for rows in (news, olds, refs)]
+            if col == 3:  # the radius, from the exact gen_sin value
+                column[2] = [gen_asin(curv, v) for v in column[2]]
+            assert exact.no_worse(*column, units=[
+                np.spacing(np.abs(x[:3]).max()) for x in news]), col
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     @pytest.mark.parametrize("n", [13, 200, 1000])
@@ -545,31 +516,59 @@ class TestDiscFromSupport:
         reach = (0.9 * curv.hemisphere_limit if kappa > 0
                  else 3.0 / max(1.0, curv.scale))
         sizes = set()
+        news, olds, refs, units = [], [], [], []
         for _ in range(2000):
             m = int(rng.integers(1, 4))
             support = np.array([
                 exp_at_base(curv, float(rng.uniform(0.0, reach)),
                             float(rng.uniform(0, 2 * math.pi))).coords
                 for _ in range(m)])
-            old = old_disc_from_support(curv, list(support))
+            old = old_disc_from_support(curv, list(to_parent(curv, support)))
             new = _disc_from_support(curv, support)
             if old is None:
                 assert new is None
                 continue
             sizes.add(m)
-            assert_agree(new[0], old[0])
-            assert_agree(new[1], old[1])
+            center = exact.circumcenter(kappa, support)
+            news.append([*new[0], new[1]])
+            olds.append([*from_parent(curv, old[0]), old[1]])
+            refs.append([*center, exact.distance(kappa, exact.to_float(center),
+                                                 support[0])])
+            units.append([exact.center_unit(kappa, support, center)] * 3 + [
+                exact.distance_ulp(kappa, exact.to_float(center), support[0])])
         assert sizes == {1, 2, 3}
+        # The bisector circumcenter and the quadric chord replace the old
+        # formulas: no worse against 60-digit centers and radii.
+        for col in range(4):
+            assert exact.no_worse([x[col] for x in news], [x[col] for x in olds],
+                                  [x[col] for x in refs],
+                                  [x[col] for x in units]), col
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_welzl_matches_scalar_form(self, kappa):
         curv = Curvature(kappa)
         rng = RandomStream(179)
+        news, olds, refs, units = [], [], [], []
         for _ in range(200):
             coords = random_body(
                 curv, rng, n_points=int(rng.integers(3, 30))).vertex_array
             c, r = smallest_enclosing_disc(curv, coords)
-            c0, r0 = recursive_enclosing_disc(curv, coords,
+            c0, r0 = recursive_enclosing_disc(curv, to_parent(curv, coords),
                                               old_disc_from_support)
-            assert_agree(c, c0)
-            assert_agree(r, r0)
+            c0 = from_parent(curv, c0)
+            # The same support: the points on each disc's rim.
+            rim = row_distances(curv, c, coords) >= r - 1e-9 * (1.0 + r)
+            rim0 = row_distances(curv, c0, coords) >= r0 - 1e-9 * (1.0 + r0)
+            assert np.array_equal(rim, rim0)
+            center = exact.circumcenter(kappa, coords[rim])
+            news.append([*c, r])
+            olds.append([*c0, r0])
+            far = coords[np.flatnonzero(rim)[0]]
+            refs.append([*center, exact.distance(kappa, exact.to_float(center),
+                                                 far)])
+            units.append([exact.center_unit(kappa, coords[rim], center)] * 3 + [
+                exact.distance_ulp(kappa, exact.to_float(center), far)])
+        for col in range(4):
+            assert exact.no_worse([x[col] for x in news], [x[col] for x in olds],
+                                  [x[col] for x in refs],
+                                  [x[col] for x in units]), col

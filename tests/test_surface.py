@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
                                Regime, SurfacePoint, base_point, disc_area,
-                               disc_perimeter, exp_at_base, form_dot, gen_asin,
+                               disc_perimeter, exp_at_base, gen_asin,
                                gen_cos, gen_sin, geodesic_distance,
                                libm_map,
                                motion_columns, motion_matrices,
@@ -20,6 +20,10 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                sample_positions,
                                support_area, translation_by_polar,
                                translation_to)
+
+import exact
+import parent
+from parent import form_dot, from_parent, to_parent
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
@@ -213,13 +217,22 @@ class TestRowDistances:
         Q[::7] = P[::7]
         # Rebuilt from polar coordinates: apart by rounding only.
         Q[1::7] = [exp_at_base(c, *point_polar(p)) for p in P[1::7]]
-        old = np.array([old_geodesic_distance(p, q) for p, q in zip(P, Q)])
+        old = np.array([old_geodesic_distance(
+            parent.SurfacePoint(to_parent(c, p.coords), c),
+            parent.SurfacePoint(to_parent(c, q.coords), c))
+            for p, q in zip(P, Q)])
         rows = row_distances(c, np.array([p.coords for p in P]),
                              np.array([q.coords for q in Q]))
-        # The same arithmetic, libm calls included, so the same bits.
-        assert np.array_equal(rows, old)
+        # The chord now comes from the quadric, so the bits may move; the
+        # moved rows may not lose accuracy against 60-digit distances.
+        moved = np.flatnonzero(rows != old)
+        pairs = [(P[i].coords, Q[i].coords) for i in moved]
+        assert exact.no_worse(
+            rows[moved], old[moved],
+            [exact.distance(kappa, p, q) for p, q in pairs],
+            [exact.distance_ulp(kappa, p, q) for p, q in pairs])
         assert np.all(rows[::7] == 0.0)
-        for p, q, d in zip(P[:50], Q[:50], old):
+        for p, q, d in zip(P[:50], Q[:50], rows):
             assert geodesic_distance(p, q) == d
 
     def test_broadcasts_one_point_against_rows(self):
@@ -424,7 +437,8 @@ class TestMotionColumns:
         r, theta, phi = self.motions(19)
         old = old_motion_matrices(c, r, theta, phi)
         new = motion_columns(c, r, theta, phi).T.reshape(-1, 3, 3)
-        assert np.all(np.abs(new - old)
+        moved = to_parent(c, new, matrix=True)
+        assert np.all(np.abs(moved - old)
                       <= 1e-14 * np.maximum(1.0, np.abs(old)))
         assert np.array_equal(motion_matrices(c, r, theta, phi), new)
 
@@ -463,5 +477,6 @@ class TestMotionColumns:
     def test_translation_by_polar_is_a_motion(self, kappa):
         c = Curvature(kappa)
         g = translation_by_polar(c, 0.9, 2.5)
-        ref = old_motion_matrices(c, 0.9, 2.5, 0.0)[0]
+        ref = from_parent(c, old_motion_matrices(c, 0.9, 2.5, 0.0)[0],
+                          matrix=True)
         assert np.allclose(g.matrix, ref, rtol=0.0, atol=1e-14)
