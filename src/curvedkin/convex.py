@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
-                      exp_at_base, geodesic_distance, libm_map,
+                      cross3, exp_at_base, geodesic_distance, libm_map,
                       normalize_to_surface, row_distances, squared_chords)
 
 
@@ -76,7 +76,7 @@ class GeodesicPolygon:
     def edge_planes(self) -> np.ndarray:
         """Unnormalized interior half-space normals: endpoint cross products."""
         va = self.vertex_array
-        return np.cross(va, np.roll(va, -1, axis=0))[:len(self.edges)]
+        return cross3(va, np.roll(va, -1, axis=0))[:len(self.edges)]
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -426,7 +426,7 @@ def arc_crossings(p: np.ndarray, q: np.ndarray, a: np.ndarray,
     """
     p, q = p[..., :, None, :], q[..., :, None, :]
     a, b = a[..., None, :, :], b[..., None, :, :]
-    d = np.cross(_unit(np.cross(p, q)), _unit(np.cross(a, b)))
+    d = cross3(_unit(cross3(p, q)), _unit(cross3(a, b)))
     alpha, beta = _arc_coefficients(p, q, d)
     gamma, delta = _arc_coefficients(a, b, d)
     eps = 1e-12
@@ -441,7 +441,7 @@ def _segment_intersections(K: GeodesicPolygon, L: GeodesicPolygon,
     p, q = unit_arcs(K.vertex_array, K.edges)
     a, b = unit_arcs(L.vertex_array, L.edges)
     d, crossed = arc_crossings(p, q, a, b)
-    nl = np.cross(a, b)
+    nl = cross3(a, b)
     nd = np.linalg.norm(d, axis=-1)
     parallel = nd < 1e-12
     for i, e in zip(*np.nonzero(parallel)):

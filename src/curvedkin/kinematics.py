@@ -18,8 +18,9 @@ from .convex import (GeodesicPolygon, arc_crossings, area, contains_point,
                      perimeter, unit_arcs)
 from .radii import circumradius
 from .surface import (EPS, GeometryError, Isometry, RandomStream,
-                      motion_columns, motion_matrices, sample_motions,
-                      support_area, translation_to)
+                      basis_matrices, fold_table, motion_basis,
+                      motion_matrices, sample_motions, support_area,
+                      translation_to)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ def _recenter(K: GeodesicPolygon) -> tuple[float, Isometry, GeodesicPolygon]:
 
 
 def _outer_table(normals: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Rows n (x) v over faces and vertices; row . motion columns = n . M v."""
+    """Rows n (x) v over faces and vertices; row . (row-major entries of M)
+    = n . M v."""
     return (normals[:, None, :, None]
             * vertices[None, :, None, :]).reshape(-1, 9)
 
@@ -57,10 +59,11 @@ class _OverlapTester:
 
     Both bodies span convex vertex cones in R^3, so a face plane of either
     with every vertex of the other strictly outside separates them
-    (Gottschalk, Lin & Manocha, OBBTree, 1996).  Each side is one matmul of
-    an outer-product table with motion columns: K's normals against moved
-    L vertices, and L's unmoved edge normals against K vertices under the
-    inverse motion, as cross(Ma, Mb) = M^-T (a x b) when det M = 1.
+    (Gottschalk, Lin & Manocha, OBBTree, 1996).  Both sides are rows of one
+    outer-product table, folded onto the nine-row motion basis: K's normals
+    against moved L vertices, and L's unmoved edge normals against K
+    vertices under the inverse motion, as cross(Ma, Mb) = M^-T (a x b) when
+    det M = 1.  A chunk of motions is one matmul of the table with its basis.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
@@ -69,48 +72,62 @@ class _OverlapTester:
         self.K, self.L = K, L
         self.vK, self.vL = K.vertex_array, L.vertex_array
         self.tol = EPS * float(max(np.max(np.abs(self.vK)), 1.0))
-        # (table, vertex count, 1 if the inverse motions act) per 2-D body.
-        self.sides = []
+        # (faces, vertices) per 2-D body, in the table's row order.
+        self.sides, tables = [], []
         if K.dim == 2:
-            self.sides.append((_outer_table(K.edge_normals, self.vL),
-                               len(self.vL), 0))
+            self.sides.append((len(K.edges), len(self.vL)))
+            tables.append(fold_table(
+                self.curv, _outer_table(K.edge_normals, self.vL)))
         if L.dim == 2:
-            self.sides.append((_outer_table(L.edge_planes, self.vK),
-                               len(self.vK), 1))
+            self.sides.append((len(L.edges), len(self.vK)))
+            tables.append(fold_table(
+                self.curv, _outer_table(L.edge_planes, self.vK), inverse=True))
+        self.table = np.concatenate(tables) if tables else np.empty((0, 9))
+        # Motions per matmul, the product buffer kept within 2^21 floats.
+        self.chunk = min(4096, max(64, 2 ** 21 // max(1, len(self.table))))
+        self._out = np.empty(len(self.table) * self.chunk)
         self.pK, self.qK = unit_arcs(self.vK, K.edges)
+        # In the affine (flat) or Klein (hyperbolic) chart two 2-D bodies
+        # are convex Euclidean polygons, so face planes decide outright.
+        self.chart = self.curv.kappa <= 0 and K.dim == 2 and L.dim == 2
 
-    def hits(self, r: np.ndarray, theta: np.ndarray, phi: np.ndarray,
-             reach: Optional[float] = None, chunk: int = 4096) -> np.ndarray:
+    def hits(self, r: np.ndarray, theta: np.ndarray,
+             phi: np.ndarray, reach: Optional[float] = None) -> np.ndarray:
         """Overlap mask of K with L moved by each motion (r, theta, phi)."""
-        todo = np.arange(len(r))
+        out = np.zeros(len(r), dtype=bool)
+        keep = slice(None)
         if self.curv.kappa > 0 and reach is not None:
             # Overlap needs the moved base point within reach of the base
             # point.  sqrt(k) r lies in [0, pi], so no cosine is needed.
             s = self.curv.scale
-            todo = todo[s * r <= min(math.pi, s * reach)]
-        out = np.zeros(len(r), dtype=bool)
-        for lo in range(0, len(todo), chunk):
-            sub = todo[lo:lo + chunk]
-            out[sub] = self._hits_chunk(r[sub], theta[sub], phi[sub])
+            keep = s * r <= min(math.pi, s * reach)
+        r, theta, phi = r[keep], theta[keep], phi[keep]
+        hit = np.empty(len(r), dtype=bool)
+        for lo in range(0, len(r), self.chunk):
+            hi = lo + self.chunk
+            hit[lo:hi] = self._hits_chunk(
+                motion_basis(self.curv, r[lo:hi], theta[lo:hi], phi[lo:hi]))
+        out[keep] = hit
         return out
 
-    def _hits_chunk(self, r: np.ndarray, theta: np.ndarray,
-                    phi: np.ndarray) -> np.ndarray:
-        cols = motion_columns(self.curv, r, theta, phi, with_inverse=True)
-        hit, apart = np.zeros((2, len(r)), dtype=bool)
-        for table, n_vertices, inverse in self.sides:
+    def _hits_chunk(self, basis: np.ndarray) -> np.ndarray:
+        m = basis.shape[1]
+        s = np.matmul(self.table, basis,
+                      out=self._out[:len(self.table) * m].reshape(-1, m))
+        hit, apart = np.zeros((2, m), dtype=bool)
+        row = 0
+        for faces, n_vertices in self.sides:
             # (faces, vertices, samples).  A face with every vertex of the
             # other body outside separates; a vertex inside all is contained.
-            s = (table @ cols[inverse]).reshape(-1, n_vertices, len(r))
-            apart |= np.any(np.max(s, axis=1) < -self.tol, axis=0)
-            hit |= np.any(np.min(s, axis=0) >= -self.tol, axis=0)
-        if self.curv.kappa <= 0 and self.K.dim == 2 and self.L.dim == 2:
-            # In the affine (flat) or Klein (hyperbolic) chart both bodies
-            # are convex Euclidean polygons, so face planes decide outright.
+            side = s[row:row + faces * n_vertices].reshape(faces, n_vertices, m)
+            row += faces * n_vertices
+            apart |= np.any(np.max(side, axis=1) < -self.tol, axis=0)
+            if not self.chart:
+                hit |= np.any(np.min(side, axis=0) >= -self.tol, axis=0)
+        if self.chart:
             return ~apart
-        mats = cols[0].T.reshape(-1, 3, 3)
         if self.K.dim == 0 and self.L.dim == 0:
-            moved = mats @ self.vL[0]
+            moved = basis_matrices(self.curv, basis) @ self.vL[0]
             return np.linalg.norm(moved - self.vK[0], axis=1) <= self.tol
         if self.K.dim == 0 or self.L.dim == 0:
             return hit
@@ -121,7 +138,8 @@ class _OverlapTester:
         block = max(1, 2_000_000 // (len(self.pK) * len(self.L.edges)))
         for lo in range(0, len(rest), block):
             sub = rest[lo:lo + block]
-            hit[sub] = self._crossing(self.vL @ mats[sub].transpose(0, 2, 1))
+            mats = basis_matrices(self.curv, basis[:, sub])
+            hit[sub] = self._crossing(self.vL @ mats.transpose(0, 2, 1))
         return hit
 
     def _crossing(self, vL: np.ndarray) -> np.ndarray:
@@ -188,9 +206,11 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     for attempt, (inner, outer, t_in, t_out, flipped) in enumerate(pairs):
         if outer.dim < 2:
             continue
-        # Rows edge normal (x) inner vertex: against motion columns, the
-        # gen_sin distances of the moved vertices from outer's edges.
-        table = _outer_table(outer.edge_normals, inner.vertex_array)
+        # Rows edge normal (x) inner vertex, folded: against the motion
+        # basis, the gen_sin distances of the moved vertices from outer's
+        # edges.
+        table = fold_table(curv, _outer_table(outer.edge_normals,
+                                              inner.vertex_array))
         r_out, _ = circumradius(outer)
         sigma = max(r_out, 1e-3)
         best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
@@ -210,7 +230,7 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                 r = np.hypot(x, y)
                 theta = np.arctan2(y, x)
                 phi = bph + rng.normal(0.0, 0.3 + sigma, m)
-            scores = np.min(table @ motion_columns(curv, r, theta, phi),
+            scores = np.min(table @ motion_basis(curv, r, theta, phi),
                             axis=0)
             used += m
             spent += m

@@ -16,7 +16,7 @@ import numpy as np
 
 from .convex import GeodesicPolygon, area, perimeter, triple_indices
 from .surface import (Curvature, GeometryError, SurfacePoint,
-                      bisector_normals, form_dot, gen_asin, gen_sin,
+                      bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, row_distances, squared_chords)
 
 # random_convex_body's default max_vertices: random bodies solve in one round.
@@ -157,7 +157,7 @@ def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
     n = len(normals)
     lam = curv.line_form
     ii, jj, kk = triple_indices(n)
-    triples = np.cross(normals[ii] - normals[jj], normals[jj] - normals[kk])
+    triples = cross3(normals[ii] - normals[jj], normals[jj] - normals[kk])
     ii, jj = np.triu_indices(n, 1)
     d = normals[ii] - normals[jj]
     s = normals[ii] + normals[jj]
@@ -183,7 +183,7 @@ def _close_working_set(curv: Curvature, normals: np.ndarray,
     n = len(normals)
     while True:
         nxt = np.roll(work, -1)
-        w = np.cross(normals[work], normals[nxt])
+        w = cross3(normals[work], normals[nxt])
         gap = (nxt - work) % n
         bad = ((w[:, 2] <= 0) | (form_dot(curv, w, w) <= 0)) & (gap > 1)
         if not bad.any():

@@ -19,7 +19,7 @@ from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
 from curvedkin.radii import circumradius
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, disc_area, exp_at_base,
-                               motion_columns, motion_matrices,
+                               fold_table, motion_basis, motion_matrices,
                                sample_isometry,
                                sample_motions, Isometry, translation_by_polar)
 
@@ -430,8 +430,9 @@ class TestFindContainment:
             inner = random_body(curv, rng, n_points=5, rho=0.3)
             r = np.abs(rng.normal(0.0, 0.5, 256))
             theta, phi = rng.uniform(0.0, 2 * math.pi, (2, 256))
-            new = np.min(_outer_table(outer.edge_normals, inner.vertex_array)
-                         @ motion_columns(curv, r, theta, phi), axis=0)
+            table = _outer_table(outer.edge_normals, inner.vertex_array)
+            new = np.min(fold_table(curv, table)
+                         @ motion_basis(curv, r, theta, phi), axis=0)
             nf = ParentPolygon(outer).edge_normals * (
                 _J if kappa < 0 else np.ones(3))
             old = _score_batch(

@@ -14,7 +14,7 @@ from curvedkin.radii import (BodyMetrics, _disc_from_support, circumradius,
                              inradius, metrics, smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
-                               disc_perimeter, exp_at_base, gen_asin,
+                               disc_perimeter, exp_at_base, form_dot, gen_asin,
                                geodesic_distance, row_distances,
                                sample_isometry)
 
@@ -394,6 +394,41 @@ class TestWorkingSetInradius:
             SurfacePoint(np.array([x, y, 1.0])
                          / math.sqrt(1.0 + kappa * (x * x + y * y)), curv)
             for x, y in chart])
+        at_center = np.min(body.signed_edge_distances(
+            base_point(curv).coords))
+        r, _ = inradius(body)
+        assert r > 1.1 * gen_asin(curv, float(at_center))
+        assert_same_incircle(body)
+
+    def test_ultraparallel_working_pair(self):
+        # A 190-degree arc of 40 vertices about the Klein chart's origin,
+        # closed above by two sides that converge upward and a top edge.
+        # The first working set holds arc edges only; its last and first
+        # edges lean inward, so their lines meet ahead of both (w_z > 0),
+        # but beyond the ideal boundary (G(w, w) < 0): they are
+        # ultraparallel, and only the hyperbolic half of the closing rule
+        # brings in the side between them.  Without it the arc's center is
+        # certified, with a radius 16% short.
+        curv = Curvature(-1.0)
+        rho, half, top, n_arc = 0.4, 95.0, 0.9, 40
+        phi = np.radians(np.linspace(-90.0 - half, -90.0 + half, n_arc))
+        chart = list(rho * np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        turn = half / (n_arc - 1) / 2  # a quarter of the arc's step
+        right = np.radians(half + turn)
+        left = np.radians(-half - turn)
+        up = chart[-1] + ((top - chart[-1][1]) / math.sin(right)
+                          * np.array([math.cos(right), math.sin(right)]))
+        down = chart[0] + ((top - chart[0][1]) / math.sin(left)
+                           * np.array([math.cos(left), math.sin(left)]))
+        chart += [up, down]
+        body = GeodesicPolygon([
+            SurfacePoint(np.array([x, y, 1.0]) / math.sqrt(1.0 - x * x - y * y),
+                         curv) for x, y in chart])
+        normals = body.edge_normals
+        n = len(normals)
+        work = np.arange(12) * n // 12
+        w = np.cross(normals[work[-1]], normals[work[0]])
+        assert w[2] > 0 and form_dot(curv, w, w) < 0
         at_center = np.min(body.signed_edge_distances(
             base_point(curv).coords))
         r, _ = inradius(body)

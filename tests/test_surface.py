@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
-                               Regime, SurfacePoint, base_point, disc_area,
+                               Regime, SurfacePoint, base_point, cross3,
+                               disc_area,
                                disc_perimeter, exp_at_base, gen_asin,
                                gen_cos, gen_sin, geodesic_distance,
-                               libm_map,
-                               motion_columns, motion_matrices,
+                               half_angle_cos_sin, libm_map,
+                               basis_matrices, fold_table, motion_basis,
+                               motion_matrices,
                                normalize_to_surface, point_polar,
                                rotation_about_base, sample_isometry,
                                sample_motions, row_distances,
@@ -423,6 +426,42 @@ def old_motion_matrices(curvature, r, theta, phi):
     return _rz(theta) @ t @ _rz(phi - theta)
 
 
+class TestCross3:
+    @pytest.mark.parametrize("shapes", [
+        ((8, 3), (8, 3)), ((3,), (4, 3)), ((3,), (3,)),
+        ((5, 1, 3), (1, 7, 3)), ((2, 6, 1, 3), (2, 1, 6, 3))])
+    def test_bit_identical_to_np_cross(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]) + len(shapes[1]))
+        a, b = (rng.normal(size=s) * 10.0 ** rng.integers(-8, 9, s)
+                for s in shapes)
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
+        assert np.array_equal(cross3(b, a), np.cross(b, a))
+
+
+class TestHalfAngle:
+    def test_within_4e16_of_mpmath(self):
+        # The motion builder's direction cosines, from tan(x/2), on 1.1e5
+        # angles: uniform on [0, 2 pi) and (-2 pi, 0) (psi = phi - theta
+        # spans both), clusters within 1e-8 of 0 and 2 pi and within 1e-6
+        # of pi, and the ends themselves.  libm's cos and sin reach 5.6e-17.
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        rng = np.random.default_rng(5)
+        two_pi = 2.0 * math.pi
+        x = np.concatenate([
+            rng.uniform(0.0, two_pi, 60_000), rng.uniform(-two_pi, 0.0, 10_000),
+            rng.uniform(0.0, 1e-8, 10_000), two_pi - rng.uniform(0.0, 1e-8, 10_000),
+            math.pi + rng.uniform(-1e-6, 1e-6, 10_000),
+            [0.0, math.pi, -math.pi, np.nextafter(two_pi, 0.0),
+             np.nextafter(-two_pi, 0.0)]])
+        cos, sin = half_angle_cos_sin(x)
+        worst = 0.0
+        for xi, c, s in zip(x.tolist(), cos.tolist(), sin.tolist()):
+            ec, es = ctx.cos_sin(ctx.mpf(xi))
+            worst = max(worst, abs(float(ec - c)), abs(float(es - s)))
+        assert worst <= 4e-16
+
+
 class TestMotionColumns:
     KAPPAS = [2.0, 0.25, 0.0, -0.25, -2.0]
 
@@ -436,7 +475,7 @@ class TestMotionColumns:
         c = Curvature(kappa)
         r, theta, phi = self.motions(19)
         old = old_motion_matrices(c, r, theta, phi)
-        new = motion_columns(c, r, theta, phi).T.reshape(-1, 3, 3)
+        new = basis_matrices(c, motion_basis(c, r, theta, phi))
         moved = to_parent(c, new, matrix=True)
         assert np.all(np.abs(moved - old)
                       <= 1e-14 * np.maximum(1.0, np.abs(old)))
@@ -446,16 +485,20 @@ class TestMotionColumns:
     def test_inverse_columns(self, kappa):
         c = Curvature(kappa)
         r, theta, phi = self.motions(23)
-        fwd, inv = motion_columns(c, r, theta, phi, with_inverse=True)
-        assert np.array_equal(fwd, motion_columns(c, r, theta, phi))
+        basis = motion_basis(c, r, theta, phi)
+        fwd = motion_matrices(c, r, theta, phi)
+        inv = (fold_table(c, np.eye(9), inverse=True) @ basis).T.reshape(
+            -1, 3, 3)
         # The inverse of (r, theta, phi) is the motion (-r, theta - phi, -phi).
-        again = motion_columns(c, -r, theta - phi, -phi)
+        again = motion_matrices(c, -r, theta - phi, -phi)
         big = np.maximum(1.0, np.abs(inv))
         assert np.all(np.abs(inv - again) <= 1e-13 * big)
-        prod = inv.T.reshape(-1, 3, 3) @ fwd.T.reshape(-1, 3, 3)
-        scale = np.max(np.abs(fwd), axis=0) ** 2
-        assert np.all(np.abs(prod - np.eye(3)).max(axis=(1, 2))
-                      <= 1e-14 * np.maximum(1.0, scale))
+        scale = np.max(np.abs(fwd), axis=(1, 2)) ** 2
+        # Inverse to both the basis's motions and the old builder's.
+        for m in (fwd, from_parent(c, old_motion_matrices(c, r, theta, phi),
+                                   matrix=True)):
+            assert np.all(np.abs(inv @ m - np.eye(3)).max(axis=(1, 2))
+                          <= 1e-14 * np.maximum(1.0, scale))
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_sample_motions_stream_order(self, kappa):
