@@ -1,9 +1,12 @@
 """Monte Carlo evaluation of the kinematic integral and its consequences.
 
 The integral over all motions g of the Euler characteristic of K meeting a
-moving copy of L is estimated by sampling positions area-uniformly over a
-disc that covers the support of the integrand, spinning uniformly about the
-base point, and rescaling the hit fraction by the sampled region's area.
+moving copy of L is estimated by sampling positions area-uniformly,
+spinning uniformly about the base point, and rescaling the hit fraction by
+the sampled region's area.  On the flat and hyperbolic planes positions
+cover a disc that holds the support of the integrand.  On the sphere they
+cover the whole sphere, and a reach cut drops the samples that place the
+moved base point beyond that disc before the overlap test sees them.
 """
 
 from __future__ import annotations
@@ -14,21 +17,31 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, arc_crossings, area, contains_point,
-                     perimeter, unit_arcs)
+from .convex import GeodesicPolygon, area, contains_point, perimeter
 from .radii import circumradius
-from .surface import (EPS, GeometryError, Isometry, RandomStream,
-                      basis_matrices, fold_table, motion_basis,
-                      motion_matrices, sample_motions, support_area,
-                      translation_to)
+from .surface import (EPS, GeometryError, Isometry, RandomStream, cross3,
+                      fold_table, gen_cos_sin, motion_basis, motion_matrices,
+                      sample_motions, support_area, translation_to)
 
 
 @dataclass(frozen=True)
 class KinematicEstimate:
+    """The estimate, and how the overlap test decided its n samples.
+
+    The four counts sum to the samples: dropped by the sphere's reach cut,
+    settled by a face plane, settled by a contained vertex (a point body's
+    samples that no face plane separates count here), and sent to the
+    mixed-plane pass.
+    """
+
     mean: float
     std_error: float
     samples: int
     support_area: float
+    reach_dropped: int
+    face_settled: int
+    vertex_settled: int
+    mixed_tested: int
 
 
 def kinematic_rhs(K: GeodesicPolygon, L: GeodesicPolygon) -> float:
@@ -54,16 +67,48 @@ def _outer_table(normals: np.ndarray, vertices: np.ndarray) -> np.ndarray:
             * vertices[None, :, None, :]).reshape(-1, 9)
 
 
+def _mixed_table(curv, vK: np.ndarray, vL: np.ndarray) -> np.ndarray:
+    """Folded rows of the planes spanned by a vertex a of K and a moved
+    vertex Mb of L, in (4, pairs) order.
+
+    Per pair the four rows give det(a, Mb, k) = (k x a) . Mb for a's two
+    neighbours k, and -det(a, Mb, Ml) = (l x b) . M^-1 a for b's two
+    neighbours l (det M = 1).  A plane through a vertex ray of a convex
+    cone supports it iff both neighbours lie on one side, so the plane
+    separates the bodies iff the four share one strict sign.
+    """
+    def unit_normals(v):  # (2, n, 3): unit neighbour x vertex, both sides
+        c = cross3(np.stack([np.roll(v, 1, axis=0),
+                             np.roll(v, -1, axis=0)]), v)
+        return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+    nK, nL = unit_normals(vK), unit_normals(vL)
+    fwd = nK[:, :, None, :, None] * vL[None, None, :, None, :]
+    inv = nL[:, None, :, :, None] * vK[None, :, None, None, :]
+    return np.concatenate([fold_table(curv, fwd.reshape(-1, 9)),
+                           fold_table(curv, inv.reshape(-1, 9), inverse=True)])
+
+
 class _OverlapTester:
     """Vectorized emptiness test of K against many moved copies of L.
 
-    Both bodies span convex vertex cones in R^3, so a face plane of either
-    with every vertex of the other strictly outside separates them
-    (Gottschalk, Lin & Manocha, OBBTree, 1996).  Both sides are rows of one
-    outer-product table, folded onto the nine-row motion basis: K's normals
-    against moved L vertices, and L's unmoved edge normals against K
-    vertices under the inverse motion, as cross(Ma, Mb) = M^-T (a x b) when
-    det M = 1.  A chunk of motions is one matmul of the table with its basis.
+    Both bodies span convex vertex cones in R^3, which are disjoint iff a
+    plane through the origin separates them.  Such a plane can be turned
+    until it meets both cones, so it can be taken to be a face plane of
+    either body or a mixed plane spanned by one vertex ray of each: the
+    3-D separating-axis test (Gottschalk, Lin & Manocha, OBBTree, 1996).
+    Every candidate is rows of an outer-product table folded onto the
+    nine-row motion basis: K's planes against moved L vertices, and L's
+    unmoved planes against K vertices under the inverse motion, as
+    cross(Ma, Mb) = M^-T (a x b) when det M = 1.
+
+    A chunk of motions is one matmul of the face table with its basis.  A
+    face plane with every vertex of the other body more than EPS scale
+    outside separates; a vertex inside every face is contained.  In the
+    flat or hyperbolic chart two 2-D bodies are convex Euclidean polygons
+    and the face planes decide alone.  Elsewhere one matmul of the mixed
+    table, by a strict sign test on Euclidean-unit normals, decides the
+    motions that neither settles.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
@@ -82,38 +127,61 @@ class _OverlapTester:
             self.sides.append((len(L.edges), len(self.vK)))
             tables.append(fold_table(
                 self.curv, _outer_table(L.edge_planes, self.vK), inverse=True))
+        if K.dim == 0 and L.dim == 0:
+            # Rows e_c (x) v: the moved point's coordinates.
+            tables.append(fold_table(self.curv,
+                                     _outer_table(np.eye(3), self.vL)))
         self.table = np.concatenate(tables) if tables else np.empty((0, 9))
-        # Motions per matmul, the product buffer kept within 2^21 floats.
-        self.chunk = min(4096, max(64, 2 ** 21 // max(1, len(self.table))))
-        self._out = np.empty(len(self.table) * self.chunk)
-        self.pK, self.qK = unit_arcs(self.vK, K.edges)
-        # In the affine (flat) or Klein (hyperbolic) chart two 2-D bodies
-        # are convex Euclidean polygons, so face planes decide outright.
         self.chart = self.curv.kappa <= 0 and K.dim == 2 and L.dim == 2
+        # A segment's own plane, were it to separate, could be turned about
+        # an endpoint until it meets L's moved vertex cone: a mixed plane
+        # that still separates.  So mixed rows complete the candidates.
+        self.pairs = len(self.vK) * len(self.vL)
+        self.mixed = (_mixed_table(self.curv, self.vK, self.vL)
+                      if K.dim >= 1 and L.dim >= 1 and not self.chart
+                      else np.empty((0, 9)))
+        # Motions per matmul, the product buffer kept within 2^21 floats.
+        rows = max(1, len(self.table), len(self.mixed))
+        self.chunk = min(4096, max(64, 2 ** 21 // rows))
+        self._out = np.empty(rows * self.chunk)
+        # Over every hits call: the KinematicEstimate decision counts.
+        self.counts = dict.fromkeys(
+            ("reach_dropped", "face_settled", "vertex_settled",
+             "mixed_tested"), 0)
 
-    def hits(self, r: np.ndarray, theta: np.ndarray,
-             phi: np.ndarray, reach: Optional[float] = None) -> np.ndarray:
-        """Overlap mask of K with L moved by each motion (r, theta, phi)."""
-        out = np.zeros(len(r), dtype=bool)
-        keep = slice(None)
+    def hits(self, radial: tuple, theta: np.ndarray, phi: np.ndarray,
+             reach: Optional[float] = None) -> np.ndarray:
+        """Overlap mask of K with L moved by each motion ((a, b), theta, phi),
+        (a, b) the radial pair of :func:`~curvedkin.surface.motion_basis`."""
+        a, b = radial
+        n = len(a)
+        keep = None
         if self.curv.kappa > 0 and reach is not None:
             # Overlap needs the moved base point within reach of the base
-            # point.  sqrt(k) r lies in [0, pi], so no cosine is needed.
-            s = self.curv.scale
-            keep = s * r <= min(math.pi, s * reach)
-        r, theta, phi = r[keep], theta[keep], phi[keep]
-        hit = np.empty(len(r), dtype=bool)
-        for lo in range(0, len(r), self.chunk):
+            # point, where a = cos(sqrt(k) r).
+            keep = np.flatnonzero(
+                a >= math.cos(min(math.pi, self.curv.scale * reach)))
+            a, b, theta, phi = (x.take(keep) for x in (a, b, theta, phi))
+        hit = np.empty(len(a), dtype=bool)
+        for lo in range(0, len(a), self.chunk):
             hi = lo + self.chunk
-            hit[lo:hi] = self._hits_chunk(
-                motion_basis(self.curv, r[lo:hi], theta[lo:hi], phi[lo:hi]))
+            hit[lo:hi] = self._hits_chunk(motion_basis(
+                self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi]))
+        self.counts["reach_dropped"] += n - len(a)
+        if keep is None:
+            return hit
+        out = np.zeros(n, dtype=bool)
         out[keep] = hit
         return out
 
+    def _product(self, table: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        m = basis.shape[1]
+        return np.matmul(table, basis,
+                         out=self._out[:len(table) * m].reshape(-1, m))
+
     def _hits_chunk(self, basis: np.ndarray) -> np.ndarray:
         m = basis.shape[1]
-        s = np.matmul(self.table, basis,
-                      out=self._out[:len(self.table) * m].reshape(-1, m))
+        s = self._product(self.table, basis)
         hit, apart = np.zeros((2, m), dtype=bool)
         row = 0
         for faces, n_vertices in self.sides:
@@ -124,28 +192,28 @@ class _OverlapTester:
             apart |= np.any(np.max(side, axis=1) < -self.tol, axis=0)
             if not self.chart:
                 hit |= np.any(np.min(side, axis=0) >= -self.tol, axis=0)
+        counts = self.counts
         if self.chart:
+            counts["face_settled"] += m
             return ~apart
         if self.K.dim == 0 and self.L.dim == 0:
-            moved = basis_matrices(self.curv, basis) @ self.vL[0]
-            return np.linalg.norm(moved - self.vK[0], axis=1) <= self.tol
-        if self.K.dim == 0 or self.L.dim == 0:
+            hit = np.linalg.norm(s - self.vK[0][:, None], axis=0) <= self.tol
+        face = int(np.count_nonzero(apart))
+        counts["face_settled"] += face
+        if not len(self.mixed):
+            counts["vertex_settled"] += m - face
             return hit
-        # Neither a separating face nor a contained vertex: do the
-        # boundaries cross?  Sub-chunk: the predicate builds
-        # (m, edges_K, edges_L, 3) arrays, so bound m by the edge-pair count.
-        rest = np.nonzero(~(apart | hit))[0]
-        block = max(1, 2_000_000 // (len(self.pK) * len(self.L.edges)))
-        for lo in range(0, len(rest), block):
-            sub = rest[lo:lo + block]
-            mats = basis_matrices(self.curv, basis[:, sub])
-            hit[sub] = self._crossing(self.vL @ mats.transpose(0, 2, 1))
+        rest = np.flatnonzero(~(apart | hit))
+        counts["vertex_settled"] += m - face - len(rest)
+        counts["mixed_tested"] += len(rest)
+        if len(rest):
+            # (4, pairs, samples): a mixed plane separates where its four
+            # rows share one strict sign.
+            group = self._product(self.mixed, basis[:, rest]).reshape(
+                4, self.pairs, -1)
+            hit[rest] = ~(np.any(np.max(group, axis=0) < 0.0, axis=0)
+                          | np.any(np.min(group, axis=0) > 0.0, axis=0))
         return hit
-
-    def _crossing(self, vL: np.ndarray) -> np.ndarray:
-        _, crossed = arc_crossings(self.pK, self.qK,
-                                   *unit_arcs(vL, self.L.edges))
-        return np.any(crossed, axis=(1, 2))
 
 
 def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
@@ -166,7 +234,7 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     p = k_hits / n
     return KinematicEstimate(mean=w * p,
                              std_error=w * math.sqrt(p * (1.0 - p) / n),
-                             samples=n, support_area=w)
+                             samples=n, support_area=w, **tester.counts)
 
 
 def containment_criterion(K: GeodesicPolygon, L: GeodesicPolygon,
@@ -230,8 +298,8 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                 r = np.hypot(x, y)
                 theta = np.arctan2(y, x)
                 phi = bph + rng.normal(0.0, 0.3 + sigma, m)
-            scores = np.min(table @ motion_basis(curv, r, theta, phi),
-                            axis=0)
+            scores = np.min(table @ motion_basis(
+                curv, gen_cos_sin(curv, r), theta, phi), axis=0)
             used += m
             spent += m
             i = int(np.argmax(scores))

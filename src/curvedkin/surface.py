@@ -436,36 +436,42 @@ class RandomStream:
 
 
 def support_area(curvature: Curvature, support_radius: float) -> float:
-    """Total area W of the position region sampled by :func:`sample_isometry`."""
+    """Total area W of the position region that :func:`sample_motions` draws
+    from: the whole sphere, else the disc of the given radius.
+    """
     if curvature.kappa > 0:
         return 4.0 * math.pi / curvature.kappa
     return disc_area(curvature, support_radius)
+
+
+def _position_draws(curvature: Curvature, support_radius: float, n: int,
+                    rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """theta, then the radial draw: z uniform on [-1, 1] on the sphere, else
+    the area u uniform on [0, disc_area(support_radius)]."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    if curvature.kappa > 0:
+        return theta, rng.uniform(-1.0, 1.0, n)
+    if support_radius <= 0:
+        raise GeometryError("support radius must be positive off the sphere")
+    return theta, rng.uniform(0.0, disc_area(curvature, support_radius), n)
 
 
 def sample_positions(curvature: Curvature, support_radius: float, n: int,
                      rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     """Area-uniform polar samples (r, theta) of the position part.
 
-    On the sphere positions cover the whole surface; for kappa <= 0 they are
+    On the sphere positions cover the whole surface; elsewhere they are
     uniform with respect to the area element over the disc of the given
     radius about the base point.
     """
     k = curvature.kappa
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    theta, w = _position_draws(curvature, support_radius, n, rng)
     if k > 0:
         # z uniform on the sphere; r is the polar distance from x0.
-        z = rng.uniform(-1.0, 1.0, n)
-        r = np.arccos(z) / curvature.scale
-        return r, theta
-    if support_radius <= 0:
-        raise GeometryError("support radius must be positive for kappa <= 0")
-    u = rng.uniform(0.0, disc_area(curvature, support_radius), n)
+        return np.arccos(w) / curvature.scale, theta
     if k == 0.0:
-        r = np.sqrt(u / math.pi)
-    else:
-        lam = -k
-        r = np.arccosh(1.0 + lam * u / (2.0 * math.pi)) / curvature.scale
-    return r, np.asarray(theta)
+        return np.sqrt(w / math.pi), theta
+    return np.arccosh(1.0 - k * w / (2.0 * math.pi)) / curvature.scale, theta
 
 
 def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,25 +487,25 @@ def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - t2) / d, (t + t) / d
 
 
-def motion_basis(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
+def motion_basis(curvature: Curvature, radial: tuple, theta: np.ndarray,
                  phi: np.ndarray) -> np.ndarray:
     """(9, n) basis rows of the motions M = Rz(theta) t(r) Rz(phi - theta).
 
     t(r) moves the base point by r along the theta = 0 geodesic, so each
     motion spins by phi about the base point, then carries it to polar
-    position (r, theta).  With a, b = gen_cos_sin(r), (ct, st) of theta and
-    (cp, sp) of psi = phi - theta, the rows are a ct cp - st sp,
-    -a ct sp - st cp, a st cp + ct sp, -a st sp + ct cp, a, b ct, b st,
-    b cp and b sp.  Every entry of M and of M^-1 is +-1 or +-kappa times one
-    row (see :func:`fold_table`).
+    position (r, theta).  radial is the pair (a, b) = gen_cos_sin(r), as
+    :func:`sample_motions` draws it.  With (ct, st) of theta and (cp, sp) of
+    psi = phi - theta, the rows are a ct cp - st sp, -a ct sp - st cp,
+    a st cp + ct sp, -a st sp + ct cp, a, b ct, b st, b cp and b sp.  Every
+    entry of M and of M^-1 is +-1 or +-kappa times one row (see
+    :func:`fold_table`).
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), r.shape)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), r.shape)
-    a, b = gen_cos_sin(curvature, r)
+    a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in radial)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), a.shape)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), a.shape)
     ct, st = half_angle_cos_sin(theta)
     cp, sp = half_angle_cos_sin(phi - theta)
-    basis = np.empty((9,) + r.shape)
+    basis = np.empty((9,) + a.shape)
     ac, as_ = a * ct, a * st
     basis[0] = ac * cp - st * sp
     basis[1] = -ac * sp - st * cp
@@ -544,24 +550,37 @@ def basis_matrices(curvature: Curvature, basis: np.ndarray) -> np.ndarray:
 
 def motion_matrices(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
                     phi: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) stack of the motions of :func:`motion_basis`."""
-    return basis_matrices(curvature, motion_basis(curvature, r, theta, phi))
+    """(n, 3, 3) stack of the motions of :func:`motion_basis`, at polar r."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return basis_matrices(curvature, motion_basis(
+        curvature, gen_cos_sin(curvature, r), theta, phi))
 
 
 def sample_motions(curvature: Curvature, support_radius: float, n: int,
-                   rng: RandomStream) -> tuple[np.ndarray, ...]:
-    """Haar samples (r, theta, phi) of motions t_x . gamma, vectorized.
+                   rng: RandomStream) -> tuple:
+    """Haar samples ((a, b), theta, phi) of motions t_x . gamma, vectorized.
 
-    gamma is a uniform rotation by phi about x0 and x = (r, theta) is
-    area-uniform over the support region (see :func:`sample_positions`).
+    gamma is a uniform rotation by phi about x0, and x = (r, theta) is
+    area-uniform over the whole sphere, else over the disc of the support
+    radius, drawn as :func:`sample_positions` draws it.  The radial pair
+    (a, b) = gen_cos_sin(r) comes straight from the draw, so no sample
+    takes an arccos or arccosh only to take the cosine and sine again.  On
+    the sphere a is the drawn z and b = sqrt(1 - z^2)/sqrt(kappa).  Else,
+    for the drawn area u, a = 1 - kappa u/2pi and b = sqrt(u (1 + a)/2pi),
+    which is (1, r) on the plane.
     """
-    r, theta = sample_positions(curvature, support_radius, n, rng)
-    return r, theta, rng.uniform(0.0, 2.0 * math.pi, n)
+    theta, w = _position_draws(curvature, support_radius, n, rng)
+    if curvature.kappa > 0:
+        radial = w, np.sqrt((1.0 - w) * (1.0 + w)) / curvature.scale
+    else:
+        a = 1.0 - curvature.kappa * w / (2.0 * math.pi)
+        radial = a, np.sqrt(w * (1.0 + a) / (2.0 * math.pi))
+    return radial, theta, rng.uniform(0.0, 2.0 * math.pi, n)
 
 
 def sample_isometry(curvature: Curvature, support_radius: float,
                     rng: RandomStream) -> Isometry:
     """One Haar-style isometry sample; see :func:`sample_motions`."""
-    m = motion_matrices(curvature,
-                        *sample_motions(curvature, support_radius, 1, rng))[0]
+    m = basis_matrices(curvature, motion_basis(
+        curvature, *sample_motions(curvature, support_radius, 1, rng)))[0]
     return Isometry(m, curvature)

@@ -230,3 +230,58 @@ def incenter(kappa, coords, active):
 def _exact_point(k, p):
     g = k * (p[0] ** 2 + p[1] ** 2) + p[2] ** 2
     return [x / _CTX.sqrt(g) for x in p]
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _edges(rows):
+    n = len(rows)
+    if n < 2:
+        return []
+    return [(rows[0], rows[1])] if n == 2 else [
+        (rows[i], rows[(i + 1) % n]) for i in range(n)]
+
+
+def _in_cone(polygon, v):
+    """Is v on the inner side of every edge plane of a counterclockwise
+    polygon of at least three vertices?"""
+    return len(polygon) > 2 and all(_dot(_cross(p, q), v) >= 0
+                                    for p, q in _edges(polygon))
+
+
+def _wedges_meet(p, q, a, b):
+    """Do the plane wedges spanned by p, q and by a, b share a ray?"""
+    n1, n2 = _cross(p, q), _cross(a, b)
+    d = _cross(n1, n2)
+    if not any(d):
+        return False
+    for x in (d, [-c for c in d]):
+        if (_dot(_cross(p, x), n1) >= 0 and _dot(_cross(x, q), n1) >= 0
+                and _dot(_cross(a, x), n2) >= 0
+                and _dot(_cross(x, b), n2) >= 0):
+            return True
+    return False
+
+
+def cones_meet(K, M, L):
+    """Do the vertex cones of the float rows K and M L meet off the origin?
+
+    M is a float motion matrix and M L is formed in 60 digits, so the
+    verdict is the one for the float motion.  Two convex cones meet iff a
+    vertex of one lies inside the other or two edges cross; each is an
+    orientation sign.
+    """
+    K = [[_CTX.mpf(float(x)) for x in row] for row in K]
+    M = [[_CTX.mpf(float(x)) for x in row] for row in M]
+    L = [[_dot(m, [_CTX.mpf(float(x)) for x in row]) for m in M]
+         for row in L]
+    return (any(_in_cone(K, v) for v in L) or any(_in_cone(L, v) for v in K)
+            or any(_wedges_meet(p, q, a, b)
+                   for p, q in _edges(K) for a, b in _edges(L)))

@@ -18,11 +18,12 @@ from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   monotonicity_probe)
 from curvedkin.radii import circumradius
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
-                               SurfacePoint, disc_area, exp_at_base,
-                               fold_table, motion_basis, motion_matrices,
-                               sample_isometry,
+                               SurfacePoint, basis_matrices, disc_area,
+                               exp_at_base, fold_table, gen_cos_sin,
+                               motion_basis, motion_matrices, sample_isometry,
                                sample_motions, Isometry, translation_by_polar)
 
+import exact
 from parent import ParentPolygon, _J, to_parent
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
@@ -125,6 +126,32 @@ class TestKinematicLhs:
         e2 = kinematic_lhs(sq, sq, 5000, RandomStream(13))
         assert e1.mean == e2.mean
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_decision_counts(self, kappa):
+        # Every sample is dropped by the reach cut, settled by a face plane
+        # or a contained vertex, or sent to the mixed-plane pass, and the
+        # counts repeat for a seed.
+        curv = Curvature(kappa)
+        rng = RandomStream(47)
+        polygon = random_body(curv, rng)
+        point = point_body(exp_at_base(curv, 0.2, 1.0))
+        for K, L in [(polygon, random_body(curv, rng)),
+                     (polygon, random_segment(curv, rng)),
+                     (random_segment(curv, rng), random_segment(curv, rng)),
+                     (point, polygon)]:
+            runs = [kinematic_lhs(K, L, 20_000, RandomStream(53))
+                    for _ in range(2)]
+            counts = [(e.reach_dropped, e.face_settled, e.vertex_settled,
+                       e.mixed_tested) for e in runs]
+            assert counts[0] == counts[1]
+            dropped, face, vertex, mixed = counts[0]
+            assert dropped + face + vertex + mixed == 20_000
+            assert (dropped > 0) == (kappa > 0)
+            chart = kappa <= 0 and K.dim == L.dim == 2
+            assert (mixed > 0) == (K.dim > 0 and not chart)
+            if chart:
+                assert face == 20_000 - dropped
+
 
 class OldCrossing:
     """The overlap tester's own boundary-crossing predicate, as it was before
@@ -179,7 +206,8 @@ def random_segment(curv, rng, rho=0.7):
 
 
 class TestCrossingOracle:
-    """The shared arc-crossing kernel against the tester's old predicate.
+    """The shared arc-crossing kernel against the tester's old predicate,
+    and the overlap tester against the old tester on the same motions.
 
     The kernel crosses unit plane normals where the old predicate crossed
     raw ones; the two agree on ordinary bodies and part only on arcs short
@@ -196,10 +224,9 @@ class TestCrossingOracle:
             (segment(), polygon()), (segment(), segment())]
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
-    def test_same_predicate_and_hits(self, kappa, monkeypatch):
+    def test_same_predicate_and_hits(self, kappa):
         # 8 pairs x 25000 motions: 2e5 per regime.  The predicate sees every
-        # motion here; inside hits, only those that neither a face plane
-        # nor a vertex settles.
+        # motion here, on the same moved vertices as the old one.
         curv = Curvature(kappa)
         rng = RandomStream(211)
         crossed = motions = 0
@@ -207,19 +234,23 @@ class TestCrossingOracle:
             rk, _, Kc = _recenter(K)
             rl, _, Lc = _recenter(L)
             support = rk + rl + 1e-6 * (1.0 + rk + rl)
-            r, theta, phi = sample_motions(curv, support, self.MOTIONS, rng)
-            mats = motion_matrices(curv, r, theta, phi)
-            tester = _OverlapTester(Kc, Lc)
+            radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
+                                                rng)
+            mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
             oracle = OldCrossing(Kc, Lc)
+            pK, qK = unit_arcs(Kc.vertex_array, Kc.edges)
             for lo in range(0, len(mats), 5000):
-                vL = np.einsum("nij,kj->nki", mats[lo:lo + 5000], tester.vL)
-                new = tester._crossing(vL)
+                vL = np.einsum("nij,kj->nki", mats[lo:lo + 5000],
+                               Lc.vertex_array)
+                _, pairs = arc_crossings(pK, qK, *unit_arcs(vL, Lc.edges))
+                new = np.any(pairs, axis=(1, 2))
                 assert np.array_equal(new, oracle(vL))
                 crossed += int(np.count_nonzero(new))
-            hits = tester.hits(r, theta, phi, reach=support)
-            monkeypatch.setattr(tester, "_crossing", oracle)
-            assert np.array_equal(hits,
-                                  tester.hits(r, theta, phi, reach=support))
+            hits = _OverlapTester(Kc, Lc).hits(radial, theta, phi,
+                                               reach=support)
+            old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
+                to_parent(curv, mats, matrix=True), reach=support)
+            assert np.array_equal(hits, old)
             motions += len(mats)
         assert motions >= 100_000
         assert 0 < crossed < motions
@@ -349,11 +380,13 @@ class TestOverlapKernel:
             rk, _, Kc = _recenter(K)
             rl, _, Lc = _recenter(L)
             support = rk + rl + 1e-6 * (1.0 + rk + rl)
-            r, theta, phi = sample_motions(curv, support, self.MOTIONS, rng)
-            new = _OverlapTester(Kc, Lc).hits(r, theta, phi, reach=support)
+            radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
+                                                rng)
+            new = _OverlapTester(Kc, Lc).hits(radial, theta, phi,
+                                              reach=support)
             old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
-                to_parent(curv, motion_matrices(curv, r, theta, phi),
-                          matrix=True), reach=support)
+                to_parent(curv, basis_matrices(curv, motion_basis(
+                    curv, radial, theta, phi)), matrix=True), reach=support)
             assert np.array_equal(new, old)
             assert 0 < np.count_nonzero(new) < len(new)
             motions += len(new)
@@ -365,20 +398,72 @@ class TestOverlapKernel:
         curv = Curvature(1.0)
         rng = RandomStream(311)
         K, L = random_body(curv, rng), random_body(curv, rng)
-        r, theta, phi = sample_motions(curv, 1.5, 20_000, rng)
+        radial, theta, phi = sample_motions(curv, 1.5, 20_000, rng)
         tester = _OverlapTester(K, L)
-        hits = tester.hits(r, theta, phi, reach=1.5)
+        hits = tester.hits(radial, theta, phi, reach=1.5)
         assert np.count_nonzero(hits) > 0
-        assert np.array_equal(hits, tester.hits(r, theta, phi))
+        assert np.array_equal(hits, tester.hits(radial, theta, phi))
 
     def test_point_bodies(self):
         # Two points meet only when they coincide.
         curv = Curvature(0.0)
         p = point_body(exp_at_base(curv, 0.0, 0.0))
         tester = _OverlapTester(p, p)
-        hits = tester.hits(np.array([0.0, 1e-3, 0.0]), np.zeros(3),
-                           np.array([0.0, 0.0, 2.0]))
+        hits = tester.hits(gen_cos_sin(curv, np.array([0.0, 1e-3, 0.0])),
+                           np.zeros(3), np.array([0.0, 0.0, 2.0]))
         assert hits.tolist() == [True, False, True]
+
+
+def disc_motions(curv, rho, n, rng):
+    """Motions placed area-uniformly in the disc of radius rho on every
+    surface, the sphere included: u uniform on the disc's area, then
+    a = 1 - kappa u/2pi and b = sqrt(u (1 + a)/2pi)."""
+    theta = rng.uniform(0.0, 2 * math.pi, n)
+    u = rng.uniform(0.0, disc_area(curv, rho), n)
+    a = 1.0 - curv.kappa * u / (2 * math.pi)
+    return ((a, np.sqrt(u * (1.0 + a) / (2 * math.pi))), theta,
+            rng.uniform(0.0, 2 * math.pi, n))
+
+
+class TestTinyBodies:
+    """Bodies of size 1e-6 and 2e-7, where the EPS tolerance and the arc
+    test's 1e-12 threshold meet the bodies' own scale.  Wherever the tester
+    and the old one disagree, the overlap of the float motion, decided by
+    60-digit orientation signs, must side with the tester."""
+
+    MOTIONS = 35_000
+
+    def pairs(self, curv):
+        def crossing(length):
+            h = 0.5 * length
+            return tuple(segment_body(exp_at_base(curv, h, t),
+                                      exp_at_base(curv, h, t + math.pi))
+                         for t in (0.0, math.pi / 2))
+        square = regular_ngon(curv, 1e-6 / math.sqrt(2.0), 4)
+        return [crossing(1e-6), crossing(2e-7), (square, square),
+                (square, crossing(1e-6)[0])]
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_disagreements_are_settled_for_the_tester(self, kappa):
+        # 4 pairs x 35000 motions per regime, drawn in a disc just wider
+        # than the pair's reach, so about one in ten overlaps.
+        curv = Curvature(kappa)
+        rng = RandomStream(401)
+        settled = 0
+        for K, L in self.pairs(curv):
+            rho = 1.2 * (circumradius(K)[0] + circumradius(L)[0])
+            radial, theta, phi = disc_motions(curv, rho, self.MOTIONS, rng)
+            mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
+            new = _OverlapTester(K, L).hits(radial, theta, phi)
+            old = OldOverlapTester(ParentPolygon(K), ParentPolygon(L)).hits(
+                to_parent(curv, mats, matrix=True))
+            assert np.count_nonzero(new) > 0
+            for i in np.flatnonzero(new != old):
+                assert exact.cones_meet(K.vertex_array, mats[i],
+                                        L.vertex_array) == new[i]
+                settled += 1
+        # The 2e-7 segments alone part the two testers dozens of times.
+        assert settled > 0
 
 
 class TestContainmentCriterion:
@@ -431,8 +516,8 @@ class TestFindContainment:
             r = np.abs(rng.normal(0.0, 0.5, 256))
             theta, phi = rng.uniform(0.0, 2 * math.pi, (2, 256))
             table = _outer_table(outer.edge_normals, inner.vertex_array)
-            new = np.min(fold_table(curv, table)
-                         @ motion_basis(curv, r, theta, phi), axis=0)
+            new = np.min(fold_table(curv, table) @ motion_basis(
+                curv, gen_cos_sin(curv, r), theta, phi), axis=0)
             nf = ParentPolygon(outer).edge_normals * (
                 _J if kappa < 0 else np.ones(3))
             old = _score_batch(

@@ -13,7 +13,8 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                Regime, SurfacePoint, base_point, cross3,
                                disc_area,
                                disc_perimeter, exp_at_base, gen_asin,
-                               gen_cos, gen_sin, geodesic_distance,
+                               gen_cos, gen_cos_sin, gen_sin,
+                               geodesic_distance,
                                half_angle_cos_sin, libm_map,
                                basis_matrices, fold_table, motion_basis,
                                motion_matrices,
@@ -369,7 +370,8 @@ class TestHaarSampling:
         # chi-square over the eight octants of g x0 for kappa = 1.
         c = Curvature(1.0)
         rng = RandomStream(17)
-        mats = motion_matrices(c, *sample_motions(c, 1.0, 100000, rng))
+        mats = basis_matrices(c, motion_basis(
+            c, *sample_motions(c, 1.0, 100000, rng)))
         pts = mats @ base_point(c).coords
         signs = (pts > 0).astype(int)
         octant = signs[:, 0] * 4 + signs[:, 1] * 2 + signs[:, 2]
@@ -475,7 +477,8 @@ class TestMotionColumns:
         c = Curvature(kappa)
         r, theta, phi = self.motions(19)
         old = old_motion_matrices(c, r, theta, phi)
-        new = basis_matrices(c, motion_basis(c, r, theta, phi))
+        new = basis_matrices(c, motion_basis(c, gen_cos_sin(c, r), theta,
+                                             phi))
         moved = to_parent(c, new, matrix=True)
         assert np.all(np.abs(moved - old)
                       <= 1e-14 * np.maximum(1.0, np.abs(old)))
@@ -485,7 +488,7 @@ class TestMotionColumns:
     def test_inverse_columns(self, kappa):
         c = Curvature(kappa)
         r, theta, phi = self.motions(23)
-        basis = motion_basis(c, r, theta, phi)
+        basis = motion_basis(c, gen_cos_sin(c, r), theta, phi)
         fwd = motion_matrices(c, r, theta, phi)
         inv = (fold_table(c, np.eye(9), inverse=True) @ basis).T.reshape(
             -1, 3, 3)
@@ -504,17 +507,48 @@ class TestMotionColumns:
     def test_sample_motions_stream_order(self, kappa):
         # Positions first, then the spin, as the matrix sampler drew them.
         c = Curvature(kappa)
-        r, theta, phi = sample_motions(c, 1.0, 1000, RandomStream(29))
+        (a, b), theta, phi = sample_motions(c, 1.0, 1000, RandomStream(29))
         ref = RandomStream(29)
         r0, theta0 = sample_positions(c, 1.0, 1000, ref)
-        assert np.array_equal(r, r0) and np.array_equal(theta, theta0)
+        assert np.array_equal(theta, theta0)
         assert np.array_equal(phi, ref.uniform(0.0, 2 * math.pi, 1000))
+        # The radial pair belongs to the same radius: (1, r) on the plane.
+        a0, b0 = gen_cos_sin(c, r0)
+        if kappa == 0.0:
+            assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert np.allclose(a, a0, rtol=1e-12, atol=0.0)
+        assert np.allclose(b, b0, rtol=1e-12, atol=0.0)
         # sample_isometry draws one motion in the same order.
-        ref = RandomStream(29)
-        one = motion_matrices(c, *sample_positions(c, 1.0, 1, ref),
-                              ref.uniform(0.0, 2 * math.pi, 1))[0]
+        one = basis_matrices(c, motion_basis(
+            c, *sample_motions(c, 1.0, 1, RandomStream(29))))[0]
         assert np.array_equal(sample_isometry(c, 1.0, RandomStream(29)).matrix,
                               one)
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_radial_pair_matches_mpmath(self, kappa):
+        # The pair from the drawn z or area u, against 60 digits from the
+        # same draw: a = z, b = sqrt(1 - z^2)/sqrt(k) on the sphere, else
+        # a = 1 - k u/2pi, b = sqrt(u (1 + a)/2pi).  Taking r first, by
+        # arccosh near 1, costs the hyperbolic b up to 1e-13 relative.
+        c = Curvature(kappa)
+        n = 2000
+        (a, b), _, _ = sample_motions(c, 1.5, n, RandomStream(31))
+        ref = RandomStream(31)
+        ref.uniform(0.0, 2 * math.pi, n)
+        w = (ref.uniform(-1.0, 1.0, n) if kappa > 0
+             else ref.uniform(0.0, disc_area(c, 1.5), n))
+        mp = mpmath.MPContext()
+        mp.dps = 60
+        k = mp.mpf(kappa)
+        for ai, bi, wi in zip(a, b, w):
+            wi = mp.mpf(float(wi))
+            if kappa > 0:
+                ea, eb = wi, mp.sqrt(1 - wi * wi) / mp.sqrt(k)
+            else:
+                ea = 1 - k * wi / (2 * mp.pi)
+                eb = mp.sqrt(wi * (1 + ea) / (2 * mp.pi))
+            assert abs(ai - ea) <= 4e-16 * max(1, abs(ea))
+            assert abs(bi - eb) <= 4e-16 * max(eb, 1e-300)
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_translation_by_polar_is_a_motion(self, kappa):
