@@ -2,16 +2,16 @@
 curvature surfaces (sphere, plane, hyperbolic plane)."""
 
 from .surface import (EPS, Curvature, CurvatureMismatch, GeometryError,
-                      Isometry, RandomStream, Regime, SurfacePoint,
+                      Isometry, RandomStream, SurfacePoint,
                       base_point, disc_area, disc_perimeter, exp_at_base,
                       form_dot, gen_asin, gen_cos, gen_sin, geodesic_distance,
                       normalize_to_surface, point_polar, rotation_about_base,
                       sample_isometry, support_area, translation_by_polar,
                       translation_to)
 from .convex import (DegeneratePosition, GeodesicPolygon, area,
-                     boundary_crossings, contains_point, convex_hull,
-                     euler_intersection, intersect_convex, perimeter,
-                     point_body, polygons_close, regular_ngon, segment_body)
+                     contains_point, convex_hull, euler_intersection,
+                     intersect_convex, perimeter, point_body, polygons_close,
+                     regular_ngon, segment_body)
 from .radii import (BodyMetrics, circumradius, inradius, metrics,
                     smallest_enclosing_disc)
 from .kinematics import (KinematicEstimate, body_contains,
@@ -21,6 +21,6 @@ from .bonnesen import (Bound, BoundName, DeficitReport, QuadraticWitness,
                        SweepRow, body_from_polar, deficit, deficit_report,
                        euclid_bonnesen_rhs, hyperbolic_bounds,
                        kappa_limit_sweep, quadratic_witness,
-                       random_convex_body, sphere_bounds)
+                       random_convex_body, sharp_bound, sphere_bounds)
 
 __version__ = "0.1.0"

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .convex import GeodesicPolygon, convex_hull
 from .radii import BodyMetrics, metrics
 from .surface import (Curvature, GeometryError, RandomStream, disc_area,
-                      exp_at_base, sample_positions)
+                      exp_at_base, gen_sin, sample_positions)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -75,11 +73,33 @@ def deficit(curvature: Curvature, A: float, P: float) -> float:
     return P * P - A * (FOUR_PI - curvature.kappa * A)
 
 
+def sharp_bound(m: BodyMetrics) -> tuple[float, bool]:
+    """The sharp term g^2 (t^2 + kappa P^2)^2 / (4 t^2) and whether it applies.
+
+    t = 2 pi - kappa A and g = gen_sin R_circ - gen_sin r_in.  One formula
+    for every kappa: the sphere's S1, the hyperbolic H1 and the flat
+    pi^2 (R - r)^2.  It applies iff t > 1e-12 and t^2 + kappa P^2 >= 0; when
+    only the sign test fails (long thin hyperbolic bodies) the unguarded
+    value is still returned.
+    """
+    g, t = _radii_gap_and_t(m)
+    if t <= 1e-12:
+        return math.nan, False
+    q = t * t + m.kappa * m.P * m.P
+    return g * g * q * q / (4.0 * t * t), q >= 0.0
+
+
+def _radii_gap_and_t(m: BodyMetrics) -> tuple[float, float]:
+    curv = m.incenter.curvature
+    return (gen_sin(curv, m.R_circ) - gen_sin(curv, m.r_in),
+            TWO_PI - m.kappa * m.A)
+
+
 def euclid_bonnesen_rhs(m: BodyMetrics) -> float:
     """Classical error term pi^2 (R - r)^2, flat regime only."""
     if m.kappa != 0.0:
         raise GeometryError("Euclidean bound needs kappa = 0 metrics")
-    return math.pi ** 2 * (m.R_circ - m.r_in) ** 2
+    return sharp_bound(m)[0]
 
 
 def sphere_bounds(m: BodyMetrics) -> list[Bound]:
@@ -87,29 +107,23 @@ def sphere_bounds(m: BodyMetrics) -> list[Bound]:
     k = m.kappa
     if k <= 0:
         raise GeometryError("spherical bounds need kappa > 0 metrics")
-    s = math.sqrt(k)
-    a, p = m.A, m.P
+    a = m.A
     if a >= FOUR_PI / k:
         raise GeometryError("body is not a proper subset of the sphere")
-    two_pi_ka = TWO_PI - k * a
-    ds = math.sin(s * m.R_circ) - math.sin(s * m.r_in)
-    bounds = [Bound(BoundName.S3, 0.0, True)]
-    if two_pi_ka <= 1e-12:
-        bounds.append(Bound(BoundName.S1, math.nan, False))
-        bounds.append(Bound(BoundName.S2, math.nan, False))
-        bounds.append(Bound(BoundName.S4, math.nan, False))
-        return bounds
-    s1 = ds ** 2 * (two_pi_ka ** 2 + k * p * p) ** 2 / (4.0 * k * two_pi_ka ** 2)
-    s2 = ds ** 2 * two_pi_ka ** 2 / (4.0 * k)
+    sharp, applies = sharp_bound(m)
+    s3 = Bound(BoundName.S3, 0.0, True)
+    if not applies:
+        return [s3] + [Bound(name, math.nan, False) for name in
+                       (BoundName.S1, BoundName.S2, BoundName.S4)]
+    g, t = _radii_gap_and_t(m)
+    s2 = g * g * t * t / 4.0
     a_comp = FOUR_PI / k - a
-    s4 = (k / 16.0) * ds ** 2 * (a - a_comp) ** 2
+    s4 = (k * k / 16.0) * g * g * (a - a_comp) ** 2
     if abs(s4 - s2) > 1e-9 * (1.0 + abs(s2)):
         raise GeometryError("complement-form bound disagrees with the "
                             "simplified bound; metrics are inconsistent")
-    bounds.append(Bound(BoundName.S1, s1, True))
-    bounds.append(Bound(BoundName.S2, s2, True))
-    bounds.append(Bound(BoundName.S4, s4, True))
-    return bounds
+    return [s3, Bound(BoundName.S1, sharp, True),
+            Bound(BoundName.S2, s2, True), Bound(BoundName.S4, s4, True)]
 
 
 def hyperbolic_bounds(m: BodyMetrics) -> list[Bound]:
@@ -117,17 +131,11 @@ def hyperbolic_bounds(m: BodyMetrics) -> list[Bound]:
     k = m.kappa
     if k >= 0:
         raise GeometryError("hyperbolic bounds need kappa < 0 metrics")
-    lam = -k
-    s = math.sqrt(lam)
-    a, p = m.A, m.P
-    two_pi_la = TWO_PI + lam * a
-    cond = two_pi_la ** 2 - lam * p * p
-    dsh = math.sinh(s * m.R_circ) - math.sinh(s * m.r_in)
-    sharp = dsh ** 2 * cond ** 2 / (4.0 * lam * two_pi_la ** 2)
+    sharp, applies = sharp_bound(m)
     return [
         Bound(BoundName.H_ISO, 0.0, True),
-        Bound(BoundName.H1, sharp, cond >= 0.0),
-        Bound(BoundName.H_MIN, min(4.0 * math.pi ** 2 / lam, sharp), True),
+        Bound(BoundName.H1, sharp, applies),
+        Bound(BoundName.H_MIN, min(4.0 * math.pi ** 2 / -k, sharp), True),
     ]
 
 
@@ -140,7 +148,7 @@ def deficit_report(curvature: Curvature, m: BodyMetrics) -> DeficitReport:
     elif k < 0:
         bounds = hyperbolic_bounds(m)
     else:
-        bounds = [Bound(BoundName.EUCLID_B, euclid_bonnesen_rhs(m), True)]
+        bounds = [Bound(BoundName.EUCLID_B, *sharp_bound(m))]
     return DeficitReport(kappa=k, metrics=m, deficit=d, bounds=tuple(bounds))
 
 
@@ -173,48 +181,31 @@ NON_DISC_THRESHOLD = 1e-6
 
 
 def quadratic_witness(curvature: Curvature, m: BodyMetrics) -> QuadraticWitness:
-    """Build the regime's quadratic in x = eps, sin eps, or sinh eps.
+    """The proof's quadratic in x = gen_sin eps, for every kappa:
+    (t^2 + kappa P^2) x^2 - 4 pi P x + (4 pi - kappa A) A, t = 2 pi - kappa A.
 
-    For kappa != 0 the body is rescaled to unit |curvature| first, matching
-    the substitutions x = sin eps and x = sinh eps of the unit-curvature
-    arguments.
+    Its discriminant is 4 t^2 times the deficit, and its roots must straddle
+    [gen_sin r_in, gen_sin R_circ], where it is negative.  The leading
+    coefficient must be positive: on the hyperbolic plane that is the sharp
+    bound's sign condition.
     """
     if m.R_circ - m.r_in <= NON_DISC_THRESHOLD * (1.0 + m.R_circ):
         raise GeometryError("witness needs a non-disc body (r_in < R_circ)")
     k = curvature.kappa
-    if k == 0.0:
-        coeffs = (-math.pi, m.P, -m.A)
-        bracket = (m.r_in, m.R_circ)
-    else:
-        s = curvature.scale
-        a_bar = abs(k) * m.A
-        p_bar = s * m.P
-        if k > 0:
-            if p_bar <= 0:
-                raise GeometryError("spherical witness needs P > 0")
-            coeffs = ((TWO_PI - a_bar) ** 2 + p_bar ** 2,
-                      -FOUR_PI * p_bar,
-                      (FOUR_PI - a_bar) * a_bar)
-            bracket = (math.sin(s * m.r_in), math.sin(s * m.R_circ))
-        else:
-            coeffs = (p_bar ** 2 - (TWO_PI + a_bar) ** 2,
-                      FOUR_PI * p_bar,
-                      -(FOUR_PI + a_bar) * a_bar)
-            if coeffs[0] >= 0:
-                raise GeometryError(
-                    "hyperbolic witness needs the sign condition "
-                    "(2pi + A)^2 - P^2 > 0")
-            bracket = (math.sinh(s * m.r_in), math.sinh(s * m.R_circ))
-    a2, a1, a0 = coeffs
+    t = TWO_PI - k * m.A
+    a2 = t * t + k * m.P * m.P
+    if a2 <= 0.0:
+        raise GeometryError("witness needs the sign condition "
+                            "(2pi - kappa A)^2 + kappa P^2 > 0")
+    a1, a0 = -FOUR_PI * m.P, (FOUR_PI - k * m.A) * m.A
     disc = a1 * a1 - 4.0 * a2 * a0
     roots = None
-    if disc >= 0 and a2 != 0.0:
+    if disc >= 0:
         sq = math.sqrt(disc)
-        r1 = (-a1 - sq) / (2.0 * a2)
-        r2 = (-a1 + sq) / (2.0 * a2)
-        roots = (min(r1, r2), max(r1, r2))
-    return QuadraticWitness(coeffs=coeffs, discriminant=disc, roots=roots,
-                            bracket=bracket)
+        roots = ((-a1 - sq) / (2.0 * a2), (-a1 + sq) / (2.0 * a2))
+    return QuadraticWitness(
+        coeffs=(a2, a1, a0), discriminant=disc, roots=roots,
+        bracket=(gen_sin(curvature, m.r_in), gen_sin(curvature, m.R_circ)))
 
 
 # ---------------------------------------------------------------------------

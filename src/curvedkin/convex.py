@@ -306,7 +306,7 @@ def contains_point(K: GeodesicPolygon, p: SurfacePoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Intersection, Euler characteristic, boundary crossings
+# Intersection, Euler characteristic, arc crossings
 # ---------------------------------------------------------------------------
 
 def _plane_crossing(p: np.ndarray, q: np.ndarray, sp: float, sq: float,
@@ -464,14 +464,6 @@ def _arcs_overlap(p, q, a, b) -> bool:
         if np.any((al > 1e-9) & (be > 1e-9)):
             return True
     return False
-
-
-def boundary_crossings(K: GeodesicPolygon, L: GeodesicPolygon) -> int:
-    """Number of transversal crossing points of the two boundaries."""
-    K.curvature.require_same(L.curvature)
-    scale = float(max(np.max(np.abs(K.vertex_array)),
-                      np.max(np.abs(L.vertex_array)))) + 1.0
-    return len(_segment_intersections(K, L, EPS * scale))
 
 
 # ---------------------------------------------------------------------------

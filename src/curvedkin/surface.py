@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,29 +35,16 @@ class CurvatureMismatch(GeometryError):
     """Operands live on surfaces of different curvature."""
 
 
-class Regime(Enum):
-    SPHERICAL = "spherical"
-    EUCLIDEAN = "euclidean"
-    HYPERBOLIC = "hyperbolic"
-
-
 @dataclass(frozen=True)
 class Curvature:
-    """Gauss curvature of a model surface; the sign selects the regime."""
+    """Gauss curvature of a model surface; its sign picks sphere, plane or
+    hyperbolic plane."""
 
     kappa: float
 
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise GeometryError(f"curvature must be finite, got {self.kappa}")
-
-    @property
-    def regime(self) -> Regime:
-        if self.kappa > 0:
-            return Regime.SPHERICAL
-        if self.kappa < 0:
-            return Regime.HYPERBOLIC
-        return Regime.EUCLIDEAN
 
     @property
     def scale(self) -> float:

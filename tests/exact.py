@@ -285,3 +285,23 @@ def cones_meet(K, M, L):
     return (any(_in_cone(K, v) for v in L) or any(_in_cone(L, v) for v in K)
             or any(_wedges_meet(p, q, a, b)
                    for p, q in _edges(K) for a, b in _edges(L)))
+
+
+def bonnesen_bounds(kappa, A, P, r, R):
+    """The sharp Bonnesen term g^2 (t^2 + kappa P^2)^2 / (4 t^2), the sphere's
+    S2 = g^2 t^2 / 4 and, for kappa < 0, H_MIN = min(4 pi^2 / -kappa, sharp),
+    of float metrics, with t = 2 pi - kappa A and g = gen_sin R - gen_sin r.
+    """
+    k, A, P, r, R = (_CTX.mpf(float(x)) for x in (kappa, A, P, r, R))
+    s = _CTX.sqrt(abs(k))
+
+    def gen_sin(x):
+        if not k:
+            return x
+        return (_CTX.sin(s * x) if k > 0 else _CTX.sinh(s * x)) / s
+
+    g = gen_sin(R) - gen_sin(r)
+    t = 2 * _CTX.pi - k * A
+    sharp = g ** 2 * (t ** 2 + k * P ** 2) ** 2 / (4 * t ** 2)
+    h_min = min(4 * _CTX.pi ** 2 / -k, sharp) if k < 0 else None
+    return {"sharp": sharp, "S2": g ** 2 * t ** 2 / 4, "H_MIN": h_min}

@@ -11,7 +11,9 @@ Oracles take and return those parent coordinates through :func:`to_parent`
 and :func:`from_parent`; :class:`ParentPolygon` shows them a polygon with
 the parent's edge normals.  The helpers below are copies of the parent's,
 verbatim except that the sign vector, once a property of Curvature, is
-spelled out as ``_J``; so are the two minidisc oracles at the end.
+spelled out as ``_J``; so are the two minidisc oracles and, last,
+:func:`boundary_crossings`, which counts crossings on the library's arc
+kernel and stays here as the oracle of crossing counts.
 """
 
 import math
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from curvedkin.convex import GeodesicPolygon, _segment_intersections
 from curvedkin.radii import _disc_from_support
 from curvedkin.surface import EPS, Curvature, GeometryError, libm_map
 
@@ -301,3 +304,11 @@ def old_disc_from_support(curv, support):
         if best is None or r < best[1]:
             best = (c, r)
     return best
+
+
+def boundary_crossings(K: GeodesicPolygon, L: GeodesicPolygon) -> int:
+    """Number of transversal crossing points of the two boundaries."""
+    K.curvature.require_same(L.curvature)
+    scale = float(max(np.max(np.abs(K.vertex_array)),
+                      np.max(np.abs(L.vertex_array)))) + 1.0
+    return len(_segment_intersections(K, L, EPS * scale))

@@ -9,13 +9,16 @@ from curvedkin.bonnesen import (Bound, BoundName, QuadraticWitness,
                                 body_from_polar, deficit, deficit_report,
                                 euclid_bonnesen_rhs, hyperbolic_bounds,
                                 kappa_limit_sweep, quadratic_witness,
-                                random_convex_body, sphere_bounds)
+                                random_convex_body, sharp_bound,
+                                sphere_bounds)
 from curvedkin.convex import (area, convex_hull, perimeter, regular_ngon,
                               segment_body)
 from curvedkin.radii import BodyMetrics, metrics
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, gen_sin)
+
+import exact
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -216,7 +219,8 @@ class TestQuadraticWitness:
         c = Curvature(0.0)
         m = metrics(unit_square())
         w = quadratic_witness(c, m)
-        assert w.coeffs == (-math.pi, 4.0, -1.0)
+        # (t^2 + kappa P^2, -4 pi P, (4 pi - kappa A) A) with t = 2 pi.
+        assert w.coeffs == (4 * math.pi ** 2, -16 * math.pi, 4 * math.pi)
         r1 = (4 - math.sqrt(16 - 4 * math.pi)) / (2 * math.pi)
         r2 = (4 + math.sqrt(16 - 4 * math.pi)) / (2 * math.pi)
         assert abs(w.roots[0] - r1) < 1e-12
@@ -231,7 +235,8 @@ class TestQuadraticWitness:
         with pytest.raises(GeometryError):
             quadratic_witness(c, m)
 
-    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("kappa", [2.0, 1.0, 0.25, 0.0, -0.25, -1.0,
+                                       -2.0])
     def test_random_bodies_bracket_and_sign(self, kappa):
         c = Curvature(kappa)
         rng = RandomStream(13)
@@ -250,19 +255,21 @@ class TestQuadraticWitness:
             lo, hi = w.bracket
             assert w.roots[0] <= lo + 1e-9
             assert hi <= w.roots[1] + 1e-9
-            # Strict interior sign: negative for kappa >= 0 convention
-            # (negative leading coefficient), matching each regime's proof.
+            # One convention for every kappa: the leading coefficient
+            # t^2 + kappa P^2 is positive (the witness raises otherwise),
+            # so the quadratic is negative between its roots.
             mid = 0.5 * (lo + hi)
-            a2 = w.coeffs[0]
+            assert w.coeffs[0] > 0.0
             inside = w.evaluate(mid)
-            if a2 < 0:
-                assert inside > 0 or abs(inside) < 1e-9
-            else:
-                assert inside < 0 or abs(inside) < 1e-9
+            assert inside < 0 or abs(inside) < 1e-9
             # Residual at the roots is numerically zero.
             scale = max(abs(x) for x in w.coeffs)
             for root in w.roots:
                 assert abs(w.evaluate(root)) < 1e-9 * scale
+            # The discriminant is 4 t^2 times the deficit.
+            t = TWO_PI - kappa * m.A
+            target = 4.0 * t * t * deficit(c, m.A, m.P)
+            assert abs(w.discriminant - target) <= 1e-9 * abs(target)
             checked += 1
         assert checked > 100
 
@@ -317,6 +324,38 @@ class TestQuadraticWitness:
             assert abs(w.discriminant - target) <= 1e-9 * abs(target) + 1e-9
             checked += 1
         assert checked > 5000
+
+
+class TestAgainstMpmath:
+    KAPPAS = [2.0, 1.0, 1e-4, 1e-12, 0.0, -1e-12, -1e-4, -1.0, -2.0]
+    SHARP = (BoundName.S1, BoundName.H1, BoundName.EUCLID_B)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_bounds_within_ulps(self, kappa):
+        # g = gen_sin R - gen_sin r cancels: a rounding unit of its two
+        # terms is (gen_sin R + gen_sin r) / g units of g, so errors are
+        # counted in ulps of the reference times 1 + that condition number.
+        # The worst seen on 300 bodies per kappa was 3.5 such units.
+        c = Curvature(kappa)
+        rng = RandomStream(37)
+        names = set()
+        for _ in range(30):
+            m = metrics(random_convex_body(c, rng, rho_limit=1.0))
+            ref = exact.bonnesen_bounds(kappa, m.A, m.P, m.r_in, m.R_circ)
+            hi, lo = gen_sin(c, m.R_circ), gen_sin(c, m.r_in)
+            cond = (hi + lo) / (hi - lo)
+            for b in deficit_report(c, m).bounds:
+                key = "sharp" if b.name in self.SHARP else b.name.name
+                if ref.get(key) is None:
+                    continue
+                e = float(ref[key])
+                assert abs(b.value - e) <= 8 * np.spacing(e) * (1 + cond)
+                names.add(key)
+            if abs(kappa) == 1e-12:
+                flat = math.pi ** 2 * (m.R_circ - m.r_in) ** 2
+                assert abs(sharp_bound(m)[0] - flat) <= 1e-11 * flat
+        assert names == ({"sharp", "S2"} if kappa > 0 else
+                         {"sharp", "H_MIN"} if kappa < 0 else {"sharp"})
 
 
 class TestKappaSweep:

@@ -10,11 +10,10 @@ import pytest
 
 from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
                               _canonical_rotation, _segment_intersections,
-                              area, boundary_crossings, contains_point,
-                              convex_hull, euler_intersection,
-                              intersect_convex, perimeter, point_body,
-                              polygons_close, regular_ngon, segment_body,
-                              triple_indices)
+                              area, contains_point, convex_hull,
+                              euler_intersection, intersect_convex,
+                              perimeter, point_body, polygons_close,
+                              regular_ngon, segment_body, triple_indices)
 from curvedkin.radii import metrics
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
@@ -23,8 +22,8 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                translation_by_polar, translation_to)
 
 import exact
-from parent import (ParentPolygon, _J, form_dot, geodesic_distance,
-                    normals_from_parent)
+from parent import (ParentPolygon, _J, boundary_crossings, form_dot,
+                    geodesic_distance, normals_from_parent)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]

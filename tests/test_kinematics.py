@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from curvedkin.convex import (GeodesicPolygon, arc_crossings, area,
-                              boundary_crossings, convex_hull,
-                              euler_intersection, perimeter, point_body,
-                              regular_ngon, segment_body, unit_arcs,
-                              DegeneratePosition)
+                              convex_hull, euler_intersection, perimeter,
+                              point_body, regular_ngon, segment_body,
+                              unit_arcs, DegeneratePosition)
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
@@ -24,7 +23,7 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                sample_motions, Isometry, translation_by_polar)
 
 import exact
-from parent import ParentPolygon, _J, to_parent
+from parent import ParentPolygon, _J, boundary_crossings, to_parent
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 

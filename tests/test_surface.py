@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
-                               Regime, SurfacePoint, base_point, cross3,
+                               SurfacePoint, base_point, cross3,
                                disc_area,
                                disc_perimeter, exp_at_base, gen_asin,
                                gen_cos, gen_cos_sin, gen_sin,
@@ -34,11 +34,6 @@ ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
 
 
 class TestCurvature:
-    def test_regime_by_sign(self):
-        assert Curvature(1.0).regime is Regime.SPHERICAL
-        assert Curvature(0.0).regime is Regime.EUCLIDEAN
-        assert Curvature(-1e-12).regime is Regime.HYPERBOLIC
-
     def test_nonfinite_rejected(self):
         with pytest.raises(GeometryError):
             Curvature(math.nan)
