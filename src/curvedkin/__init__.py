@@ -8,10 +8,9 @@ from .surface import (EPS, Curvature, CurvatureMismatch, GeometryError,
                       normalize_to_surface, point_polar, rotation_about_base,
                       sample_isometry, support_area, translation_by_polar,
                       translation_to)
-from .convex import (DegeneratePosition, GeodesicPolygon, area,
-                     contains_point, convex_hull, euler_intersection,
-                     intersect_convex, perimeter, point_body, polygons_close,
-                     regular_ngon, segment_body)
+from .convex import (GeodesicPolygon, area, contains_point, convex_hull,
+                     euler_intersection, intersect_convex, perimeter,
+                     point_body, polygons_close, regular_ngon, segment_body)
 from .radii import (BodyMetrics, circumradius, inradius, metrics,
                     smallest_enclosing_disc)
 from .kinematics import (KinematicEstimate, body_contains,

@@ -281,13 +281,9 @@ def run_sweep_suite(config: CampaignConfig, kappa: Optional[float],
     records = []
     rows = kappa_limit_sweep(DEFAULT_SQUARE, SWEEP_KAPPAS)
     reference = rows[0].euclid_reference
-    by_abs: dict[float, list] = {}
-    for row in rows:
-        by_abs.setdefault(abs(row.kappa), []).append(row)
-    gaps = {}
-    for row in rows:
-        gaps[row.kappa] = abs(row.active_bound_value - reference)
-    ordered = sorted(by_abs)  # increasing |kappa|
+    gaps = {row.kappa: abs(row.active_bound_value - reference)
+            for row in rows}
+    ordered = sorted({abs(row.kappa) for row in rows})  # increasing |kappa|
     for row in rows:
         sign = 1.0 if row.kappa > 0 else -1.0
         smaller = [k for k in ordered if k < abs(row.kappa)]

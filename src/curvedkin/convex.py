@@ -23,10 +23,6 @@ from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
                       normalize_to_surface, row_distances, squared_chords)
 
 
-class DegeneratePosition(GeometryError):
-    """Boundaries share an edge segment; crossing counts are undefined."""
-
-
 def triple_indices(n: int) -> tuple[np.ndarray, ...]:
     """Index arrays (i, j, k) of every i < j < k below n, lexicographically."""
     less = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -91,6 +87,28 @@ class GeodesicPolygon:
         if np.any(norm2 < 0):
             raise GeometryError("edge does not support a geodesic")
         return nu / np.sqrt(norm2)[:, None]
+
+    @cached_property
+    def half_spaces(self) -> np.ndarray:
+        """Lambda-unit inward normals whose signs define the body.
+
+        x is in a segment or polygon iff normal . x >= 0 for every row, and
+        normal . x is gen_sin of x's signed distance from the row's
+        geodesic.  A polygon's rows are its edge normals.  A segment [p, q]
+        has +-n, the normals of its line, and two end caps: the geodesics
+        through p and q perpendicular to it, along p x Lambda n and
+        q x Lambda n (Lambda n is the line's pole), each signed so that the
+        other endpoint is inside.  A point body has no rows.
+        """
+        n = self.edge_normals
+        if self.n_vertices != 2:
+            return n
+        lam = self.curvature.line_form
+        va = self.vertex_array
+        caps = cross3(va, n * lam)
+        caps /= np.sqrt((caps * caps * lam).sum(axis=-1))[:, None]
+        caps *= np.sign((caps * va[::-1]).sum(axis=-1))[:, None]
+        return np.concatenate([n, -n, caps])
 
     def _validate(self):
         n = self.n_vertices
@@ -298,15 +316,11 @@ def contains_point(K: GeodesicPolygon, p: SurfacePoint) -> bool:
     tol = EPS * scale
     if K.n_vertices == 1:
         return geodesic_distance(K.vertices[0], p) <= tol
-    if K.n_vertices == 2:
-        a, b = K.vertices
-        return (geodesic_distance(a, p) + geodesic_distance(p, b)
-                <= geodesic_distance(a, b) + tol)
-    return bool(np.min(K.signed_edge_distances(p.coords)) >= -tol)
+    return bool(np.min((K.half_spaces * p.coords).sum(axis=-1)) >= -tol)
 
 
 # ---------------------------------------------------------------------------
-# Intersection, Euler characteristic, arc crossings
+# Intersection and Euler characteristic
 # ---------------------------------------------------------------------------
 
 def _plane_crossing(p: np.ndarray, q: np.ndarray, sp: float, sq: float,
@@ -333,137 +347,33 @@ def _clip_cycle(coords: np.ndarray, nu: np.ndarray, curv: Curvature,
     return np.array(out) if out else np.empty((0, 3))
 
 
-def _clip_segment(pa: np.ndarray, pb: np.ndarray, planes: np.ndarray,
-                  curv: Curvature, tol: float):
-    for nu in planes:
-        sa, sb = float(pa @ nu), float(pb @ nu)
-        if sa < -tol and sb < -tol:
-            return None
-        if sa < -tol:
-            pa = _plane_crossing(pa, pb, sa, sb, curv)
-        elif sb < -tol:
-            pb = _plane_crossing(pa, pb, sa, sb, curv)
-    return pa, pb
-
-
-def _points_to_body(coords: np.ndarray,
-                    curv: Curvature) -> Optional[GeodesicPolygon]:
-    if len(coords) == 0:
-        return None
-    return convex_hull([SurfacePoint(c, curv) for c in coords])
-
-
 def intersect_convex(K: GeodesicPolygon,
                      L: GeodesicPolygon) -> Optional[GeodesicPolygon]:
-    """Convex intersection as a polygon, or None when empty."""
+    """Convex intersection as a polygon, or None when empty.
+
+    The vertex cycle of the lower-dimensional body, K at equal dimension,
+    is clipped by the other's half-spaces.  A segment's cycle runs there and
+    back, and a point's stays put, so one loop serves every pair but two
+    points, which compare by distance.
+    """
     K.curvature.require_same(L.curvature)
-    curv = K.curvature
-    if K.dim == 0:
-        return K if contains_point(L, K.vertices[0]) else None
+    if L.dim < K.dim:
+        K, L = L, K
     if L.dim == 0:
-        return L if contains_point(K, L.vertices[0]) else None
+        return K if contains_point(L, K.vertices[0]) else None
     scale = float(max(np.max(np.abs(K.vertex_array)),
                       np.max(np.abs(L.vertex_array)))) + 1.0
-    tol = EPS * scale
-    if K.dim == 1 and L.dim == 1:
-        hits = _segment_intersections(K, L, tol)
-        return _points_to_body(np.array(hits), curv) if hits else None
-    if K.dim == 1:
-        K, L = L, K
-    if L.dim == 1:
-        seg = _clip_segment(L.vertex_array[0], L.vertex_array[1],
-                            K.edge_planes, curv, tol)
-        if seg is None:
-            return None
-        return _points_to_body(np.array(seg), curv)
     coords = K.vertex_array
-    for nu in L.edge_planes:
-        coords = _clip_cycle(coords, nu, curv, tol)
+    for nu in L.half_spaces:
+        coords = _clip_cycle(coords, nu, K.curvature, EPS * scale)
         if len(coords) == 0:
             return None
-    return _points_to_body(coords, curv)
+    return convex_hull([SurfacePoint(c, K.curvature) for c in coords])
 
 
 def euler_intersection(K: GeodesicPolygon, L: GeodesicPolygon) -> int:
     """Euler characteristic of the convex intersection: 1 if nonempty."""
     return 1 if intersect_convex(K, L) is not None else 0
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...c,...c->...", u, v)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-def _arc_coefficients(p: np.ndarray, q: np.ndarray,
-                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve d = alpha p + beta q in span(p, q) by least squares; broadcasts."""
-    g11, g12, g22 = _dot(p, p), _dot(p, q), _dot(q, q)
-    b1, b2 = _dot(p, d), _dot(q, d)
-    det = g11 * g22 - g12 * g12
-    return (b1 * g22 - b2 * g12) / det, (b2 * g11 - b1 * g12) / det
-
-
-def unit_arcs(vertices: np.ndarray,
-              edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Unit start and end points of the edges; vertices is (..., n, 3)."""
-    u = _unit(vertices)
-    idx = np.asarray(edges, dtype=int).reshape(-1, 2)
-    return u[..., idx[:, 0], :], u[..., idx[:, 1], :]
-
-
-def arc_crossings(p: np.ndarray, q: np.ndarray, a: np.ndarray,
-                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict crossings of the K arcs pq with the L arcs ab, all pairs.
-
-    p, q are (..., K, 3) and a, b (..., L, 3) unit endpoints.  Returns d
-    (..., K, L, 3), the cross product of the two arcs' unit plane normals,
-    and the mask (..., K, L) of pairs with d or -d strictly inside both.
-    Unit normals make |d| the sine of the angle between the planes, so the
-    1e-12 threshold on its coefficients does not shrink with arc length.
-    """
-    p, q = p[..., :, None, :], q[..., :, None, :]
-    a, b = a[..., None, :, :], b[..., None, :, :]
-    d = cross3(_unit(cross3(p, q)), _unit(cross3(a, b)))
-    alpha, beta = _arc_coefficients(p, q, d)
-    gamma, delta = _arc_coefficients(a, b, d)
-    eps = 1e-12
-    pos = (alpha > eps) & (beta > eps) & (gamma > eps) & (delta > eps)
-    neg = (alpha < -eps) & (beta < -eps) & (gamma < -eps) & (delta < -eps)
-    return d, pos | neg
-
-
-def _segment_intersections(K: GeodesicPolygon, L: GeodesicPolygon,
-                           tol: float) -> list[np.ndarray]:
-    """Transversal intersection points of the two boundaries' edges."""
-    p, q = unit_arcs(K.vertex_array, K.edges)
-    a, b = unit_arcs(L.vertex_array, L.edges)
-    d, crossed = arc_crossings(p, q, a, b)
-    nl = cross3(a, b)
-    nd = np.linalg.norm(d, axis=-1)
-    parallel = nd < 1e-12
-    for i, e in zip(*np.nonzero(parallel)):
-        # Parallel supporting geodesics; overlap is degenerate.
-        if (abs(nl[e] @ p[i]) < tol and abs(nl[e] @ q[i]) < tol
-                and _arcs_overlap(p[i], q[i], a[e], b[e])):
-            raise DegeneratePosition("edges share a supporting geodesic segment")
-    # A crossing lies along d where its coefficients are positive, else -d.
-    alpha, _ = _arc_coefficients(p[:, None], q[:, None], d)
-    sign = np.where(alpha > 0, 1.0, -1.0)
-    return [normalize_to_surface(K.curvature, sign[i, e] * (d[i, e] / nd[i, e]))
-            for i, e in zip(*np.nonzero(crossed & ~parallel))]
-
-
-def _arcs_overlap(p, q, a, b) -> bool:
-    # Midpoints included so exactly-coincident arcs (shared endpoints give
-    # no strictly interior coefficients) still register as overlapping.
-    for s, t, u, v in ((p, q, a, b), (a, b, p, q)):
-        al, be = _arc_coefficients(s, t, np.array([u, v, 0.5 * (u + v)]))
-        if np.any((al > 1e-9) & (be > 1e-9)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

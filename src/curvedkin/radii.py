@@ -150,9 +150,10 @@ def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
     The three-edge equidistant points; the stationary points on each
     two-edge bisector geodesic, where normal . x peaks at Lambda times the
     Lambda-projection of the normal sum; and the edge poles, Lambda nu.  The
-    last two lie at infinity on the flat plane and are spacelike on the
-    hyperbolic one, where edge distance is monotone along a bisector, so
-    there the normalization drops them.
+    last two lie at infinity on the flat plane, so there the normalization
+    drops them.  On the sphere and the hyperbolic plane they are kept where
+    they meet the surface, and the caller's largest least edge value passes
+    over those that are no incenter.
     """
     n = len(normals)
     lam = curv.line_form

@@ -11,19 +11,28 @@ Oracles take and return those parent coordinates through :func:`to_parent`
 and :func:`from_parent`; :class:`ParentPolygon` shows them a polygon with
 the parent's edge normals.  The helpers below are copies of the parent's,
 verbatim except that the sign vector, once a property of Curvature, is
-spelled out as ``_J``; so are the two minidisc oracles and, last,
-:func:`boundary_crossings`, which counts crossings on the library's arc
-kernel and stays here as the oracle of crossing counts.
+spelled out as ``_J``; so are the two minidisc oracles.
+
+The rest works on the library's own points.  :func:`boundary_crossings`
+counts crossings and stays here as the oracle of crossing counts.  Under it
+is the arc kernel, ``arc_crossings`` through ``_arcs_overlap``, with
+``DegeneratePosition``: the library's two-segment intersection until its
+clip loop took segments on half-spaces, moved verbatim except that
+``normalize_to_surface`` is spelled ``surface.normalize_to_surface``, since
+this module's own is the parent's.  Last, :func:`segment_contains_point` is
+the sum-of-distances test that the library's segment containment was.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from curvedkin.convex import GeodesicPolygon, _segment_intersections
+from curvedkin import surface
+from curvedkin.convex import GeodesicPolygon
 from curvedkin.radii import _disc_from_support
-from curvedkin.surface import EPS, Curvature, GeometryError, libm_map
+from curvedkin.surface import EPS, Curvature, GeometryError, cross3, libm_map
 
 # The Minkowski signs of the parent's form for kappa < 0.
 _J = np.array([1.0, 1.0, -1.0])
@@ -312,3 +321,98 @@ def boundary_crossings(K: GeodesicPolygon, L: GeodesicPolygon) -> int:
     scale = float(max(np.max(np.abs(K.vertex_array)),
                       np.max(np.abs(L.vertex_array)))) + 1.0
     return len(_segment_intersections(K, L, EPS * scale))
+
+
+# The arc kernel that convex.intersect_convex called for two segments until
+# its clip loop took them on half-spaces.
+
+class DegeneratePosition(GeometryError):
+    """Boundaries share an edge segment; crossing counts are undefined."""
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...c,...c->...", u, v)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _arc_coefficients(p: np.ndarray, q: np.ndarray,
+                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve d = alpha p + beta q in span(p, q) by least squares; broadcasts."""
+    g11, g12, g22 = _dot(p, p), _dot(p, q), _dot(q, q)
+    b1, b2 = _dot(p, d), _dot(q, d)
+    det = g11 * g22 - g12 * g12
+    return (b1 * g22 - b2 * g12) / det, (b2 * g11 - b1 * g12) / det
+
+
+def unit_arcs(vertices: np.ndarray,
+              edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit start and end points of the edges; vertices is (..., n, 3)."""
+    u = _unit(vertices)
+    idx = np.asarray(edges, dtype=int).reshape(-1, 2)
+    return u[..., idx[:, 0], :], u[..., idx[:, 1], :]
+
+
+def arc_crossings(p: np.ndarray, q: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict crossings of the K arcs pq with the L arcs ab, all pairs.
+
+    p, q are (..., K, 3) and a, b (..., L, 3) unit endpoints.  Returns d
+    (..., K, L, 3), the cross product of the two arcs' unit plane normals,
+    and the mask (..., K, L) of pairs with d or -d strictly inside both.
+    Unit normals make |d| the sine of the angle between the planes, so the
+    1e-12 threshold on its coefficients does not shrink with arc length.
+    """
+    p, q = p[..., :, None, :], q[..., :, None, :]
+    a, b = a[..., None, :, :], b[..., None, :, :]
+    d = cross3(_unit(cross3(p, q)), _unit(cross3(a, b)))
+    alpha, beta = _arc_coefficients(p, q, d)
+    gamma, delta = _arc_coefficients(a, b, d)
+    eps = 1e-12
+    pos = (alpha > eps) & (beta > eps) & (gamma > eps) & (delta > eps)
+    neg = (alpha < -eps) & (beta < -eps) & (gamma < -eps) & (delta < -eps)
+    return d, pos | neg
+
+
+def _segment_intersections(K: GeodesicPolygon, L: GeodesicPolygon,
+                           tol: float) -> list[np.ndarray]:
+    """Transversal intersection points of the two boundaries' edges."""
+    p, q = unit_arcs(K.vertex_array, K.edges)
+    a, b = unit_arcs(L.vertex_array, L.edges)
+    d, crossed = arc_crossings(p, q, a, b)
+    nl = cross3(a, b)
+    nd = np.linalg.norm(d, axis=-1)
+    parallel = nd < 1e-12
+    for i, e in zip(*np.nonzero(parallel)):
+        # Parallel supporting geodesics; overlap is degenerate.
+        if (abs(nl[e] @ p[i]) < tol and abs(nl[e] @ q[i]) < tol
+                and _arcs_overlap(p[i], q[i], a[e], b[e])):
+            raise DegeneratePosition("edges share a supporting geodesic segment")
+    # A crossing lies along d where its coefficients are positive, else -d.
+    alpha, _ = _arc_coefficients(p[:, None], q[:, None], d)
+    sign = np.where(alpha > 0, 1.0, -1.0)
+    return [surface.normalize_to_surface(K.curvature, sign[i, e] * (d[i, e] / nd[i, e]))
+            for i, e in zip(*np.nonzero(crossed & ~parallel))]
+
+
+def _arcs_overlap(p, q, a, b) -> bool:
+    # Midpoints included so exactly-coincident arcs (shared endpoints give
+    # no strictly interior coefficients) still register as overlapping.
+    for s, t, u, v in ((p, q, a, b), (a, b, p, q)):
+        al, be = _arc_coefficients(s, t, np.array([u, v, 0.5 * (u + v)]))
+        if np.any((al > 1e-9) & (be > 1e-9)):
+            return True
+    return False
+
+
+def segment_contains_point(K: GeodesicPolygon, p: surface.SurfacePoint) -> bool:
+    """The segment branch of ``contains_point`` that the half-space test
+    replaced: p is on [a, b] when d(a, p) + d(p, b) <= d(a, b) + tol."""
+    K.curvature.require_same(p.curvature)
+    scale = float(np.max(np.abs(K.vertex_array))) + 1.0
+    tol = EPS * scale
+    a, b = K.vertices
+    return (surface.geodesic_distance(a, p) + surface.geodesic_distance(p, b)
+            <= surface.geodesic_distance(a, b) + tol)

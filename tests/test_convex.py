@@ -8,8 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from curvedkin.convex import (DegeneratePosition, GeodesicPolygon,
-                              _canonical_rotation, _segment_intersections,
+from curvedkin.convex import (GeodesicPolygon, _canonical_rotation,
                               area, contains_point, convex_hull,
                               euler_intersection, intersect_convex,
                               perimeter, point_body, polygons_close,
@@ -22,8 +21,10 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                translation_by_polar, translation_to)
 
 import exact
-from parent import (ParentPolygon, _J, boundary_crossings, form_dot,
-                    geodesic_distance, normals_from_parent)
+from parent import (DegeneratePosition, ParentPolygon, _J,
+                    _segment_intersections, boundary_crossings, form_dot,
+                    geodesic_distance, normals_from_parent,
+                    segment_contains_point)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
@@ -579,6 +580,122 @@ class TestCrossingOracle:
                 outcomes.append(same_crossings(K, L))
                 outcomes.append(same_crossings(L, K))
         assert set(outcomes) == {"degenerate"}
+
+
+def tiny_crossing_segments(curv, size):
+    return [segment_body(exp_at_base(curv, size, t),
+                         exp_at_base(curv, size, t + math.pi))
+            for t in (0.0, math.pi / 2)]
+
+
+class TestHalfSpaces:
+    """One clip loop on Lambda-unit half-spaces decides every intersection,
+    against the arc kernel, the distance-sum containment it replaced for
+    segments, and 60-digit cone signs."""
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("size", [1e-6, 1e-7])
+    @pytest.mark.parametrize("f", [1.5, 2.5, 10.0, 1000.0])
+    def test_tiny_squares_apart(self, kappa, size, f):
+        # Unnormalized edge planes have length ~size: against the absolute
+        # EPS * scale tolerance they would let squares this small meet at
+        # any distance.
+        curv = Curvature(kappa)
+        sq = regular_ngon(curv, size, 4)
+        g = translation_by_polar(curv, f * size, 0.3)
+        meet = exact.cones_meet(sq.vertex_array, g.matrix, sq.vertex_array)
+        assert meet == (f < 2.0)
+        assert euler_intersection(sq, sq.transformed(g)) == int(meet)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_segment_pairs_match_arc_oracle(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(97)
+        pairs = [(random_segment(curv, rng), random_segment(curv, rng))
+                 for _ in range(400)]
+        pairs += [tiny_crossing_segments(curv, s) for s in (1e-6, 1e-7)]
+        crossed = 0
+        for K, L in pairs:
+            scale = float(max(np.max(np.abs(K.vertex_array)),
+                              np.max(np.abs(L.vertex_array)))) + 1.0
+            hits = _segment_intersections(K, L, EPS * scale)
+            for A, B in ((K, L), (L, K)):
+                out = intersect_convex(A, B)
+                if not hits:
+                    assert out is None
+                    continue
+                assert out.n_vertices == 1
+                assert np.max(np.abs(out.vertex_array[0] - hits[0])) <= 1e-12
+            crossed += bool(hits)
+        assert 50 < crossed < len(pairs) - 50
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_collinear_overlaps(self, kappa):
+        # A half-turn about a point c of K maps K onto its own geodesic,
+        # reversed: the overlap runs from K's near end to that end's image.
+        curv = Curvature(kappa)
+        rng = RandomStream(101)
+        for _ in range(30):
+            K = random_segment(curv, rng)
+            a, b = K.vertices
+            for t in (0.3, 0.5, 0.8):
+                c = normalize_to_surface(curv, (1 - t) * a.coords + t * b.coords)
+                L = K.transformed(half_turn_about(SurfacePoint(c, curv)))
+                ha, hb = L.vertices
+                want = (segment_body(a, ha) if t < 0.5 else K if t == 0.5
+                        else segment_body(hb, b))
+                for A, B in ((K, L), (L, K)):
+                    assert polygons_close(intersect_convex(A, B), want,
+                                          tol=1e-12)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_segment_containment_matches_distance_sum(self, kappa):
+        # In the base frame the segment runs along direction theta, from
+        # +r1 to -r2; a point is placed at signed foot position u and
+        # offset h across the line, then everything is moved by g.
+        curv = Curvature(kappa)
+        rng = RandomStream(103)
+        checked = inside = 0
+        for _ in range(60):
+            r1, r2 = (float(x) for x in rng.uniform(0.05, 0.6, 2))
+            th = float(rng.uniform(0, 2 * math.pi))
+            g = sample_isometry(curv, 0.5, rng)
+            S = segment_body(exp_at_base(curv, r1, th),
+                             exp_at_base(curv, r2, th + math.pi)
+                             ).transformed(g)
+            tol = EPS * (float(np.max(np.abs(S.vertex_array))) + 1.0)
+            # The sum of distances grows with the square of the offset, so
+            # it accepts points up to about sqrt(tol * length) off the line.
+            reach = math.sqrt(tol * (r1 + r2))
+            for _ in range(30):
+                u = float(rng.uniform(-r2 - 0.3, r1 + 0.3))
+                h = (0.0 if rng.uniform() < 0.5 else
+                     math.copysign(10 ** float(rng.uniform(-8, -1)),
+                                   float(rng.uniform(-1, 1))))
+                if min(abs(u - r1), abs(u + r2)) < 1e-6 or 0 < abs(h) < reach:
+                    continue
+                foot = translation_by_polar(curv, abs(u),
+                                            th if u >= 0 else th + math.pi)
+                p = g.apply(foot.apply(exp_at_base(curv, abs(h),
+                                                   th + math.pi / 2)))
+                claimed = contains_point(S, p)
+                assert claimed == segment_contains_point(S, p)
+                assert claimed == (h == 0.0 and -r2 <= u <= r1)
+                checked += 1
+                inside += claimed
+        assert inside > 200 and checked - inside > 200
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_segment_containment_is_a_distance(self, kappa):
+        # 1e-6 off the midpoint of a unit segment the sum of distances
+        # exceeds the segment's length by ~2e-12, inside EPS * scale.
+        curv = Curvature(kappa)
+        S = segment_body(exp_at_base(curv, 0.5, 0.0),
+                         exp_at_base(curv, 0.5, math.pi))
+        for h, inside in ((1e-10, True), (1e-6, False), (1e-4, False)):
+            p = exp_at_base(curv, h, math.pi / 2)
+            assert contains_point(S, p) == inside
+            assert segment_contains_point(S, p) == (h < 1e-4)
 
 
 class TestInclusionExclusion:

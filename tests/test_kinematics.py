@@ -6,10 +6,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from curvedkin.convex import (GeodesicPolygon, arc_crossings, area,
-                              convex_hull, euler_intersection, perimeter,
-                              point_body, regular_ngon, segment_body,
-                              unit_arcs, DegeneratePosition)
+from curvedkin.convex import (GeodesicPolygon, area, convex_hull,
+                              euler_intersection, perimeter, point_body,
+                              regular_ngon, segment_body)
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
@@ -23,7 +22,8 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                sample_motions, Isometry, translation_by_polar)
 
 import exact
-from parent import ParentPolygon, _J, boundary_crossings, to_parent
+from parent import (DegeneratePosition, ParentPolygon, _J, arc_crossings,
+                    boundary_crossings, to_parent, unit_arcs)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 
