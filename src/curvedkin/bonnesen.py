@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .convex import GeodesicPolygon, convex_hull
 from .radii import BodyMetrics, metrics
-from .surface import (Curvature, GeometryError, RandomStream, disc_area,
-                      exp_at_base, gen_sin, sample_positions)
+from .surface import (Curvature, GeometryError, RandomStream, exp_at_base,
+                      gen_sin, sample_positions)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -262,10 +262,6 @@ def _disc_radius_limit(curvature: Curvature) -> float:
 def random_point_in_disc(curvature: Curvature, rho: float,
                          rng: RandomStream):
     r, theta = sample_positions(curvature, rho, 1, rng)
-    if curvature.kappa > 0:
-        # sample_positions covers the whole sphere; re-draw radially instead.
-        u = rng.uniform(0.0, disc_area(curvature, rho))
-        r = [math.acos(1.0 - curvature.kappa * u / TWO_PI) / curvature.scale]
     return exp_at_base(curvature, float(r[0]), float(theta[0]))
 
 

@@ -3,10 +3,9 @@
 The integral over all motions g of the Euler characteristic of K meeting a
 moving copy of L is estimated by sampling positions area-uniformly,
 spinning uniformly about the base point, and rescaling the hit fraction by
-the sampled region's area.  On the flat and hyperbolic planes positions
-cover a disc that holds the support of the integrand.  On the sphere they
-cover the whole sphere, and a reach cut drops the samples that place the
-moved base point beyond that disc before the overlap test sees them.
+the sampled region's area.  Positions cover the disc that holds the
+support of the integrand, on the sphere capped at the whole sphere, so the
+overlap test sees every sample.
 """
 
 from __future__ import annotations
@@ -28,17 +27,16 @@ from .surface import (EPS, GeometryError, Isometry, RandomStream, cross3,
 class KinematicEstimate:
     """The estimate, and how the overlap test decided its n samples.
 
-    The four counts sum to the samples: dropped by the sphere's reach cut,
-    settled by a face plane, settled by a contained vertex (a point body's
-    samples that no face plane separates count here), and sent to the
-    mixed-plane pass.
+    The three counts sum to the samples: settled by a face plane, settled
+    by a contained vertex (a point body's samples that no face plane
+    separates count here), and sent to the mixed-plane pass.  support_area
+    is the area W of the sampled position region, so mean = W * hits / n.
     """
 
     mean: float
     std_error: float
     samples: int
     support_area: float
-    reach_dropped: int
     face_settled: int
     vertex_settled: int
     mixed_tested: int
@@ -146,33 +144,19 @@ class _OverlapTester:
         self._out = np.empty(rows * self.chunk)
         # Over every hits call: the KinematicEstimate decision counts.
         self.counts = dict.fromkeys(
-            ("reach_dropped", "face_settled", "vertex_settled",
-             "mixed_tested"), 0)
+            ("face_settled", "vertex_settled", "mixed_tested"), 0)
 
-    def hits(self, radial: tuple, theta: np.ndarray, phi: np.ndarray,
-             reach: Optional[float] = None) -> np.ndarray:
+    def hits(self, radial: tuple, theta: np.ndarray,
+             phi: np.ndarray) -> np.ndarray:
         """Overlap mask of K with L moved by each motion ((a, b), theta, phi),
         (a, b) the radial pair of :func:`~curvedkin.surface.motion_basis`."""
         a, b = radial
-        n = len(a)
-        keep = None
-        if self.curv.kappa > 0 and reach is not None:
-            # Overlap needs the moved base point within reach of the base
-            # point, where a = cos(sqrt(k) r).
-            keep = np.flatnonzero(
-                a >= math.cos(min(math.pi, self.curv.scale * reach)))
-            a, b, theta, phi = (x.take(keep) for x in (a, b, theta, phi))
         hit = np.empty(len(a), dtype=bool)
         for lo in range(0, len(a), self.chunk):
             hi = lo + self.chunk
             hit[lo:hi] = self._hits_chunk(motion_basis(
                 self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi]))
-        self.counts["reach_dropped"] += n - len(a)
-        if keep is None:
-            return hit
-        out = np.zeros(n, dtype=bool)
-        out[keep] = hit
-        return out
+        return hit
 
     def _product(self, table: np.ndarray, basis: np.ndarray) -> np.ndarray:
         m = basis.shape[1]
@@ -228,7 +212,7 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     margin = 1e-6 * (1.0 + rk + rl)
     support = rk + rl + margin
     tester = _OverlapTester(Kc, Lc)
-    hits = tester.hits(*sample_motions(curv, support, n, rng), reach=support)
+    hits = tester.hits(*sample_motions(curv, support, n, rng))
     k_hits = int(np.count_nonzero(hits))
     w = support_area(curv, support)
     p = k_hits / n

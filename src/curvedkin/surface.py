@@ -423,41 +423,32 @@ class RandomStream:
 
 def support_area(curvature: Curvature, support_radius: float) -> float:
     """Total area W of the position region that :func:`sample_motions` draws
-    from: the whole sphere, else the disc of the given radius.
+    from: the disc of the given radius, capped on the sphere at the whole
+    sphere (radius pi/sqrt(kappa)).
     """
-    if curvature.kappa > 0:
-        return 4.0 * math.pi / curvature.kappa
-    return disc_area(curvature, support_radius)
+    return disc_area(curvature, min(support_radius,
+                                    2.0 * curvature.hemisphere_limit))
 
 
 def _position_draws(curvature: Curvature, support_radius: float, n: int,
                     rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """theta, then the radial draw: z uniform on [-1, 1] on the sphere, else
-    the area u uniform on [0, disc_area(support_radius)]."""
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    if curvature.kappa > 0:
-        return theta, rng.uniform(-1.0, 1.0, n)
+    """theta, then the area u uniform on [0, support_area(support_radius)]."""
     if support_radius <= 0:
-        raise GeometryError("support radius must be positive off the sphere")
-    return theta, rng.uniform(0.0, disc_area(curvature, support_radius), n)
+        raise GeometryError("support radius must be positive")
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    return theta, rng.uniform(0.0, support_area(curvature, support_radius), n)
 
 
 def sample_positions(curvature: Curvature, support_radius: float, n: int,
                      rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Area-uniform polar samples (r, theta) of the position part.
+    """Area-uniform polar samples (r, theta) of the position part, over the
+    region of :func:`support_area`.
 
-    On the sphere positions cover the whole surface; elsewhere they are
-    uniform with respect to the area element over the disc of the given
-    radius about the base point.
+    Disc area is 4 pi gen_sin^2(r/2), so the drawn area u gives
+    r = 2 gen_asin(sqrt(u/4pi)), which keeps its digits as r -> 0.
     """
-    k = curvature.kappa
-    theta, w = _position_draws(curvature, support_radius, n, rng)
-    if k > 0:
-        # z uniform on the sphere; r is the polar distance from x0.
-        return np.arccos(w) / curvature.scale, theta
-    if k == 0.0:
-        return np.sqrt(w / math.pi), theta
-    return np.arccosh(1.0 - k * w / (2.0 * math.pi)) / curvature.scale, theta
+    theta, u = _position_draws(curvature, support_radius, n, rng)
+    return 2.0 * gen_asin(curvature, np.sqrt(u / (4.0 * math.pi))), theta
 
 
 def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -547,21 +538,17 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     """Haar samples ((a, b), theta, phi) of motions t_x . gamma, vectorized.
 
     gamma is a uniform rotation by phi about x0, and x = (r, theta) is
-    area-uniform over the whole sphere, else over the disc of the support
-    radius, drawn as :func:`sample_positions` draws it.  The radial pair
-    (a, b) = gen_cos_sin(r) comes straight from the draw, so no sample
-    takes an arccos or arccosh only to take the cosine and sine again.  On
-    the sphere a is the drawn z and b = sqrt(1 - z^2)/sqrt(kappa).  Else,
-    for the drawn area u, a = 1 - kappa u/2pi and b = sqrt(u (1 + a)/2pi),
-    which is (1, r) on the plane.
+    area-uniform over the region of :func:`support_area`, drawn as
+    :func:`sample_positions` draws it.  The radial pair (a, b) =
+    gen_cos_sin(r) comes straight from the drawn area u: a = 1 - kappa u/2pi
+    and b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
+    b^2 = (1 - a^2)/kappa elsewhere.  So no sample takes an inverse only to
+    take the cosine and sine again.
     """
-    theta, w = _position_draws(curvature, support_radius, n, rng)
-    if curvature.kappa > 0:
-        radial = w, np.sqrt((1.0 - w) * (1.0 + w)) / curvature.scale
-    else:
-        a = 1.0 - curvature.kappa * w / (2.0 * math.pi)
-        radial = a, np.sqrt(w * (1.0 + a) / (2.0 * math.pi))
-    return radial, theta, rng.uniform(0.0, 2.0 * math.pi, n)
+    theta, u = _position_draws(curvature, support_radius, n, rng)
+    a = 1.0 - curvature.kappa * u / (2.0 * math.pi)
+    return ((a, np.sqrt(u * (1.0 + a) / (2.0 * math.pi))), theta,
+            rng.uniform(0.0, 2.0 * math.pi, n))
 
 
 def sample_isometry(curvature: Curvature, support_radius: float,

@@ -366,7 +366,6 @@ class TestIntersection:
             target = area(out) if out is not None and out.dim == 2 else 0.0
             # MC over a disc covering both bodies.
             n = 20000
-            rr = np.arccos if kappa > 0 else None
             from curvedkin.surface import sample_positions
             r, th = sample_positions(c, 1.0, n, rng)
             from curvedkin.surface import support_area

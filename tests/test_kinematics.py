@@ -127,9 +127,8 @@ class TestKinematicLhs:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_decision_counts(self, kappa):
-        # Every sample is dropped by the reach cut, settled by a face plane
-        # or a contained vertex, or sent to the mixed-plane pass, and the
-        # counts repeat for a seed.
+        # Every sample is settled by a face plane or a contained vertex, or
+        # sent to the mixed-plane pass, and the counts repeat for a seed.
         curv = Curvature(kappa)
         rng = RandomStream(47)
         polygon = random_body(curv, rng)
@@ -140,16 +139,15 @@ class TestKinematicLhs:
                      (point, polygon)]:
             runs = [kinematic_lhs(K, L, 20_000, RandomStream(53))
                     for _ in range(2)]
-            counts = [(e.reach_dropped, e.face_settled, e.vertex_settled,
-                       e.mixed_tested) for e in runs]
+            counts = [(e.face_settled, e.vertex_settled, e.mixed_tested)
+                      for e in runs]
             assert counts[0] == counts[1]
-            dropped, face, vertex, mixed = counts[0]
-            assert dropped + face + vertex + mixed == 20_000
-            assert (dropped > 0) == (kappa > 0)
+            face, vertex, mixed = counts[0]
+            assert face + vertex + mixed == 20_000
             chart = kappa <= 0 and K.dim == L.dim == 2
             assert (mixed > 0) == (K.dim > 0 and not chart)
             if chart:
-                assert face == 20_000 - dropped
+                assert face == 20_000
 
 
 class OldCrossing:
@@ -245,8 +243,7 @@ class TestCrossingOracle:
                 new = np.any(pairs, axis=(1, 2))
                 assert np.array_equal(new, oracle(vL))
                 crossed += int(np.count_nonzero(new))
-            hits = _OverlapTester(Kc, Lc).hits(radial, theta, phi,
-                                               reach=support)
+            hits = _OverlapTester(Kc, Lc).hits(radial, theta, phi)
             old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
                 to_parent(curv, mats, matrix=True), reach=support)
             assert np.array_equal(hits, old)
@@ -254,11 +251,10 @@ class TestCrossingOracle:
         assert motions >= 100_000
         assert 0 < crossed < motions
 
-    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_tiny_crossing_segments(self, kappa):
         # Two crossing segments of length 2e-7 overlap only by crossing;
-        # the integral is P_K P_L / 2pi.  (On the sphere the support is
-        # the whole surface and 2e4 samples would see no hit.)
+        # the integral is P_K P_L / 2pi.
         curv = Curvature(kappa)
         K, L = (segment_body(exp_at_base(curv, 1e-7, t),
                              exp_at_base(curv, 1e-7, t + math.pi))
@@ -267,6 +263,20 @@ class TestCrossingOracle:
         rhs = kinematic_rhs(K, L)
         assert est.mean > 0
         assert abs(est.mean - rhs) < max(3 * est.std_error, 1e-3 * rhs)
+
+    def test_small_crossing_segments_on_the_sphere(self):
+        # Crossing segments of half-length 0.01 on the unit sphere, in
+        # criterion 01's band.  The integral, about 2.5e-4, is 2e-5 of the
+        # sphere's area, so only samples drawn in the cap that holds every
+        # overlap see hits at n = 2e4.
+        curv = Curvature(1.0)
+        K, L = (segment_body(exp_at_base(curv, 0.01, t),
+                             exp_at_base(curv, 0.01, t + math.pi))
+                for t in (0.0, math.pi / 2))
+        est = kinematic_lhs(K, L, 20000, RandomStream(43))
+        rhs = kinematic_rhs(K, L)
+        assert est.std_error > 0
+        assert abs(est.mean - rhs) <= max(3 * est.std_error, 1e-3 * rhs)
 
 
 class OldOverlapTester:
@@ -381,8 +391,7 @@ class TestOverlapKernel:
             support = rk + rl + 1e-6 * (1.0 + rk + rl)
             radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
                                                 rng)
-            new = _OverlapTester(Kc, Lc).hits(radial, theta, phi,
-                                              reach=support)
+            new = _OverlapTester(Kc, Lc).hits(radial, theta, phi)
             old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
                 to_parent(curv, basis_matrices(curv, motion_basis(
                     curv, radial, theta, phi)), matrix=True), reach=support)
@@ -391,17 +400,29 @@ class TestOverlapKernel:
             motions += len(new)
         assert motions >= 1_000_000
 
-    def test_sphere_reach_cut_drops_no_hit(self):
-        # Both bodies lie within 0.7 of the base point, so no overlap
-        # moves the base point further than 1.4.
-        curv = Curvature(1.0)
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_no_overlap_outside_the_support(self, kappa):
+        # kinematic_lhs samples only the disc of radius rk + rl + margin
+        # about the base point.  That holds every overlap: a motion whose
+        # base point lands in a ring just outside it never overlaps.
+        curv = Curvature(kappa)
         rng = RandomStream(311)
-        K, L = random_body(curv, rng), random_body(curv, rng)
-        radial, theta, phi = sample_motions(curv, 1.5, 20_000, rng)
-        tester = _OverlapTester(K, L)
-        hits = tester.hits(radial, theta, phi, reach=1.5)
-        assert np.count_nonzero(hits) > 0
-        assert np.array_equal(hits, tester.hits(radial, theta, phi))
+        polygon = lambda: random_body(curv, rng)
+        segment = lambda: random_segment(curv, rng)
+        for K, L in [(polygon(), polygon()), (polygon(), segment()),
+                     (segment(), segment()), (random_point(curv, rng),
+                                              polygon())]:
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            tester = _OverlapTester(Kc, Lc)
+            inside = tester.hits(*sample_motions(curv, support, 20_000, rng))
+            assert np.count_nonzero(inside) > 0
+            r = support * (1.0 + rng.uniform(0.0, 0.05, 20_000))
+            ring = tester.hits(gen_cos_sin(curv, r),
+                               rng.uniform(0.0, 2 * math.pi, 20_000),
+                               rng.uniform(0.0, 2 * math.pi, 20_000))
+            assert not ring.any()
 
     def test_point_bodies(self):
         # Two points meet only when they coincide.
@@ -411,17 +432,6 @@ class TestOverlapKernel:
         hits = tester.hits(gen_cos_sin(curv, np.array([0.0, 1e-3, 0.0])),
                            np.zeros(3), np.array([0.0, 0.0, 2.0]))
         assert hits.tolist() == [True, False, True]
-
-
-def disc_motions(curv, rho, n, rng):
-    """Motions placed area-uniformly in the disc of radius rho on every
-    surface, the sphere included: u uniform on the disc's area, then
-    a = 1 - kappa u/2pi and b = sqrt(u (1 + a)/2pi)."""
-    theta = rng.uniform(0.0, 2 * math.pi, n)
-    u = rng.uniform(0.0, disc_area(curv, rho), n)
-    a = 1.0 - curv.kappa * u / (2 * math.pi)
-    return ((a, np.sqrt(u * (1.0 + a) / (2 * math.pi))), theta,
-            rng.uniform(0.0, 2 * math.pi, n))
 
 
 class TestTinyBodies:
@@ -451,7 +461,8 @@ class TestTinyBodies:
         settled = 0
         for K, L in self.pairs(curv):
             rho = 1.2 * (circumradius(K)[0] + circumradius(L)[0])
-            radial, theta, phi = disc_motions(curv, rho, self.MOTIONS, rng)
+            radial, theta, phi = sample_motions(curv, rho, self.MOTIONS,
+                                                rng)
             mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
             new = _OverlapTester(K, L).hits(radial, theta, phi)
             old = OldOverlapTester(ParentPolygon(K), ParentPolygon(L)).hits(

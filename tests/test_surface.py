@@ -362,11 +362,12 @@ class TestHaarSampling:
             assert sample_isometry(c, 1.5, rng).check_form()
 
     def test_sphere_orbit_uniformity(self):
-        # chi-square over the eight octants of g x0 for kappa = 1.
+        # chi-square over the eight octants of g x0 for kappa = 1, with
+        # support pi: the whole sphere.
         c = Curvature(1.0)
         rng = RandomStream(17)
         mats = basis_matrices(c, motion_basis(
-            c, *sample_motions(c, 1.0, 100000, rng)))
+            c, *sample_motions(c, math.pi, 100000, rng)))
         pts = mats @ base_point(c).coords
         signs = (pts > 0).astype(int)
         octant = signs[:, 0] * 4 + signs[:, 1] * 2 + signs[:, 2]
@@ -379,6 +380,22 @@ class TestHaarSampling:
     def test_support_area_values(self):
         assert abs(support_area(Curvature(1.0), 99.0) - 4 * math.pi) < 1e-12
         assert abs(support_area(Curvature(0.0), 2.0) - 4 * math.pi) < 1e-12
+
+    @pytest.mark.parametrize("kappa, rho", [
+        (1.0, 1.5), (1.0, 2.5), (1.0, 5.0), (0.0, 1.5), (-1.0, 1.5)])
+    def test_area_uniform_in_the_cap(self, kappa, rho):
+        # chi-square of disc_area(r)/support_area over ten equal-area
+        # rings of the sampled cap; past pi the cap is the whole sphere.
+        c = Curvature(kappa)
+        r, _ = sample_positions(c, rho, 50_000, RandomStream(37))
+        share = np.array([disc_area(c, x) for x in r.tolist()])
+        share /= support_area(c, rho)
+        counts = np.bincount(np.minimum((share * 10).astype(int), 9),
+                             minlength=10)
+        expected = len(r) / 10.0
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        # 9 dof; chi2 < 27.88 corresponds to p > 0.001.
+        assert chi2 < 27.88
 
 
 def old_motion_matrices(curvature, r, theta, phi):
@@ -521,29 +538,51 @@ class TestMotionColumns:
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_radial_pair_matches_mpmath(self, kappa):
-        # The pair from the drawn z or area u, against 60 digits from the
-        # same draw: a = z, b = sqrt(1 - z^2)/sqrt(k) on the sphere, else
-        # a = 1 - k u/2pi, b = sqrt(u (1 + a)/2pi).  Taking r first, by
-        # arccosh near 1, costs the hyperbolic b up to 1e-13 relative.
+        # The pair from the drawn area u, against 60 digits from the same
+        # draw: a = 1 - k u/2pi, b = sqrt(u (1 + a)/2pi) for every kappa.
+        # Taking r first, by arccosh near 1, costs the hyperbolic b up to
+        # 1e-13 relative.
         c = Curvature(kappa)
         n = 2000
         (a, b), _, _ = sample_motions(c, 1.5, n, RandomStream(31))
         ref = RandomStream(31)
         ref.uniform(0.0, 2 * math.pi, n)
-        w = (ref.uniform(-1.0, 1.0, n) if kappa > 0
-             else ref.uniform(0.0, disc_area(c, 1.5), n))
+        u = ref.uniform(0.0, disc_area(c, 1.5), n)
         mp = mpmath.MPContext()
         mp.dps = 60
         k = mp.mpf(kappa)
-        for ai, bi, wi in zip(a, b, w):
-            wi = mp.mpf(float(wi))
-            if kappa > 0:
-                ea, eb = wi, mp.sqrt(1 - wi * wi) / mp.sqrt(k)
-            else:
-                ea = 1 - k * wi / (2 * mp.pi)
-                eb = mp.sqrt(wi * (1 + ea) / (2 * mp.pi))
+        for ai, bi, ui in zip(a, b, u):
+            ui = mp.mpf(float(ui))
+            ea = 1 - k * ui / (2 * mp.pi)
+            eb = mp.sqrt(ui * (1 + ea) / (2 * mp.pi))
             assert abs(ai - ea) <= 4e-16 * max(1, abs(ea))
             assert abs(bi - eb) <= 4e-16 * max(eb, 1e-300)
+
+    @pytest.mark.parametrize("kappa", [1e-12, -1e-12, 1e-9, -1e-9, 1.0, -1.0,
+                                       2.0, -2.0, 0.0])
+    def test_positions_match_mpmath(self, kappa):
+        # r from the drawn area u, against 60 digits of the inverse of the
+        # disc area 2 pi (1 - gen_cos r)/kappa from the same draw.  In
+        # floats that inverse, acos or acosh of 1 - k u/2pi, loses digits
+        # as k u -> 0.
+        c = Curvature(kappa)
+        n = 2000
+        r, _ = sample_positions(c, 1.5, n, RandomStream(41))
+        ref = RandomStream(41)
+        ref.uniform(0.0, 2 * math.pi, n)
+        u = ref.uniform(0.0, disc_area(c, 1.5), n)
+        mp = mpmath.MPContext()
+        mp.dps = 60
+        k = mp.mpf(kappa)
+        for ri, ui in zip(r.tolist(), u.tolist()):
+            x = 1 - k * mp.mpf(ui) / (2 * mp.pi)
+            if kappa > 0:
+                er = mp.acos(x) / mp.sqrt(k)
+            elif kappa < 0:
+                er = mp.acosh(x) / mp.sqrt(-k)
+            else:
+                er = mp.sqrt(mp.mpf(ui) / mp.pi)
+            assert abs(ri - er) <= 1e-15 * er
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_translation_by_polar_is_a_motion(self, kappa):
