@@ -250,12 +250,13 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     curv = K.curvature
     rk, tK, Kc = _recenter(K)
     rl, tL, Lc = _recenter(L)
-    pairs = [(Kc, Lc, tK, tL, False), (Lc, Kc, tL, tK, True)]
+    pairs = [(Kc, Lc, tK, tL, rl, False), (Lc, Kc, tL, tK, rk, True)]
     if rk > rl:
         pairs.reverse()
     spent = 0
     batch = 256
-    for attempt, (inner, outer, t_in, t_out, flipped) in enumerate(pairs):
+    for attempt, (inner, outer, t_in, t_out, r_out,
+                  flipped) in enumerate(pairs):
         if outer.dim < 2:
             continue
         # Rows edge normal (x) inner vertex, folded: against the motion
@@ -263,7 +264,6 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
         # edges.
         table = fold_table(curv, _outer_table(outer.edge_normals,
                                               inner.vertex_array))
-        r_out, _ = circumradius(outer)
         sigma = max(r_out, 1e-3)
         best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
         share = (budget * 4) // 5 if attempt == 0 else budget - spent

@@ -1,26 +1,31 @@
 """Inradius and circumradius of convex bodies on the model surfaces.
 
 The circumcenter of two or three embedded points, and the point equidistant
-from two or three geodesics, are both solvable in closed form in the
-embedding; the minidisc solver and the incenter search are built from those
-primitives and work identically in all three regimes.
+from two or three geodesics, are solvable in closed form in the embedding.
+Both solvers enumerate those candidates on a working set of vertices or
+edges and certify the best against the whole body; a violator joins the set
+and the round repeats (the violator loop of LP-type problems: Matousek,
+Sharir and Welzl, Algorithmica 16, 1996).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .convex import GeodesicPolygon, area, perimeter, triple_indices
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
-                      normalize_to_surface, row_distances, squared_chords)
+                      normalize_to_surface, squared_chords)
 
-# random_convex_body's default max_vertices: random bodies solve in one round.
+# Both solvers start from this many evenly spaced vertices or edges:
+# random_convex_body's default max_vertices, so random bodies solve in one
+# round.
 _FIRST_WORKING_SET = 12
+# The entries of a block of candidates' temporaries: 32 MB of floats each.
+_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -39,85 +44,80 @@ class BodyMetrics:
         return self.incenter.curvature.kappa
 
 
-def _circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
-                   p3: np.ndarray) -> np.ndarray:
-    """Candidate centers equidistant from three points, as rows.
-
-    The center lies on both perpendicular bisectors, so along the cross
-    product of their normals (see :func:`bisector_normals`).
-    """
-    (ax, ay, az), (bx, by, bz) = bisector_normals(
-        curv, np.array([p1, p2]), np.array([p2, p3])).tolist()
-    return _normalize_rows(curv, np.array(
-        [[ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]]))
-
-
 def _midpoint(curv: Curvature, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return normalize_to_surface(curv, p + q)
 
 
-def _disc_from_support(curv: Curvature,
-                       support: np.ndarray) -> Optional[tuple]:
-    """Smallest geodesic disc with the given boundary points, (m, 3)."""
-    if len(support) < 2:
-        return (support[0], 0.0) if len(support) else None
-    if len(support) == 2:
-        c = _midpoint(curv, support[0], support[1])
-        return c, float(row_distances(curv, c, support[0]))
-    centers = _circumcenter3(curv, *support)
-    if not len(centers):
-        return None
-    r = row_distances(curv, centers[:, None], support).max(axis=1)
-    i = int(np.argmin(r))
-    return centers[i], float(r[i])
+def _first_working_set(n: int) -> np.ndarray:
+    """Up to _FIRST_WORKING_SET evenly spaced indices below n: all for small n."""
+    m = min(n, _FIRST_WORKING_SET)
+    return np.arange(m) * n // m
+
+
+def _least(score, cand: np.ndarray, width: int) -> tuple[int, float]:
+    """Index and value of the least score over the rows of cand, the first
+    on ties; (-1, inf) if none.  score maps a block of rows to one value
+    each through temporaries of width entries a row; a block holds
+    _BLOCK_ENTRIES, so a working set grown to a large body fits in memory."""
+    best, best_val = -1, math.inf
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for lo in range(0, len(cand), step):
+        vals = score(cand[lo:lo + step])
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best, best_val = lo + i, float(vals[i])
+    return best, best_val
+
+
+def _disc_candidates(curv: Curvature, pts: np.ndarray) -> np.ndarray:
+    """The center of every disc with one, two or three of pts on its rim.
+
+    One point is its own center.  Two: the normalized sum.  Three: the line
+    along the cross product of two perpendicular-bisector normals (see
+    :func:`bisector_normals`).  Of each line's surface points the one on
+    its rim points' side, G(c, p) > 0, is kept: the nearer antipode on the
+    sphere, z > 0 elsewhere.  Lines that miss the surface drop out.
+    """
+    ii, jj = np.triu_indices(len(pts), 1)
+    ti, tj, tk = triple_indices(len(pts))
+    v = np.concatenate([pts[ii] + pts[jj],
+                        cross3(bisector_normals(curv, pts[ti], pts[tj]),
+                               bisector_normals(curv, pts[tj], pts[tk]))])
+    rim = np.concatenate([pts[ii], pts[ti]])
+    q = form_dot(curv, v, v)
+    ok = q > 1e-28
+    w = v[ok] / np.sqrt(q[ok])[:, None]
+    w[form_dot(curv, w, rim[ok]) < 0.0] *= -1.0
+    return np.concatenate([pts, w])
 
 
 def smallest_enclosing_disc(curv: Curvature,
                             coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """Welzl's randomized-incremental minidisc over embedded points.
+    """Center and radius of the smallest geodesic disc holding the points.
 
-    The iterative form: a point outside the current disc restarts the scan
-    over the points inserted before it with that point on the rim, so the
-    loops nest at most three deep whatever the point count.  Each new disc
-    tests every point in one squared_chords call, against the chord of its
-    radius.  The shuffle is seeded deterministically from the point count,
-    so support sets (and tie-breaks) are reproducible run to run.
+    At most three points lie on its rim, so it is the center of
+    ``_disc_candidates`` whose largest squared chord to the points is
+    least, enumerated on a working set S of points as in :func:`inradius`.
+    The disc of S is final if every point lies within the chord of
+    r_S + 1e-12 (1 + r_S); otherwise the farthest point joins S, which
+    raises r_S strictly.
     """
-    n = len(coords)
-    rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
-    pts = coords[rng.permutation(n)[::-1]]
-
-    def outside(disc) -> np.ndarray:
-        """Mask of the points outside the disc; every point, if no disc."""
-        if disc is None:
-            return np.ones(n, dtype=bool)
-        c, r = disc
+    work = _first_working_set(len(coords))
+    while True:
+        pts = coords[work]
+        cand = _disc_candidates(curv, pts)
+        i, far = _least(
+            lambda c: squared_chords(curv, c[:, None], pts).max(axis=1),
+            cand, 3 * len(pts))
+        if i < 0:
+            raise GeometryError("minidisc failed (degenerate input)")
+        r = float(2.0 * gen_asin(curv, 0.5 * math.sqrt(max(0.0, far))))
         chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
-        return squared_chords(curv, c, pts) > chord * chord
-
-    def first(far: np.ndarray, lo: int, hi: int) -> int:
-        """Index of the first outside point of pts[lo:hi], else hi."""
-        hits = np.flatnonzero(far[lo:hi])
-        return lo + int(hits[0]) if len(hits) else hi
-
-    disc, i = None, 0  # the first point lies outside the empty disc
-    while i < n:
-        disc = _disc_from_support(curv, pts[[i]])
-        far = outside(disc)
-        j = first(far, 0, i)
-        while j < i:
-            disc = _disc_from_support(curv, pts[[i, j]])
-            far = outside(disc)
-            m = first(far, 0, j)
-            while m < j:
-                disc = _disc_from_support(curv, pts[[i, j, m]])
-                far = outside(disc)
-                m = first(far, m + 1, j)
-            j = first(far, j + 1, i)
-        i = first(far, i + 1, n)
-    if disc is None:
-        raise GeometryError("minidisc failed (degenerate input)")
-    return disc
+        out = squared_chords(curv, cand[i], coords)
+        j = int(np.argmax(out))
+        if not out[j] > chord * chord:
+            return cand[i], r
+        work = np.union1d(work, [j])
 
 
 def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
@@ -220,25 +220,16 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         mid = _midpoint(curv, *K.vertex_array)
         return 0.0, SurfacePoint(mid, curv)
     normals = K.edge_normals
-    n = len(normals)
-    m = min(n, _FIRST_WORKING_SET)
-    work = np.arange(m) * n // m
+    work = _first_working_set(len(normals))
     while True:
         if curv.kappa <= 0:
             work = _close_working_set(curv, normals, work)
         cand = _incenter_candidates(curv, normals[work])
-        best_val = -math.inf
-        best = None
-        # A working set can grow to all n edges; bound the value matrix.
-        chunk = max(1, 20_000_000 // len(work))
-        for lo in range(0, len(cand), chunk):
-            vals = np.min(cand[lo:lo + chunk] @ normals[work].T, axis=1)
-            i = int(np.argmax(vals))
-            if float(vals[i]) > best_val:
-                best_val = float(vals[i])
-                best = cand[lo + i]
-        if best is None:
+        i, least = _least(lambda c: -np.min(c @ normals[work].T, axis=1),
+                          cand, len(work))
+        if i < 0:
             raise GeometryError("incenter search failed")
+        best, best_val = cand[i], -least
         slack = normals @ best - best_val
         slack[work] = 0.0
         j = int(np.argmin(slack))

@@ -13,8 +13,10 @@ the parent's edge normals.  The helpers below are copies of the parent's,
 verbatim except that the sign vector, once a property of Curvature, is
 spelled out as ``_J``; so are the two minidisc oracles.
 
-The rest works on the library's own points.  :func:`boundary_crossings`
-counts crossings and stays here as the oracle of crossing counts.  Under it
+The rest works on the library's own points.  :func:`welzl_enclosing_disc`
+is the iterative Welzl that the library's minidisc was until support
+enumeration on a working set replaced it, moved with the support solver
+``_disc_from_support`` under it.  :func:`boundary_crossings` counts crossings and stays here as the oracle of crossing counts.  Under it
 is the arc kernel, ``arc_crossings`` through ``_arcs_overlap``, with
 ``DegeneratePosition``: the library's two-segment intersection until its
 clip loop took segments on half-spaces, moved verbatim except that
@@ -25,14 +27,15 @@ the sum-of-distances test that the library's segment containment was.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from curvedkin import surface
+from curvedkin import radii, surface
 from curvedkin.convex import GeodesicPolygon
-from curvedkin.radii import _disc_from_support
-from curvedkin.surface import EPS, Curvature, GeometryError, cross3, libm_map
+from curvedkin.surface import (EPS, Curvature, GeometryError, bisector_normals,
+                               cross3, gen_sin, libm_map, row_distances,
+                               squared_chords)
 
 # The Minkowski signs of the parent's form for kappa < 0.
 _J = np.array([1.0, 1.0, -1.0])
@@ -262,13 +265,97 @@ class ParentPolygon:
         return nu / norm
 
 
+# The iterative Welzl that radii.smallest_enclosing_disc was until support
+# enumeration on a working set replaced it, with its support solver.  They
+# work on the library's own points, and are verbatim except that
+# _circumcenter3 is spelled _bisector_circumcenter3, and _midpoint and
+# _normalize_rows radii._midpoint and radii._normalize_rows, since this
+# module's own are the parent's.
+
+def _bisector_circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
+                            p3: np.ndarray) -> np.ndarray:
+    """Candidate centers equidistant from three points, as rows.
+
+    The center lies on both perpendicular bisectors, so along the cross
+    product of their normals (see :func:`bisector_normals`).
+    """
+    (ax, ay, az), (bx, by, bz) = bisector_normals(
+        curv, np.array([p1, p2]), np.array([p2, p3])).tolist()
+    return radii._normalize_rows(curv, np.array(
+        [[ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]]))
+
+
+def _disc_from_support(curv: Curvature,
+                       support: np.ndarray) -> Optional[tuple]:
+    """Smallest geodesic disc with the given boundary points, (m, 3)."""
+    if len(support) < 2:
+        return (support[0], 0.0) if len(support) else None
+    if len(support) == 2:
+        c = radii._midpoint(curv, support[0], support[1])
+        return c, float(row_distances(curv, c, support[0]))
+    centers = _bisector_circumcenter3(curv, *support)
+    if not len(centers):
+        return None
+    r = row_distances(curv, centers[:, None], support).max(axis=1)
+    i = int(np.argmin(r))
+    return centers[i], float(r[i])
+
+
+def welzl_enclosing_disc(curv: Curvature,
+                         coords: np.ndarray) -> tuple[np.ndarray, float]:
+    """Welzl's randomized-incremental minidisc over embedded points.
+
+    The iterative form: a point outside the current disc restarts the scan
+    over the points inserted before it with that point on the rim, so the
+    loops nest at most three deep whatever the point count.  Each new disc
+    tests every point in one squared_chords call, against the chord of its
+    radius.  The shuffle is seeded deterministically from the point count,
+    so support sets (and tie-breaks) are reproducible run to run.
+    """
+    n = len(coords)
+    rng = np.random.Generator(np.random.Philox(0xC1DC1E + n))
+    pts = coords[rng.permutation(n)[::-1]]
+
+    def outside(disc) -> np.ndarray:
+        """Mask of the points outside the disc; every point, if no disc."""
+        if disc is None:
+            return np.ones(n, dtype=bool)
+        c, r = disc
+        chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
+        return squared_chords(curv, c, pts) > chord * chord
+
+    def first(far: np.ndarray, lo: int, hi: int) -> int:
+        """Index of the first outside point of pts[lo:hi], else hi."""
+        hits = np.flatnonzero(far[lo:hi])
+        return lo + int(hits[0]) if len(hits) else hi
+
+    disc, i = None, 0  # the first point lies outside the empty disc
+    while i < n:
+        disc = _disc_from_support(curv, pts[[i]])
+        far = outside(disc)
+        j = first(far, 0, i)
+        while j < i:
+            disc = _disc_from_support(curv, pts[[i, j]])
+            far = outside(disc)
+            m = first(far, 0, j)
+            while m < j:
+                disc = _disc_from_support(curv, pts[[i, j, m]])
+                far = outside(disc)
+                m = first(far, m + 1, j)
+            j = first(far, j + 1, i)
+        i = first(far, i + 1, n)
+    if disc is None:
+        raise GeometryError("minidisc failed (degenerate input)")
+    return disc
+
+
 # The minidisc oracles of tests/test_radii.py, kept here verbatim so that
 # SurfacePoint and geodesic_distance are the parent's: at curvatures other
 # than 1, 0 and -1 they take the parent's coordinates.
 
 def recursive_enclosing_disc(curv, coords,
                              disc_from_support=_disc_from_support):
-    """The recursive Welzl that ``smallest_enclosing_disc`` replaced.
+    """The recursive Welzl that :func:`welzl_enclosing_disc` replaced.
 
     Its depth grows with the point count; kept as the differential oracle
     for the iterative form on bodies small enough to recurse.

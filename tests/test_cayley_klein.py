@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from curvedkin.convex import area, regular_ngon
-from curvedkin.radii import _disc_from_support, metrics
+from curvedkin.radii import metrics, smallest_enclosing_disc
 from curvedkin.surface import (Curvature, GeometryError, SurfacePoint,
                                exp_at_base)
 
@@ -77,7 +77,8 @@ class TestSmallKappa:
         curv = Curvature(kappa)
         pts = np.array([exp_at_base(curv, r, t).coords
                         for r, t in ((0.3, 0.1), (0.7, 2.0), (0.5, 4.0))])
-        center, _ = _disc_from_support(curv, pts)
+        # An acute triangle: all three points lie on the minidisc's rim.
+        center, _ = smallest_enclosing_disc(curv, pts)
         d = [mp_distance(kappa, center, p) for p in pts]
         assert float(max(d) - min(d)) <= 1e-14, d
 

@@ -31,9 +31,13 @@ from curvedkin.surface import Curvature, exp_at_base
 # for every kappa then moved the sphere's floats outright, since sphere
 # bodies take one draw per point and sphere Monte Carlo samples the reach
 # cap, and hyperbolic bodies and estimates by rounding (up to 6e-15
-# relative); flat floats, ids, counts and flags did not move.
+# relative); flat floats, ids, counts and flags did not move.  Support
+# enumeration in place of Welzl's minidisc then moved R_circ by rounding (up
+# to 2.8e-16 relative, 4 records) and the floats computed from it: bound
+# values (up to 1.3e-15) and slacks (3.9e-16, and 4.7e-12 for the
+# kappa = -0.001 sweep's square, a cancelling difference of 1.2e-4).
 GOLDEN_ALL_SMALL = (
-    "f0e6e57b4e07e373dbae35c7c031082c036eb6138af158ddd30cd4719823fcd2")
+    "0de445b6271cee2aba1c58aa03a5f1e4840d043051ab09bc58696f47f6e3a582")
 GOLDEN_CONFIG = dict(seed=42, count=3, mc_samples=2000, budget=500)
 
 

@@ -3,15 +3,17 @@
 import math
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from curvedkin import radii
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
                               regular_ngon, segment_body)
-from curvedkin.radii import (BodyMetrics, _disc_from_support, circumradius,
-                             inradius, metrics, smallest_enclosing_disc)
+from curvedkin.radii import (BodyMetrics, circumradius, inradius, metrics,
+                             smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, form_dot, gen_asin,
@@ -19,9 +21,10 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                sample_isometry)
 
 import exact
-from parent import (ParentPolygon, _circumcenter3, _midpoint, _normalize_rows,
-                    from_parent, old_disc_from_support, recursive_enclosing_disc,
-                    to_parent)
+from parent import (ParentPolygon, _circumcenter3, _disc_from_support,
+                    _midpoint, _normalize_rows, from_parent,
+                    old_disc_from_support, recursive_enclosing_disc, to_parent,
+                    welzl_enclosing_disc)
 # The chart and hemisphere search the library no longer has.
 from test_convex import _chart, hemisphere_direction
 
@@ -515,6 +518,8 @@ class TestMetrics:
 
 
 class TestWelzlDeterminism:
+    """The iterative Welzl, now an oracle, and the library's determinism."""
+
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_matches_recursive_form_bitwise(self, kappa):
         curv = Curvature(kappa)
@@ -522,7 +527,7 @@ class TestWelzlDeterminism:
         for _ in range(100):
             coords = random_body(
                 curv, rng, n_points=int(rng.integers(3, 30))).vertex_array
-            c, r = smallest_enclosing_disc(curv, coords)
+            c, r = welzl_enclosing_disc(curv, coords)
             c0, r0 = recursive_enclosing_disc(curv, coords)
             assert np.array_equal(c, c0) and r == r0
 
@@ -587,7 +592,7 @@ class TestDiscFromSupport:
         for _ in range(200):
             coords = random_body(
                 curv, rng, n_points=int(rng.integers(3, 30))).vertex_array
-            c, r = smallest_enclosing_disc(curv, coords)
+            c, r = welzl_enclosing_disc(curv, coords)
             c0, r0 = recursive_enclosing_disc(curv, to_parent(curv, coords),
                                               old_disc_from_support)
             c0 = from_parent(curv, c0)
@@ -607,3 +612,132 @@ class TestDiscFromSupport:
             assert exact.no_worse([x[col] for x in news], [x[col] for x in olds],
                                   [x[col] for x in refs],
                                   [x[col] for x in units]), col
+
+
+# R of the support enumeration against Welzl's, in units of R's ulp.  At
+# most 9 was seen, on the clouds of radius 3 at kappa = -2.
+WELZL_ULPS = 16
+
+
+def point_cloud(curv, rng, m):
+    """m points in a disc about the base point, not in convex position, so
+    that clouds of more than 12 points take the solver several rounds."""
+    reach = (0.9 * curv.hemisphere_limit if curv.kappa > 0
+             else 3.0 / max(1.0, curv.scale))
+    return np.array([exp_at_base(curv, float(rng.uniform(0.0, reach)),
+                                 float(rng.uniform(0, 2 * math.pi))).coords
+                     for _ in range(m)])
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """The working-set sizes of smallest_enclosing_disc's rounds, in order."""
+    sizes = []
+    enumerate_supports = radii._disc_candidates
+
+    def counted(curv, pts):
+        sizes.append(len(pts))
+        return enumerate_supports(curv, pts)
+
+    monkeypatch.setattr(radii, "_disc_candidates", counted)
+    return sizes
+
+
+class TestSupportEnumeration:
+    """The working-set enumeration against the Welzl minidisc it replaced."""
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_matches_welzl(self, kappa, rounds):
+        curv = Curvature(kappa)
+        rng = RandomStream(191)
+        news, olds, refs, units = [], [], [], []
+        most = 0
+        for _ in range(200):
+            coords = point_cloud(curv, rng, int(rng.integers(3, 31)))
+            rounds.clear()
+            c, r = smallest_enclosing_disc(curv, coords)
+            most = max(most, len(rounds))
+            c0, r0 = welzl_enclosing_disc(curv, coords)
+            # The same support: the points on each disc's rim.
+            rim = row_distances(curv, c, coords) >= r - 1e-9 * (1.0 + r)
+            rim0 = row_distances(curv, c0, coords) >= r0 - 1e-9 * (1.0 + r0)
+            assert np.array_equal(rim, rim0)
+            assert abs(r - r0) <= WELZL_ULPS * np.spacing(r0), (r, r0)
+            center = exact.circumcenter(kappa, coords[rim])
+            news.append([*c, r])
+            olds.append([*c0, r0])
+            near = exact.to_float(center)
+            refs.append([*center, exact.distance(kappa, near, coords[rim][0])])
+            # Both radii are the largest rounded distance to a rim point, so
+            # their unit is the largest of those distances' units.
+            units.append([exact.center_unit(kappa, coords[rim], center)] * 3 + [
+                max(exact.distance_ulp(kappa, near, p) for p in coords[rim])])
+        # The certificate sent some clouds past the first working set.
+        assert most > 1
+        # No worse than Welzl against 60-digit centers and radii.  Either
+        # radius takes a unit or two from whichever rim distance rounds up
+        # most; the worst seen is 2.46 units, at kappa = 1, against Welzl's
+        # 2.10.
+        for col, ulps in enumerate([2, 2, 2, 3]):
+            assert exact.no_worse([x[col] for x in news], [x[col] for x in olds],
+                                  [x[col] for x in refs],
+                                  [x[col] for x in units], ulps), col
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_regular_ngons(self, kappa):
+        # Every vertex is on the rim, so many supports give the one disc.
+        curv = Curvature(kappa)
+        for n in (3, 4, 6, 12, 13, 64):
+            va = regular_ngon(curv, 0.6, n).vertex_array
+            c, r = smallest_enclosing_disc(curv, va)
+            _, r0 = welzl_enclosing_disc(curv, va)
+            assert abs(r - 0.6) <= 2 * np.spacing(0.6), (n, r)
+            assert abs(r - r0) <= 2 * np.spacing(0.6), (n, r, r0)
+            assert np.all(row_distances(curv, c, va)
+                          >= r - 2 * np.spacing(0.6)), n
+            assert np.max(np.abs(c - [0.0, 0.0, 1.0])) <= 1e-16, (n, c)
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_point_and_segment(self, kappa):
+        curv = Curvature(kappa)
+        p = exp_at_base(curv, 0.4, 1.0)
+        c, r = smallest_enclosing_disc(curv, point_body(p).vertex_array)
+        assert np.array_equal(c, p.coords) and r == 0.0
+        seg = segment_body(exp_at_base(curv, 0.5, 0.3),
+                           exp_at_base(curv, 0.5, 0.3 + math.pi))
+        c, r = smallest_enclosing_disc(curv, seg.vertex_array)
+        c0, r0 = welzl_enclosing_disc(curv, seg.vertex_array)
+        assert np.array_equal(c, c0)
+        # Welzl measured to one end, the enumeration to the farther one.
+        assert abs(r - 0.5) <= 2 * np.spacing(0.5), r
+        assert abs(r - r0) <= 2 * np.spacing(0.5), (r, r0)
+
+    def test_hyperbolic_hexagon_at_radius_18(self):
+        curv = Curvature(-1.0)
+        R, center = circumradius(regular_ngon(curv, 18.0, 6))
+        assert R == 18.0
+        assert np.max(np.abs(center.coords - [0.0, 0.0, 1.0])) <= 1e-16
+
+    @pytest.mark.parametrize("coords", [
+        np.concatenate([np.eye(3), -np.eye(3)]),
+        np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        / math.sqrt(3.0),
+    ], ids=["octahedron", "tetrahedron"])
+    def test_hemisphere_error(self, coords):
+        # Sets in no closed hemisphere: every enclosing disc passes pi/2.
+        # No GeodesicPolygon holds them, so circumradius gets the fields it
+        # reads.
+        curv = Curvature(1.0)
+        _, r = smallest_enclosing_disc(curv, coords)
+        assert r > curv.hemisphere_limit
+        body = SimpleNamespace(curvature=curv, vertex_array=coords)
+        with pytest.raises(GeometryError,
+                           match="enclosing disc leaves the hemisphere"):
+            circumradius(body)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_1100_gon_in_one_round(self, kappa, rounds):
+        curv = Curvature(kappa)
+        R, _ = circumradius(regular_ngon(curv, 0.6, 1100, phase=0.1))
+        assert abs(R - 0.6) <= 2 * np.spacing(0.6)
+        assert rounds == [12]
