@@ -100,7 +100,13 @@ def smallest_enclosing_disc(curv: Curvature,
     least, enumerated on a working set S of points as in :func:`inradius`.
     The disc of S is final if every point lies within the chord of
     r_S + 1e-12 (1 + r_S); otherwise the farthest point joins S, which
-    raises r_S strictly.
+    raises r_S strictly.  If the farthest point is already in S, rounding
+    has the last word and the disc of S is returned.
+
+    On the sphere a disc is kept only where it lies on its rim points'
+    side, so the result is the smallest only for points in an open
+    hemisphere, the only ones the library relies on.  For other points it
+    is an enclosing disc of radius at least ``hemisphere_limit``.
     """
     work = _first_working_set(len(coords))
     while True:
@@ -115,7 +121,7 @@ def smallest_enclosing_disc(curv: Curvature,
         chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
         out = squared_chords(curv, cand[i], coords)
         j = int(np.argmax(out))
-        if not out[j] > chord * chord:
+        if not out[j] > chord * chord or j in work:
             return cand[i], r
         work = np.union1d(work, [j])
 

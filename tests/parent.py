@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from curvedkin import radii, surface
+from curvedkin import surface
 from curvedkin.convex import GeodesicPolygon
 from curvedkin.surface import (EPS, Curvature, GeometryError, bisector_normals,
                                cross3, gen_sin, libm_map, row_distances,
@@ -269,8 +269,30 @@ class ParentPolygon:
 # enumeration on a working set replaced it, with its support solver.  They
 # work on the library's own points, and are verbatim except that
 # _circumcenter3 is spelled _bisector_circumcenter3, and _midpoint and
-# _normalize_rows radii._midpoint and radii._normalize_rows, since this
-# module's own are the parent's.
+# _normalize_rows _welzl_midpoint and _welzl_normalize_rows, since this
+# module's own are the parent's.  Those two are copies of the library's as
+# Welzl called them, so that a later change there leaves the oracle alone;
+# they spell normalize_to_surface and form_dot with ``surface.`` for the
+# same reason.
+
+def _welzl_midpoint(curv: Curvature, p: np.ndarray,
+                    q: np.ndarray) -> np.ndarray:
+    return surface.normalize_to_surface(curv, p + q)
+
+
+def _welzl_normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
+    """The surface points on the lines through the rows of v.
+
+    Lines that meet the surface have G(v, v) > 0; rows at infinity or
+    spacelike ones drop out.  The sphere gives both points of a line, the
+    other surfaces the one with z > 0.
+    """
+    q = surface.form_dot(curv, v, v)
+    ok = q > 1e-28
+    w = v[ok] / np.sqrt(q[ok])[:, None]
+    return (np.concatenate([w, -w]) if curv.kappa > 0
+            else w * np.sign(w[:, 2:3]))
+
 
 def _bisector_circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
                             p3: np.ndarray) -> np.ndarray:
@@ -281,7 +303,7 @@ def _bisector_circumcenter3(curv: Curvature, p1: np.ndarray, p2: np.ndarray,
     """
     (ax, ay, az), (bx, by, bz) = bisector_normals(
         curv, np.array([p1, p2]), np.array([p2, p3])).tolist()
-    return radii._normalize_rows(curv, np.array(
+    return _welzl_normalize_rows(curv, np.array(
         [[ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]]))
 
 
@@ -291,7 +313,7 @@ def _disc_from_support(curv: Curvature,
     if len(support) < 2:
         return (support[0], 0.0) if len(support) else None
     if len(support) == 2:
-        c = radii._midpoint(curv, support[0], support[1])
+        c = _welzl_midpoint(curv, support[0], support[1])
         return c, float(row_distances(curv, c, support[0]))
     centers = _bisector_circumcenter3(curv, *support)
     if not len(centers):

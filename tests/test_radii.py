@@ -631,11 +631,16 @@ def point_cloud(curv, rng, m):
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """The working-set sizes of smallest_enclosing_disc's rounds, in order."""
+    """The working-set sizes of smallest_enclosing_disc's rounds, in order.
+
+    A round on a working set no larger than the last one's would repeat it
+    forever, so that fails at once; clear the list between solves.
+    """
     sizes = []
     enumerate_supports = radii._disc_candidates
 
     def counted(curv, pts):
+        assert not sizes or len(pts) > sizes[-1], sizes
         sizes.append(len(pts))
         return enumerate_supports(curv, pts)
 
@@ -734,6 +739,22 @@ class TestSupportEnumeration:
         with pytest.raises(GeometryError,
                            match="enclosing disc leaves the hemisphere"):
             circumradius(body)
+
+    def test_antipodes_off_the_sphere_by_rounding(self, rounds):
+        # |p|^2 = 1 + 1.6e-10 puts the pair's squared chord above 4, the
+        # clamped rim chord of r = pi, so the farthest point is one already
+        # in the working set.  The solve must end there, and the pair must
+        # still be refused.
+        curv = Curvature(1.0)
+        p = np.array([0.6, 0.0, 0.8000000001])
+        _, r = smallest_enclosing_disc(curv, np.array([p, -p]))
+        assert r >= curv.hemisphere_limit
+        assert rounds == [2]
+        rounds.clear()
+        with pytest.raises(GeometryError,
+                           match="points do not fit in an open hemisphere"):
+            GeodesicPolygon([SurfacePoint(p, curv), SurfacePoint(-p, curv)],
+                            curv)
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_1100_gon_in_one_round(self, kappa, rounds):
