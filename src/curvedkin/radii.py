@@ -99,9 +99,10 @@ def smallest_enclosing_disc(curv: Curvature,
     ``_disc_candidates`` whose largest squared chord to the points is
     least, enumerated on a working set S of points as in :func:`inradius`.
     The disc of S is final if every point lies within the chord of
-    r_S + 1e-12 (1 + r_S); otherwise the farthest point joins S, which
-    raises r_S strictly.  If the farthest point is already in S, rounding
-    has the last word and the disc of S is returned.
+    r_S + 1e-12 (1 + r_S); otherwise the farthest point joins S and the
+    round repeats.  A farthest point already in S is outside only by
+    rounding (on the sphere, r_S clamped at pi), so the disc of S is
+    returned; S grows every round, and the loop ends.
 
     On the sphere a disc is kept only where it lies on its rim points'
     side, so the result is the smallest only for points in an open
