@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .convex import GeodesicPolygon, convex_hull
 from .radii import BodyMetrics, metrics
-from .surface import (Curvature, GeometryError, RandomStream, exp_at_base,
-                      gen_sin, sample_positions)
+from .surface import (Curvature, GeometryError, RandomStream, area_radius,
+                      gen_sin, polar_rows, support_area)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -224,8 +226,8 @@ class SweepRow:
 def body_from_polar(curvature: Curvature,
                     polar_vertices: Sequence[tuple[float, float]]) -> GeodesicPolygon:
     """Hull of fixed (r, theta) vertex data realized on the given surface."""
-    pts = [exp_at_base(curvature, r, th) for r, th in polar_vertices]
-    return convex_hull(pts)
+    r, theta = np.array(polar_vertices, dtype=float).reshape(-1, 2).T
+    return convex_hull(polar_rows(curvature, r, theta), curvature)
 
 
 def kappa_limit_sweep(polar_vertices: Sequence[tuple[float, float]],
@@ -259,26 +261,26 @@ def _disc_radius_limit(curvature: Curvature) -> float:
     return (5.0 / 3.0) / max(1.0, curvature.scale)
 
 
-def random_point_in_disc(curvature: Curvature, rho: float,
-                         rng: RandomStream):
-    r, theta = sample_positions(curvature, rho, 1, rng)
-    return exp_at_base(curvature, float(r[0]), float(theta[0]))
-
-
 def random_convex_body(curvature: Curvature, rng: RandomStream,
                        min_vertices: int = 3, max_vertices: int = 12,
                        rho_limit: Optional[float] = None) -> GeodesicPolygon:
     """Hull of points drawn area-uniformly in a random disc about the base.
 
     The disc radius is uniform in [0.1, 0.9 * limit], covering both fat and
-    thin bodies; the result always has nonempty interior.
+    thin bodies; the result always has nonempty interior.  Each try draws
+    its m points' 2m doubles in one call, theta then the area u for each
+    point in turn: bit for bit m calls of :func:`sample_positions` for one
+    point, since numpy's uniform(low, high) is low + (high - low) times
+    the next double.
     """
     if rho_limit is None:
         rho_limit = _disc_radius_limit(curvature)
     while True:
         m = int(rng.integers(min_vertices, max_vertices + 1))
         rho = float(rng.uniform(0.1, 0.9 * rho_limit))
-        pts = [random_point_in_disc(curvature, rho, rng) for _ in range(m)]
-        hull = convex_hull(pts)
+        d = rng.uniform(0.0, 1.0, 2 * m)
+        r = area_radius(curvature, support_area(curvature, rho) * d[1::2])
+        hull = convex_hull(polar_rows(curvature, r, 2.0 * math.pi * d[::2]),
+                           curvature)
         if hull.dim == 2:
             return hull

@@ -14,13 +14,19 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
                       cross3, exp_at_base, geodesic_distance, libm_map,
-                      normalize_to_surface, row_distances, squared_chords)
+                      normalize_to_surface, row_distances, squared_chords,
+                      validate_rows)
+
+
+def next_rows(a: np.ndarray) -> np.ndarray:
+    """a's rows moved up by one, the first last: np.roll(a, -1, axis=0)."""
+    return np.concatenate([a[1:], a[:1]])
 
 
 def triple_indices(n: int) -> tuple[np.ndarray, ...]:
@@ -72,7 +78,7 @@ class GeodesicPolygon:
     def edge_planes(self) -> np.ndarray:
         """Unnormalized interior half-space normals: endpoint cross products."""
         va = self.vertex_array
-        return cross3(va, np.roll(va, -1, axis=0))[:len(self.edges)]
+        return cross3(va, next_rows(va))[:len(self.edges)]
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -114,8 +120,7 @@ class GeodesicPolygon:
         n = self.n_vertices
         va = self.vertex_array
         scale = float(np.max(np.abs(va))) + 1.0
-        nxt = np.roll(va, -1, axis=0)
-        repeated = np.all(np.abs(va - nxt) < EPS * scale, axis=1)
+        repeated = np.all(np.abs(va - next_rows(va)) < EPS * scale, axis=1)
         if n > 1 and repeated.any():
             i = int(np.argmax(repeated))
             raise GeometryError(f"repeated adjacent vertices {i}, {(i + 1) % n}")
@@ -247,24 +252,38 @@ def _hull_cycle(curv: Curvature, c: np.ndarray) -> list[int]:
     return hull
 
 
-def convex_hull(points: Iterable[SurfacePoint]) -> GeodesicPolygon:
-    """Minimal convex polygon containing the points; vertices are inputs."""
-    pts = list(points)
-    if not pts:
+def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
+                curvature: Optional[Curvature] = None) -> GeodesicPolygon:
+    """Minimal convex polygon containing the points; vertices are inputs.
+
+    The points are SurfacePoints, or, given their curvature, the rows of an
+    (m, 3) coordinate array, checked as :class:`SurfacePoint` checks a
+    point.  SurfacePoints become that array on entry, and only the hull's
+    vertices become SurfacePoints.
+    """
+    if curvature is None:
+        pts = list(points)
+        coords = np.array([p.coords for p in pts]).reshape(-1, 3)
+        if pts:
+            curvature = pts[0].curvature
+            for p in pts:
+                curvature.require_same(p.curvature)
+    else:
+        coords = validate_rows(curvature, points)
+    if not len(coords):
         raise GeometryError("empty point set")
-    curv = pts[0].curvature
-    for p in pts:
-        curv.require_same(p.curvature)
-    coords = np.array([p.coords for p in pts])
     # Drop points within tolerance of an earlier one.
     tol = EPS * (float(np.max(np.abs(coords))) + 1.0)
     near = np.max(np.abs(coords[:, None] - coords[None]), axis=2) <= tol
     keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
-    if len(keep) == 1:
-        return GeodesicPolygon([pts[keep[0]]], curv)
-    hull = _hull_cycle(curv, coords[keep])
-    chosen = _canonical_rotation([pts[keep[i]] for i in hull])
-    return GeodesicPolygon(chosen, curv)
+    if len(keep) > 1:
+        keep = keep[_hull_cycle(curvature, coords[keep])]
+    # Canonical form: the lexicographically smallest vertex first.
+    rows = coords[keep]
+    start = min(range(len(rows)), key=rows.tolist().__getitem__)
+    return GeodesicPolygon([SurfacePoint(c, curvature) for c in
+                            np.concatenate([rows[start:], rows[:start]])],
+                           curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +294,7 @@ def perimeter(K: GeodesicPolygon) -> float:
     """Boundary length; twice the length for a segment body, 0 for a point."""
     # A segment's vertex cycle runs there and back; a point's stays put.
     va = K.vertex_array
-    return sum(row_distances(K.curvature, va,
-                             np.roll(va, -1, axis=0)).tolist())
+    return sum(row_distances(K.curvature, va, next_rows(va)).tolist())
 
 
 def area(K: GeodesicPolygon) -> float:
@@ -368,7 +386,7 @@ def intersect_convex(K: GeodesicPolygon,
         coords = _clip_cycle(coords, nu, K.curvature, EPS * scale)
         if len(coords) == 0:
             return None
-    return convex_hull([SurfacePoint(c, K.curvature) for c in coords])
+    return convex_hull(coords, K.curvature)
 
 
 def euler_intersection(K: GeodesicPolygon, L: GeodesicPolygon) -> int:

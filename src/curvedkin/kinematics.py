@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import GeodesicPolygon, area, contains_point, perimeter
+from .convex import (GeodesicPolygon, area, contains_point, next_rows,
+                     perimeter)
 from .radii import circumradius
 from .surface import (EPS, GeometryError, Isometry, RandomStream, cross3,
                       fold_table, gen_cos_sin, motion_basis, motion_matrices,
@@ -76,8 +77,8 @@ def _mixed_table(curv, vK: np.ndarray, vL: np.ndarray) -> np.ndarray:
     separates the bodies iff the four share one strict sign.
     """
     def unit_normals(v):  # (2, n, 3): unit neighbour x vertex, both sides
-        c = cross3(np.stack([np.roll(v, 1, axis=0),
-                             np.roll(v, -1, axis=0)]), v)
+        c = cross3(np.stack([np.concatenate([v[-1:], v[:-1]]),
+                             next_rows(v)]), v)
         return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
     nK, nL = unit_normals(vK), unit_normals(vL)

@@ -10,12 +10,14 @@ Sharir and Welzl, Algorithmica 16, 1996).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import GeodesicPolygon, area, perimeter, triple_indices
+from .convex import (GeodesicPolygon, area, next_rows, perimeter,
+                     triple_indices)
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, squared_chords)
@@ -54,6 +56,26 @@ def _first_working_set(n: int) -> np.ndarray:
     return np.arange(m) * n // m
 
 
+def _index_arrays(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The pairs i < j and the triples i < j < k below n, as index arrays.
+
+    Read-only and cached for the sizes of a first working set, which are
+    the only sizes a random body's solve takes.  A grown set builds its own
+    and drops them with the solve: at n = 200 the triples take 32 MB.
+    """
+    if n <= _FIRST_WORKING_SET:
+        return _cached_index_arrays(n)
+    return np.triu_indices(n, 1), triple_indices(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_index_arrays(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    pairs, triples = np.triu_indices(n, 1), triple_indices(n)
+    for a in pairs + triples:
+        a.setflags(write=False)
+    return pairs, triples
+
+
 def _least(score, cand: np.ndarray, width: int) -> tuple[int, float]:
     """Index and value of the least score over the rows of cand, the first
     on ties; (-1, inf) if none.  score maps a block of rows to one value
@@ -78,8 +100,7 @@ def _disc_candidates(curv: Curvature, pts: np.ndarray) -> np.ndarray:
     its rim points' side, G(c, p) > 0, is kept: the nearer antipode on the
     sphere, z > 0 elsewhere.  Lines that miss the surface drop out.
     """
-    ii, jj = np.triu_indices(len(pts), 1)
-    ti, tj, tk = triple_indices(len(pts))
+    (ii, jj), (ti, tj, tk) = _index_arrays(len(pts))
     v = np.concatenate([pts[ii] + pts[jj],
                         cross3(bisector_normals(curv, pts[ti], pts[tj]),
                                bisector_normals(curv, pts[tj], pts[tk]))])
@@ -164,9 +185,8 @@ def _incenter_candidates(curv: Curvature, normals: np.ndarray) -> np.ndarray:
     """
     n = len(normals)
     lam = curv.line_form
-    ii, jj, kk = triple_indices(n)
-    triples = cross3(normals[ii] - normals[jj], normals[jj] - normals[kk])
-    ii, jj = np.triu_indices(n, 1)
+    (ii, jj), (ti, tj, tk) = _index_arrays(n)
+    triples = cross3(normals[ti] - normals[tj], normals[tj] - normals[tk])
     d = normals[ii] - normals[jj]
     s = normals[ii] + normals[jj]
     dd = (d * d) @ lam
@@ -190,7 +210,7 @@ def _close_working_set(curv: Curvature, normals: np.ndarray,
     """
     n = len(normals)
     while True:
-        nxt = np.roll(work, -1)
+        nxt = next_rows(work)
         w = cross3(normals[work], normals[nxt])
         gap = (nxt - work) % n
         bad = ((w[:, 2] <= 0) | (form_dot(curv, w, w) <= 0)) & (gap > 1)

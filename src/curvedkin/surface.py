@@ -314,9 +314,64 @@ def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:
         raise GeometryError(f"radius must be nonnegative, got {r}")
     if curvature.kappa > 0 and r >= math.pi / curvature.scale:
         raise GeometryError(f"radius {r} exceeds the injectivity bound")
+    return SurfacePoint(np.array(_polar_row(curvature, r, theta)), curvature)
+
+
+def _polar_row(curvature: Curvature, r: float, theta: float) -> tuple:
+    """Coordinates of the point at polar (r, theta), from math on floats."""
     c, s = gen_cos_sin(curvature, r)
-    return SurfacePoint(np.array([s * math.cos(theta), s * math.sin(theta),
-                                  c]), curvature)
+    return s * math.cos(theta), s * math.sin(theta), c
+
+
+def polar_rows(curvature: Curvature, r: np.ndarray,
+               theta: np.ndarray) -> np.ndarray:
+    """(m, 3) coordinates of the points at polar (r[i], theta[i]).
+
+    Row i is the coordinates of ``exp_at_base(curvature, r[i], theta[i])``,
+    bit for bit.  Its checks are made on the whole arrays, with its
+    messages; the rows are not checked against the quadric (see
+    :func:`validate_rows`).
+    """
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    bad = ~(np.isfinite(r) & np.isfinite(theta))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GeometryError(f"polar coordinates must be finite, got "
+                            f"r = {float(r[i])}, theta = {float(theta[i])}")
+    if (r < 0).any():
+        raise GeometryError(
+            f"radius must be nonnegative, got {float(r[np.argmax(r < 0)])}")
+    if curvature.kappa > 0:
+        out = r >= math.pi / curvature.scale
+        if out.any():
+            raise GeometryError(f"radius {float(r[np.argmax(out)])} exceeds "
+                                "the injectivity bound")
+    return np.array([_polar_row(curvature, t, th) for t, th in
+                     zip(r.tolist(), theta.tolist())]).reshape(-1, 3)
+
+
+def validate_rows(curvature: Curvature, coords) -> np.ndarray:
+    """coords as an (m, 3) float array whose every row is a point of the
+    surface, by the checks and messages of :class:`SurfacePoint`."""
+    c = np.asarray(coords, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise GeometryError(f"expected (m, 3) coordinates, got shape {c.shape}")
+    bad = ~np.isfinite(c).all(axis=1)
+    if bad.any():
+        x, y, z = c[np.argmax(bad)].tolist()
+        raise GeometryError(
+            f"point coordinates must be finite, got {x}, {y}, {z}")
+    k = curvature.kappa
+    x, y, z = c.T
+    xy, zz = x * x + y * y, z * z
+    q = zz + k * xy
+    off = ~(np.abs(q - 1.0) <= 1e-9 * (zz + abs(k) * xy))
+    if off.any():
+        raise GeometryError("point does not satisfy the quadric constraint: "
+                            f"{float(q[np.argmax(off)])} vs 1")
+    if k <= 0 and (z <= 0).any():
+        raise GeometryError("point must lie on the sheet z > 0")
+    return c
 
 
 def point_polar(p: SurfacePoint) -> tuple[float, float]:
@@ -442,13 +497,20 @@ def _position_draws(curvature: Curvature, support_radius: float, n: int,
 def sample_positions(curvature: Curvature, support_radius: float, n: int,
                      rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     """Area-uniform polar samples (r, theta) of the position part, over the
-    region of :func:`support_area`.
-
-    Disc area is 4 pi gen_sin^2(r/2), so the drawn area u gives
-    r = 2 gen_asin(sqrt(u/4pi)), which keeps its digits as r -> 0.
+    region of :func:`support_area`: the drawn area u gives r by
+    :func:`area_radius`.
     """
     theta, u = _position_draws(curvature, support_radius, n, rng)
-    return 2.0 * gen_asin(curvature, np.sqrt(u / (4.0 * math.pi))), theta
+    return area_radius(curvature, u), theta
+
+
+def area_radius(curvature: Curvature, u: np.ndarray) -> np.ndarray:
+    """Radii of the discs of areas u.
+
+    Disc area is 4 pi gen_sin^2(r/2), so r = 2 gen_asin(sqrt(u/4pi)), which
+    keeps its digits as r -> 0.
+    """
+    return 2.0 * gen_asin(curvature, np.sqrt(u / (4.0 * math.pi)))
 
 
 def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

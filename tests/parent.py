@@ -23,6 +23,10 @@ clip loop took segments on half-spaces, moved verbatim except that
 ``normalize_to_surface`` is spelled ``surface.normalize_to_surface``, since
 this module's own is the parent's.  Last, :func:`segment_contains_point` is
 the sum-of-distances test that the library's segment containment was.
+:func:`random_convex_body` and :func:`random_point_in_disc` are the random
+body generator as it was before it drew each body's stream in one call and
+built its points as one coordinate array: one point, one draw of theta and
+one of u, one ``exp_at_base`` at a time.
 """
 
 import math
@@ -32,9 +36,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from curvedkin import surface
-from curvedkin.convex import GeodesicPolygon
-from curvedkin.surface import (EPS, Curvature, GeometryError, bisector_normals,
-                               cross3, gen_sin, libm_map, row_distances,
+from curvedkin.bonnesen import _disc_radius_limit
+from curvedkin.convex import GeodesicPolygon, convex_hull
+from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
+                               bisector_normals, cross3, exp_at_base, gen_sin,
+                               libm_map, row_distances, sample_positions,
                                squared_chords)
 
 # The Minkowski signs of the parent's form for kappa < 0.
@@ -525,3 +531,30 @@ def segment_contains_point(K: GeodesicPolygon, p: surface.SurfacePoint) -> bool:
     a, b = K.vertices
     return (surface.geodesic_distance(a, p) + surface.geodesic_distance(p, b)
             <= surface.geodesic_distance(a, b) + tol)
+
+
+# The random body generator before it drew each body's stream in one call.
+
+def random_point_in_disc(curvature: Curvature, rho: float,
+                         rng: RandomStream):
+    r, theta = sample_positions(curvature, rho, 1, rng)
+    return exp_at_base(curvature, float(r[0]), float(theta[0]))
+
+
+def random_convex_body(curvature: Curvature, rng: RandomStream,
+                       min_vertices: int = 3, max_vertices: int = 12,
+                       rho_limit: Optional[float] = None) -> GeodesicPolygon:
+    """Hull of points drawn area-uniformly in a random disc about the base.
+
+    The disc radius is uniform in [0.1, 0.9 * limit], covering both fat and
+    thin bodies; the result always has nonempty interior.
+    """
+    if rho_limit is None:
+        rho_limit = _disc_radius_limit(curvature)
+    while True:
+        m = int(rng.integers(min_vertices, max_vertices + 1))
+        rho = float(rng.uniform(0.1, 0.9 * rho_limit))
+        pts = [random_point_in_disc(curvature, rho, rng) for _ in range(m)]
+        hull = convex_hull(pts)
+        if hull.dim == 2:
+            return hull

@@ -19,6 +19,7 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                disc_perimeter, exp_at_base, gen_sin)
 
 import exact
+import parent
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -401,3 +402,42 @@ class TestRandomBodyGenerator:
             if kappa > 0:
                 m = metrics(body)
                 assert m.R_circ < c.hemisphere_limit
+
+
+class TestOneDrawPerBody:
+    """The generator against the per-point one it replaced (tests/parent.py):
+    the same bodies, bit for bit, and the stream left at the same place."""
+
+    KAPPAS = [2.0, -2.0, 1.0, -1.0, 0.25, -0.25, 0.0, 1e-9, -1e-9]
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kwargs", [{"max_vertices": 8},
+                                        {"max_vertices": 12},
+                                        {"rho_limit": 0.3}],
+                             ids=["max8", "max12", "rho0.3"])
+    def test_same_bodies_as_per_point_draws(self, kappa, kwargs):
+        c = Curvature(kappa)
+        new, old = RandomStream(5), RandomStream(5)
+        for _ in range(200):
+            K = random_convex_body(c, new, **kwargs)
+            L = parent.random_convex_body(c, old, **kwargs)
+            assert np.array_equal(K.vertex_array, L.vertex_array)
+        assert new.uniform() == old.uniform()
+
+    @pytest.mark.parametrize("rho_limit", [1.2 * math.pi, 10.0])
+    def test_sphere_past_the_injectivity_bound(self, rho_limit):
+        # Discs past pi cover the sphere; the hull then finds no hemisphere.
+        errors = 0
+        for seed in range(40):
+            results = []
+            for make in (random_convex_body, parent.random_convex_body):
+                rng = RandomStream(seed)
+                try:
+                    body = make(Curvature(1.0), rng, rho_limit=rho_limit)
+                    result = body.vertex_array.tobytes()
+                except GeometryError as e:
+                    result = str(e)
+                results.append((result, rng.uniform()))
+            assert results[0] == results[1]
+            errors += isinstance(results[0][0], str)
+        assert errors > 0

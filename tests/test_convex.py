@@ -11,14 +11,16 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, _canonical_rotation,
                               area, contains_point, convex_hull,
                               euler_intersection, intersect_convex,
-                              perimeter, point_body, polygons_close,
-                              regular_ngon, segment_body, triple_indices)
+                              next_rows, perimeter, point_body,
+                              polygons_close, regular_ngon, segment_body,
+                              triple_indices)
 from curvedkin.radii import metrics
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                exp_at_base, normalize_to_surface,
-                               rotation_about_base, sample_isometry,
-                               translation_by_polar, translation_to)
+                               polar_rows, rotation_about_base,
+                               sample_isometry, translation_by_polar,
+                               translation_to)
 
 import exact
 from parent import (DegeneratePosition, ParentPolygon, _J,
@@ -1236,3 +1238,77 @@ class TestEdgePlaneHull:
         R = 1.2
         K = regular_ngon(Curvature(1.0), R, 1100, phase=0.1)
         assert abs(metrics(K).R_circ - R) <= 1e-9
+
+
+def error_of(make) -> str:
+    with pytest.raises(GeometryError) as e:
+        make()
+    return str(e.value)
+
+
+class TestArrayHull:
+    """convex_hull on a coordinate array: the hull of the same SurfacePoints,
+    and every row checked as SurfacePoint checks a point."""
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_same_hull_as_points(self, kappa):
+        c = Curvature(kappa)
+        rng = RandomStream(23)
+        for _ in range(50):
+            n = int(rng.integers(1, 10))
+            r = 0.8 * rng.uniform(0.0, 1.0, n)
+            coords = polar_rows(c, r, rng.uniform(0.0, 2 * math.pi, n))
+            K = convex_hull(coords, c)
+            L = convex_hull([SurfacePoint(row, c) for row in coords])
+            assert np.array_equal(K.vertex_array, L.vertex_array)
+            assert all(v.curvature == c for v in K.vertices)
+
+    @pytest.mark.parametrize("kappa,row", [
+        (1.0, [math.nan, 0.0, 1.0]), (0.0, [0.0, math.inf, 1.0]),
+        (-1.0, [0.0, 0.0, -math.inf]),
+        (1.0, [0.1, 0.0, 1.1]), (0.0, [0.2, 0.1, 1.5]),
+        (-1.0, [0.3, 0.0, 1.0]),
+        (0.0, [0.2, 0.1, -1.0]), (-1.0, [0.0, 0.0, -1.0]),
+        (-0.25, [2.0, 0.0, -math.sqrt(2.0)])])
+    def test_bad_row_raises_as_a_point_does(self, kappa, row):
+        c = Curvature(kappa)
+        message = error_of(lambda: SurfacePoint(np.array(row), c))
+        coords = np.array([exp_at_base(c, 0.3, th).coords
+                           for th in (0.0, 2.0, 4.0)] + [row])
+        assert error_of(lambda: convex_hull(coords, c)) == message
+
+    def test_shape_and_empty(self):
+        c = Curvature(0.0)
+        with pytest.raises(GeometryError, match="expected"):
+            convex_hull(np.zeros((2, 2)), c)
+        with pytest.raises(GeometryError, match="empty point set"):
+            convex_hull(np.empty((0, 3)), c)
+        with pytest.raises(GeometryError, match="empty point set"):
+            convex_hull([])
+
+
+class TestPolarRows:
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS + [1e-9, -1e-9])
+    def test_rows_are_exp_at_base(self, kappa):
+        c = Curvature(kappa)
+        rng = RandomStream(29)
+        r, th = rng.uniform(0.0, 1.5, 40), rng.uniform(0.0, 2 * math.pi, 40)
+        expected = [exp_at_base(c, a, b).coords
+                    for a, b in zip(r.tolist(), th.tolist())]
+        assert np.array_equal(polar_rows(c, r, th), np.array(expected))
+
+    @pytest.mark.parametrize("kappa,r,theta", [
+        (1.0, math.nan, 0.1), (0.0, math.inf, 0.1), (-1.0, 0.5, math.nan),
+        (0.0, -0.5, 1.0), (1.0, math.pi, 0.0), (4.0, 1.6, 2.0)])
+    def test_errors_as_exp_at_base(self, kappa, r, theta):
+        c = Curvature(kappa)
+        message = error_of(lambda: exp_at_base(c, r, theta))
+        assert error_of(lambda: polar_rows(
+            c, np.array([0.2, r, 0.3]), np.array([0.0, theta, 1.0]))) \
+            == message
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3), (4,), (0, 3)])
+def test_next_rows_is_roll(shape):
+    a = np.arange(float(np.prod(shape))).reshape(shape)
+    assert np.array_equal(next_rows(a), np.roll(a, -1, axis=0))

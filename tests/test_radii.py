@@ -11,7 +11,7 @@ import pytest
 from curvedkin import radii
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
-                              regular_ngon, segment_body)
+                              regular_ngon, segment_body, triple_indices)
 from curvedkin.radii import (BodyMetrics, circumradius, inradius, metrics,
                              smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
@@ -762,3 +762,21 @@ class TestSupportEnumeration:
         R, _ = circumradius(regular_ngon(curv, 0.6, 1100, phase=0.1))
         assert abs(R - 0.6) <= 2 * np.spacing(0.6)
         assert rounds == [12]
+
+
+class TestIndexArrays:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_pairs_and_triples(self, n):
+        pairs, triples = radii._index_arrays(n)
+        for got, want in zip(pairs + triples,
+                             np.triu_indices(n, 1) + triple_indices(n)):
+            assert np.array_equal(got, want)
+
+    def test_cached_read_only_up_to_the_first_working_set(self):
+        small = radii._FIRST_WORKING_SET
+        assert radii._index_arrays(small) is radii._index_arrays(small)
+        pairs, triples = radii._index_arrays(small)
+        assert not any(a.flags.writeable for a in pairs + triples)
+        # A grown working set's arrays are not kept.
+        assert (radii._index_arrays(small + 1)[1][0]
+                is not radii._index_arrays(small + 1)[1][0])
