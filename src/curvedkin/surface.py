@@ -171,18 +171,7 @@ class SurfacePoint:
         self._validate()
 
     def _validate(self):
-        k = self.curvature.kappa
-        x, y, z = self.coords
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise GeometryError(
-                f"point coordinates must be finite, got {x}, {y}, {z}")
-        # Relative to the terms' size, which far out cancel to 1.
-        q = z * z + k * (x * x + y * y)
-        if not abs(q - 1.0) <= 1e-9 * (z * z + abs(k) * (x * x + y * y)):
-            raise GeometryError(
-                f"point does not satisfy the quadric constraint: {q} vs 1")
-        if k <= 0 and z <= 0:
-            raise GeometryError("point must lie on the sheet z > 0")
+        _check_point(self.curvature.kappa, *self.coords.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, SurfacePoint)
@@ -191,6 +180,31 @@ class SurfacePoint:
 
     def __hash__(self):
         return hash((self.curvature.kappa, tuple(self.coords)))
+
+
+def _check_point(k: float, x: float, y: float, z: float) -> None:
+    """Raise unless (x, y, z) is a point of the surface of curvature k."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise GeometryError(
+            f"point coordinates must be finite, got {x}, {y}, {z}")
+    # Relative to the terms' size, which far out cancel to 1.
+    q = z * z + k * (x * x + y * y)
+    if not abs(q - 1.0) <= 1e-9 * (z * z + abs(k) * (x * x + y * y)):
+        raise GeometryError(
+            f"point does not satisfy the quadric constraint: {q} vs 1")
+    if k <= 0 and z <= 0:
+        raise GeometryError("point must lie on the sheet z > 0")
+
+
+def validate_rows(curvature: Curvature, coords) -> np.ndarray:
+    """coords as an (m, 3) float array, each row checked as
+    :class:`SurfacePoint` checks a point, the first failing row raising."""
+    c = np.asarray(coords, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise GeometryError(f"expected (m, 3) coordinates, got shape {c.shape}")
+    for row in c.tolist():
+        _check_point(curvature.kappa, *row)
+    return c
 
 
 def base_point(curvature: Curvature) -> SurfacePoint:
@@ -307,6 +321,23 @@ def geodesic_distance(p: SurfacePoint, q: SurfacePoint) -> float:
 
 def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:
     """Point at geodesic distance r from the base point, in direction theta."""
+    return SurfacePoint(np.array(_polar_row(curvature, r, theta)), curvature)
+
+
+def polar_rows(curvature: Curvature, r: np.ndarray,
+               theta: np.ndarray) -> np.ndarray:
+    """(m, 3) coordinates of the points at polar (r[i], theta[i]): row i is
+    ``exp_at_base(curvature, r[i], theta[i])``'s, bit for bit, with its
+    checks of r and theta; the rows are not checked against the quadric
+    (see :func:`validate_rows`)."""
+    return np.array([_polar_row(curvature, t, th) for t, th in
+                     zip(np.asarray(r, dtype=float).tolist(),
+                         np.asarray(theta, dtype=float).tolist())]
+                    ).reshape(-1, 3)
+
+
+def _polar_row(curvature: Curvature, r: float, theta: float) -> tuple:
+    """Coordinates of the point at polar (r, theta), by math on floats."""
     if not (math.isfinite(r) and math.isfinite(theta)):
         raise GeometryError(
             f"polar coordinates must be finite, got r = {r}, theta = {theta}")
@@ -314,64 +345,8 @@ def exp_at_base(curvature: Curvature, r: float, theta: float) -> SurfacePoint:
         raise GeometryError(f"radius must be nonnegative, got {r}")
     if curvature.kappa > 0 and r >= math.pi / curvature.scale:
         raise GeometryError(f"radius {r} exceeds the injectivity bound")
-    return SurfacePoint(np.array(_polar_row(curvature, r, theta)), curvature)
-
-
-def _polar_row(curvature: Curvature, r: float, theta: float) -> tuple:
-    """Coordinates of the point at polar (r, theta), from math on floats."""
     c, s = gen_cos_sin(curvature, r)
     return s * math.cos(theta), s * math.sin(theta), c
-
-
-def polar_rows(curvature: Curvature, r: np.ndarray,
-               theta: np.ndarray) -> np.ndarray:
-    """(m, 3) coordinates of the points at polar (r[i], theta[i]).
-
-    Row i is the coordinates of ``exp_at_base(curvature, r[i], theta[i])``,
-    bit for bit.  Its checks are made on the whole arrays, with its
-    messages; the rows are not checked against the quadric (see
-    :func:`validate_rows`).
-    """
-    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
-    bad = ~(np.isfinite(r) & np.isfinite(theta))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise GeometryError(f"polar coordinates must be finite, got "
-                            f"r = {float(r[i])}, theta = {float(theta[i])}")
-    if (r < 0).any():
-        raise GeometryError(
-            f"radius must be nonnegative, got {float(r[np.argmax(r < 0)])}")
-    if curvature.kappa > 0:
-        out = r >= math.pi / curvature.scale
-        if out.any():
-            raise GeometryError(f"radius {float(r[np.argmax(out)])} exceeds "
-                                "the injectivity bound")
-    return np.array([_polar_row(curvature, t, th) for t, th in
-                     zip(r.tolist(), theta.tolist())]).reshape(-1, 3)
-
-
-def validate_rows(curvature: Curvature, coords) -> np.ndarray:
-    """coords as an (m, 3) float array whose every row is a point of the
-    surface, by the checks and messages of :class:`SurfacePoint`."""
-    c = np.asarray(coords, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 3:
-        raise GeometryError(f"expected (m, 3) coordinates, got shape {c.shape}")
-    bad = ~np.isfinite(c).all(axis=1)
-    if bad.any():
-        x, y, z = c[np.argmax(bad)].tolist()
-        raise GeometryError(
-            f"point coordinates must be finite, got {x}, {y}, {z}")
-    k = curvature.kappa
-    x, y, z = c.T
-    xy, zz = x * x + y * y, z * z
-    q = zz + k * xy
-    off = ~(np.abs(q - 1.0) <= 1e-9 * (zz + abs(k) * xy))
-    if off.any():
-        raise GeometryError("point does not satisfy the quadric constraint: "
-                            f"{float(q[np.argmax(off)])} vs 1")
-    if k <= 0 and (z <= 0).any():
-        raise GeometryError("point must lie on the sheet z > 0")
-    return c
 
 
 def point_polar(p: SurfacePoint) -> tuple[float, float]:
