@@ -269,9 +269,9 @@ def random_convex_body(curvature: Curvature, rng: RandomStream,
     The disc radius is uniform in [0.1, 0.9 * limit], covering both fat and
     thin bodies; the result always has nonempty interior.  Each try draws
     its m points' 2m doubles in one call, theta then the area u for each
-    point in turn: bit for bit m calls of :func:`sample_positions` for one
-    point, since numpy's uniform(low, high) is low + (high - low) times
-    the next double.
+    point in turn: bit for bit m per-point draws of theta in [0, 2 pi) and
+    of u in [0, support_area(rho)], since numpy's uniform(low, high) is
+    low + (high - low) times the next double.
     """
     if rho_limit is None:
         rho_limit = _disc_radius_limit(curvature)

@@ -1,9 +1,9 @@
 """Geodesically convex polygons on the model surfaces.
 
-A polygon is an ordered counterclockwise cycle of surface points.  One and
-two vertex bodies (points and segments) are first-class: the perimeter
-convention doubles a segment's length, and several inequality stress cases
-need them.
+A polygon is an ordered counterclockwise cycle of surface points, stored as
+one read-only (n, 3) array of their coordinates.  One and two vertex bodies
+(points and segments) are first-class: the perimeter convention doubles a
+segment's length, and several inequality stress cases need them.
 
 Geodesics are traces of planes through the origin of the embedding, so a
 single orientation predicate, the sign of det(a, b, p), answers every
@@ -19,9 +19,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
-                      cross3, exp_at_base, geodesic_distance, libm_map,
-                      normalize_to_surface, row_distances, squared_chords,
-                      validate_rows)
+                      cross3, libm_map, normalize_to_surface, polar_rows,
+                      row_distances, squared_chords, validate_rows)
 
 
 def next_rows(a: np.ndarray) -> np.ndarray:
@@ -35,31 +34,48 @@ def triple_indices(n: int) -> tuple[np.ndarray, ...]:
     return np.nonzero(less[:, :, None] & less[None, :, :])
 
 
-class GeodesicPolygon:
-    """Compact convex polygon; immutable after construction."""
+def _checked_rows(points: Union[Iterable[SurfacePoint], np.ndarray],
+                  curvature: Optional[Curvature]) -> tuple:
+    """A new (m, 3) coordinate array of the points, and their curvature.
 
-    def __init__(self, vertices: Sequence[SurfacePoint],
-                 curvature: Optional[Curvature] = None):
-        vertices = tuple(vertices)
-        if not vertices:
-            raise GeometryError("polygon needs at least one vertex")
+    The points are SurfacePoints of one curvature, or the rows of an (m, 3)
+    array given its curvature, checked as :class:`SurfacePoint` checks a
+    point.  The curvature stays None only for no points.
+    """
+    if isinstance(points, np.ndarray):
         if curvature is None:
-            curvature = vertices[0].curvature
-        for v in vertices:
-            curvature.require_same(v.curvature)
-        self.vertices = vertices
-        self.curvature = curvature
+            raise GeometryError("coordinate rows need their curvature")
+        return validate_rows(curvature, points.astype(float)), curvature
+    pts = list(points)
+    if pts and curvature is None:
+        curvature = pts[0].curvature
+    for p in pts:
+        curvature.require_same(p.curvature)
+    return np.array([p.coords for p in pts]).reshape(-1, 3), curvature
+
+
+class GeodesicPolygon:
+    """Compact convex polygon; immutable after construction.
+
+    Its vertices are kept as one read-only (n, 3) array, ``vertex_array``;
+    ``vertices`` builds their SurfacePoints on demand.
+    """
+
+    def __init__(self, vertices: Union[Sequence[SurfacePoint], np.ndarray],
+                 curvature: Optional[Curvature] = None):
+        self.vertex_array, self.curvature = _checked_rows(vertices, curvature)
+        if not self.n_vertices:
+            raise GeometryError("polygon needs at least one vertex")
+        self.vertex_array.setflags(write=False)
         self._validate()
 
     @cached_property
-    def vertex_array(self) -> np.ndarray:
-        a = np.array([v.coords for v in self.vertices])
-        a.setflags(write=False)
-        return a
+    def vertices(self) -> tuple[SurfacePoint, ...]:
+        return tuple(SurfacePoint(c, self.curvature) for c in self.vertex_array)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_array)
 
     @property
     def dim(self) -> int:
@@ -68,11 +84,7 @@ class GeodesicPolygon:
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         n = self.n_vertices
-        if n == 1:
-            return []
-        if n == 2:
-            return [(0, 1)]
-        return [(i, (i + 1) % n) for i in range(n)]
+        return [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)]
 
     @cached_property
     def edge_planes(self) -> np.ndarray:
@@ -169,9 +181,12 @@ class GeodesicPolygon:
                 * np.atleast_2d(coords)[None, :, :]).sum(axis=-1)
 
     def transformed(self, g: Isometry) -> "GeodesicPolygon":
+        """The body moved by g.  One stacked matrix-vector product, which
+        rounds as g.apply does each vertex; va @ g.matrix.T would not."""
         self.curvature.require_same(g.curvature)
-        return GeodesicPolygon([g.apply(v) for v in self.vertices],
-                               self.curvature)
+        return GeodesicPolygon(
+            (g.matrix[None] @ self.vertex_array[:, :, None])[:, :, 0],
+            self.curvature)
 
     def __repr__(self):
         return (f"GeodesicPolygon(kappa={self.curvature.kappa}, "
@@ -186,10 +201,10 @@ def segment_body(a: SurfacePoint, b: SurfacePoint) -> GeodesicPolygon:
     return GeodesicPolygon([a, b])
 
 
-def _canonical_rotation(points: list[SurfacePoint]) -> list[SurfacePoint]:
-    """Rotate the cycle so the lexicographically smallest vertex is first."""
-    start = min(range(len(points)), key=lambda i: tuple(points[i].coords))
-    return points[start:] + points[:start]
+def _canonical(rows: np.ndarray) -> np.ndarray:
+    """The cycle of rows rotated so the lexicographically smallest is first."""
+    start = min(range(len(rows)), key=rows.tolist().__getitem__)
+    return np.concatenate([rows[start:], rows[:start]])
 
 
 def _hull_cycle(curv: Curvature, c: np.ndarray) -> list[int]:
@@ -256,20 +271,9 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
                 curvature: Optional[Curvature] = None) -> GeodesicPolygon:
     """Minimal convex polygon containing the points; vertices are inputs.
 
-    The points are SurfacePoints, or, given their curvature, the rows of an
-    (m, 3) coordinate array, checked as :class:`SurfacePoint` checks a
-    point.  SurfacePoints become that array on entry, and only the hull's
-    vertices become SurfacePoints.
+    The points are taken as :class:`GeodesicPolygon` takes its vertices.
     """
-    if curvature is None:
-        pts = list(points)
-        coords = np.array([p.coords for p in pts]).reshape(-1, 3)
-        if pts:
-            curvature = pts[0].curvature
-            for p in pts:
-                curvature.require_same(p.curvature)
-    else:
-        coords = validate_rows(curvature, points)
+    coords, curvature = _checked_rows(points, curvature)
     if not len(coords):
         raise GeometryError("empty point set")
     # Drop points within tolerance of an earlier one.
@@ -278,12 +282,7 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
     keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
     if len(keep) > 1:
         keep = keep[_hull_cycle(curvature, coords[keep])]
-    # Canonical form: the lexicographically smallest vertex first.
-    rows = coords[keep]
-    start = min(range(len(rows)), key=rows.tolist().__getitem__)
-    return GeodesicPolygon([SurfacePoint(c, curvature) for c in
-                            np.concatenate([rows[start:], rows[:start]])],
-                           curvature)
+    return GeodesicPolygon(_canonical(coords[keep]), curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +326,19 @@ def area(K: GeodesicPolygon) -> float:
     return sum(tri.tolist())
 
 
+def contains_rows(K: GeodesicPolygon, rows: np.ndarray) -> np.ndarray:
+    """Which of the (m, 3) surface points lie in K?  Boundary points count
+    as contained (within tolerance)."""
+    tol = EPS * (float(np.max(np.abs(K.vertex_array))) + 1.0)
+    if K.n_vertices == 1:
+        return row_distances(K.curvature, K.vertex_array[0], rows) <= tol
+    return ((K.half_spaces[:, None] * rows).sum(axis=-1) >= -tol).all(axis=0)
+
+
 def contains_point(K: GeodesicPolygon, p: SurfacePoint) -> bool:
     """Is p in K?  Boundary points count as contained (within tolerance)."""
     K.curvature.require_same(p.curvature)
-    scale = float(np.max(np.abs(K.vertex_array))) + 1.0
-    tol = EPS * scale
-    if K.n_vertices == 1:
-        return geodesic_distance(K.vertices[0], p) <= tol
-    return bool(np.min((K.half_spaces * p.coords).sum(axis=-1)) >= -tol)
+    return bool(contains_rows(K, p.coords[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ def intersect_convex(K: GeodesicPolygon,
     if L.dim < K.dim:
         K, L = L, K
     if L.dim == 0:
-        return K if contains_point(L, K.vertices[0]) else None
+        return K if contains_rows(L, K.vertex_array[:1])[0] else None
     scale = float(max(np.max(np.abs(K.vertex_array)),
                       np.max(np.abs(L.vertex_array)))) + 1.0
     coords = K.vertex_array
@@ -403,9 +407,8 @@ def regular_ngon(curvature: Curvature, r: float, n: int,
     """Regular n-gon inscribed in the disc of radius r about the base point."""
     if n < 3:
         raise GeometryError("regular polygon needs n >= 3")
-    verts = [exp_at_base(curvature, r, phase + 2.0 * math.pi * i / n)
-             for i in range(n)]
-    return GeodesicPolygon(verts, curvature)
+    theta = [phase + 2.0 * math.pi * i / n for i in range(n)]
+    return GeodesicPolygon(polar_rows(curvature, [r] * n, theta), curvature)
 
 
 def polygons_close(K: GeodesicPolygon, L: GeodesicPolygon,
@@ -413,6 +416,5 @@ def polygons_close(K: GeodesicPolygon, L: GeodesicPolygon,
     """Vertex-wise equality in canonical form, within tolerance."""
     if K.n_vertices != L.n_vertices or K.curvature.kappa != L.curvature.kappa:
         return False
-    va = np.array([p.coords for p in _canonical_rotation(list(K.vertices))])
-    vb = np.array([p.coords for p in _canonical_rotation(list(L.vertices))])
+    va, vb = _canonical(K.vertex_array), _canonical(L.vertex_array)
     return bool(np.max(np.abs(va - vb)) <= tol)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, area, contains_point, next_rows,
+from .convex import (GeodesicPolygon, area, contains_rows, next_rows,
                      perimeter)
 from .radii import circumradius
 from .surface import (EPS, GeometryError, Isometry, RandomStream, cross3,
@@ -236,7 +236,8 @@ def containment_criterion(K: GeodesicPolygon, L: GeodesicPolygon,
 
 def body_contains(outer: GeodesicPolygon, inner: GeodesicPolygon) -> bool:
     """Vertex containment; equivalent to inclusion for convex bodies."""
-    return all(contains_point(outer, v) for v in inner.vertices)
+    outer.curvature.require_same(inner.curvature)
+    return bool(contains_rows(outer, inner.vertex_array).all())
 
 
 def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,

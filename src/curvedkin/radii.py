@@ -46,10 +46,6 @@ class BodyMetrics:
         return self.incenter.curvature.kappa
 
 
-def _midpoint(curv: Curvature, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return normalize_to_surface(curv, p + q)
-
-
 def _first_working_set(n: int) -> np.ndarray:
     """Up to _FIRST_WORKING_SET evenly spaced indices below n: all for small n."""
     m = min(n, _FIRST_WORKING_SET)
@@ -106,7 +102,7 @@ def _disc_candidates(curv: Curvature, pts: np.ndarray) -> np.ndarray:
                                bisector_normals(curv, pts[tj], pts[tk]))])
     rim = np.concatenate([pts[ii], pts[ti]])
     q = form_dot(curv, v, v)
-    ok = q > 1e-28
+    ok = q > 0.0
     w = v[ok] / np.sqrt(q[ok])[:, None]
     w[form_dot(curv, w, rim[ok]) < 0.0] *= -1.0
     return np.concatenate([pts, w])
@@ -242,10 +238,10 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     """
     curv = K.curvature
     if K.dim == 0:
-        return 0.0, K.vertices[0]
+        return 0.0, SurfacePoint(K.vertex_array[0], curv)
     if K.dim == 1:
-        mid = _midpoint(curv, *K.vertex_array)
-        return 0.0, SurfacePoint(mid, curv)
+        va = K.vertex_array
+        return 0.0, SurfacePoint(normalize_to_surface(curv, va[0] + va[1]), curv)
     normals = K.edge_normals
     work = _first_working_set(len(normals))
     while True:

@@ -460,25 +460,6 @@ def support_area(curvature: Curvature, support_radius: float) -> float:
                                     2.0 * curvature.hemisphere_limit))
 
 
-def _position_draws(curvature: Curvature, support_radius: float, n: int,
-                    rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """theta, then the area u uniform on [0, support_area(support_radius)]."""
-    if support_radius <= 0:
-        raise GeometryError("support radius must be positive")
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    return theta, rng.uniform(0.0, support_area(curvature, support_radius), n)
-
-
-def sample_positions(curvature: Curvature, support_radius: float, n: int,
-                     rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Area-uniform polar samples (r, theta) of the position part, over the
-    region of :func:`support_area`: the drawn area u gives r by
-    :func:`area_radius`.
-    """
-    theta, u = _position_draws(curvature, support_radius, n, rng)
-    return area_radius(curvature, u), theta
-
-
 def area_radius(curvature: Curvature, u: np.ndarray) -> np.ndarray:
     """Radii of the discs of areas u.
 
@@ -575,14 +556,18 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     """Haar samples ((a, b), theta, phi) of motions t_x . gamma, vectorized.
 
     gamma is a uniform rotation by phi about x0, and x = (r, theta) is
-    area-uniform over the region of :func:`support_area`, drawn as
-    :func:`sample_positions` draws it.  The radial pair (a, b) =
-    gen_cos_sin(r) comes straight from the drawn area u: a = 1 - kappa u/2pi
-    and b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
+    area-uniform over the region of :func:`support_area`: theta is drawn
+    first, then the area u uniform on [0, support_area(support_radius)],
+    whose disc has radius r = area_radius(u).  The radial pair (a, b) =
+    gen_cos_sin(r) comes straight from u: a = 1 - kappa u/2pi and
+    b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
     b^2 = (1 - a^2)/kappa elsewhere.  So no sample takes an inverse only to
     take the cosine and sine again.
     """
-    theta, u = _position_draws(curvature, support_radius, n, rng)
+    if support_radius <= 0:
+        raise GeometryError("support radius must be positive")
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    u = rng.uniform(0.0, support_area(curvature, support_radius), n)
     a = 1.0 - curvature.kappa * u / (2.0 * math.pi)
     return ((a, np.sqrt(u * (1.0 + a) / (2.0 * math.pi))), theta,
             rng.uniform(0.0, 2.0 * math.pi, n))

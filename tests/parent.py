@@ -26,7 +26,11 @@ the sum-of-distances test that the library's segment containment was.
 :func:`random_convex_body` and :func:`random_point_in_disc` are the random
 body generator as it was before it drew each body's stream in one call and
 built its points as one coordinate array: one point, one draw of theta and
-one of u, one ``exp_at_base`` at a time.
+one of u, one ``exp_at_base`` at a time.  Their :func:`sample_positions`,
+the library's until no library code called it, draws r and theta as
+``surface.sample_motions`` draws its positions.  :func:`_canonical_rotation`
+is the hull's rotation of its vertex cycle on points, which the chart-hull
+oracles still use; the library now rotates rows.
 """
 
 import math
@@ -40,8 +44,7 @@ from curvedkin.bonnesen import _disc_radius_limit
 from curvedkin.convex import GeodesicPolygon, convex_hull
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                bisector_normals, cross3, exp_at_base, gen_sin,
-                               libm_map, row_distances, sample_positions,
-                               squared_chords)
+                               libm_map, row_distances, squared_chords)
 
 # The Minkowski signs of the parent's form for kappa < 0.
 _J = np.array([1.0, 1.0, -1.0])
@@ -533,7 +536,29 @@ def segment_contains_point(K: GeodesicPolygon, p: surface.SurfacePoint) -> bool:
             <= surface.geodesic_distance(a, b) + tol)
 
 
+# The chart hulls' rotation of a cycle of points.
+
+def _canonical_rotation(points):
+    """Rotate the cycle so the lexicographically smallest vertex is first."""
+    start = min(range(len(points)), key=lambda i: tuple(points[i].coords))
+    return points[start:] + points[:start]
+
+
 # The random body generator before it drew each body's stream in one call.
+
+def sample_positions(curvature: Curvature, support_radius: float, n: int,
+                     rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Area-uniform polar samples (r, theta) of the position part, over the
+    region of :func:`surface.support_area`: the drawn area u gives r by
+    :func:`surface.area_radius`.  theta and u are the draws of
+    ``surface.sample_motions``, in its order.
+    """
+    if support_radius <= 0:
+        raise GeometryError("support radius must be positive")
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    u = rng.uniform(0.0, surface.support_area(curvature, support_radius), n)
+    return surface.area_radius(curvature, u), theta
+
 
 def random_point_in_disc(curvature: Curvature, rho: float,
                          rng: RandomStream):

@@ -8,9 +8,10 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from curvedkin.convex import (GeodesicPolygon, _canonical_rotation,
-                              area, contains_point, convex_hull,
-                              euler_intersection, intersect_convex,
+from curvedkin.bonnesen import random_convex_body
+from curvedkin.convex import (GeodesicPolygon, area, contains_point,
+                              convex_hull, euler_intersection,
+                              intersect_convex,
                               next_rows, perimeter, point_body,
                               polygons_close, regular_ngon, segment_body,
                               triple_indices)
@@ -24,8 +25,9 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
 
 import exact
 from parent import (DegeneratePosition, ParentPolygon, _J,
-                    _segment_intersections, boundary_crossings, form_dot,
-                    geodesic_distance, normals_from_parent,
+                    _canonical_rotation, _segment_intersections,
+                    boundary_crossings, form_dot, geodesic_distance,
+                    normals_from_parent, sample_positions,
                     segment_contains_point)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
@@ -368,7 +370,6 @@ class TestIntersection:
             target = area(out) if out is not None and out.dim == 2 else 0.0
             # MC over a disc covering both bodies.
             n = 20000
-            from curvedkin.surface import sample_positions
             r, th = sample_positions(c, 1.0, n, rng)
             from curvedkin.surface import support_area
             w = support_area(c, 1.0)
@@ -1248,7 +1249,8 @@ def error_of(make) -> str:
 
 class TestArrayHull:
     """convex_hull on a coordinate array: the hull of the same SurfacePoints,
-    and every row checked as SurfacePoint checks a point."""
+    and every row checked as SurfacePoint checks a point, as GeodesicPolygon
+    checks its rows."""
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_same_hull_as_points(self, kappa):
@@ -1276,6 +1278,7 @@ class TestArrayHull:
         coords = np.array([exp_at_base(c, 0.3, th).coords
                            for th in (0.0, 2.0, 4.0)] + [row])
         assert error_of(lambda: convex_hull(coords, c)) == message
+        assert error_of(lambda: GeodesicPolygon(coords, c)) == message
 
     def test_shape_and_empty(self):
         c = Curvature(0.0)
@@ -1285,6 +1288,85 @@ class TestArrayHull:
             convex_hull(np.empty((0, 3)), c)
         with pytest.raises(GeometryError, match="empty point set"):
             convex_hull([])
+
+
+class TestOneArrayBody:
+    """A body is one read-only array, built alike from points and from rows
+    given their curvature, and moved by one stacked product that rounds as
+    Isometry.apply does each vertex."""
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_points_and_rows_build_equal_bodies(self, kappa):
+        c = Curvature(kappa)
+        rng = RandomStream(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 10))
+            rows = convex_hull(polar_rows(
+                c, 0.8 * rng.uniform(0.0, 1.0, n),
+                rng.uniform(0.0, 2 * math.pi, n)), c).vertex_array.copy()
+            K = GeodesicPolygon([SurfacePoint(row, c) for row in rows])
+            L = GeodesicPolygon(rows, c)
+            assert np.array_equal(K.vertex_array, rows)
+            assert np.array_equal(L.vertex_array, rows)
+            assert K.curvature == L.curvature == c
+            assert K.vertices == L.vertices == tuple(
+                SurfacePoint(row, c) for row in rows)
+
+    @pytest.mark.parametrize("kappa, xyz, message", [
+        (0.0, [(0, 0, 1), (1, 0, 1), (1, 0, 1), (0, 1, 1)],
+         "repeated adjacent vertices 1, 2"),
+        (0.0, [(0, 0, 1), (1, 0, 1), (2, 0, 1), (1, 1, 1)],
+         "vertex 1 is collinear with neighbours"),
+        (0.0, [(0, 0, 1), (0, 1, 1), (1, 0, 1)],
+         "vertex cycle is not convex/counterclockwise "
+         "(worst signed distance -1)"),
+        (1.0, [(1, 0, 0), (-1, 0, 0)],
+         "points do not fit in an open hemisphere"),
+        (1.0, [(1, 0, 0), (1, 0, 0)], "repeated adjacent vertices 0, 1"),
+    ])
+    def test_points_and_rows_raise_alike(self, kappa, xyz, message):
+        c = Curvature(kappa)
+        rows = np.array(xyz, dtype=float)
+        with raises_exactly(message):
+            GeodesicPolygon([SurfacePoint(row, c) for row in rows])
+        with raises_exactly(message):
+            GeodesicPolygon(rows, c)
+
+    def test_empty_and_curvatureless_input(self):
+        c = Curvature(0.0)
+        for empty in ([], np.empty((0, 3))):
+            with raises_exactly("polygon needs at least one vertex"):
+                GeodesicPolygon(empty, c)
+        with raises_exactly("polygon needs at least one vertex"):
+            GeodesicPolygon([])
+        rows = polar_rows(c, [0.5] * 3, [0.0, 2.0, 4.0])
+        for build in (GeodesicPolygon, convex_hull):
+            with raises_exactly("coordinate rows need their curvature"):
+                build(rows)
+
+    def test_array_is_read_only_and_owned(self):
+        c = Curvature(-1.0)
+        rows = polar_rows(c, [0.5] * 3, [0.0, 2.0, 4.0])
+        K = GeodesicPolygon(rows, c)
+        assert not K.vertex_array.flags.writeable
+        with pytest.raises(ValueError):
+            K.vertex_array[0, 0] = 0.0
+        before = K.vertex_array.copy()
+        rows[0] = rows[1]
+        assert rows.flags.writeable
+        assert np.array_equal(K.vertex_array, before)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_transformed_is_apply_bit_for_bit(self, kappa):
+        # One stacked (3, 3) @ (3, 1) product per vertex rounds as the
+        # matrix-vector product of Isometry.apply; va @ M.T does not.
+        c = Curvature(kappa)
+        rng = RandomStream(47)
+        for _ in range(300):
+            K = random_convex_body(c, rng)
+            g = sample_isometry(c, 2.0, rng)
+            expected = np.array([g.apply(v).coords for v in K.vertices])
+            assert np.array_equal(K.transformed(g).vertex_array, expected)
 
 
 class TestPolarRows:

@@ -6,16 +6,17 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from curvedkin.convex import (GeodesicPolygon, area, convex_hull,
-                              euler_intersection, perimeter, point_body,
-                              regular_ngon, segment_body)
+from curvedkin.convex import (GeodesicPolygon, area, contains_point,
+                              convex_hull, euler_intersection, perimeter,
+                              point_body, regular_ngon, segment_body)
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
                                   kinematic_lhs, kinematic_rhs,
                                   monotonicity_probe)
 from curvedkin.radii import circumradius
-from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
+from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
+                               GeometryError, RandomStream,
                                SurfacePoint, basis_matrices, disc_area,
                                exp_at_base, fold_table, gen_cos_sin,
                                motion_basis, motion_matrices, sample_isometry,
@@ -583,6 +584,62 @@ class TestFindContainment:
             if find_containment(a, b, 10000, search) is not None:
                 found += 1
         assert found == total
+
+
+class TestBodyContains:
+    """body_contains tests every inner row at once, with the verdict of
+    contains_point at each inner vertex."""
+
+    @staticmethod
+    def per_vertex(outer, inner):
+        return all(contains_point(outer, v) for v in inner.vertices)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_witnesses(self, kappa):
+        curv = Curvature(kappa)
+        gen, search = RandomStream(29), RandomStream(31)
+        found = 0
+        while found < 8:
+            a = random_body(curv, gen, n_points=5, rho=0.5)
+            b = random_body(curv, gen, n_points=5, rho=0.5)
+            if not containment_criterion(a, b, slack=-1e-3):
+                continue
+            g = find_containment(a, b, 10000, search)
+            if g is None:
+                continue
+            found += 1
+            verdicts = []
+            for outer, inner in ((b, a.transformed(g)), (a, b.transformed(g))):
+                verdicts.append(body_contains(outer, inner))
+                assert verdicts[-1] == self.per_vertex(outer, inner)
+            assert any(verdicts)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_near_boundary(self, kappa):
+        # Point, segment and polygon bodies against copies of themselves
+        # and of their last vertex, moved by up to a few EPS: vertices on
+        # both sides of the tolerance.
+        curv = Curvature(kappa)
+        rng = RandomStream(53)
+        p, q = exp_at_base(curv, 0.3, 1.0), exp_at_base(curv, 0.6, 2.5)
+        outers = [point_body(p), segment_body(p, q)] + [
+            random_body(curv, rng) for _ in range(6)]
+        seen = set()
+        for outer in outers:
+            for eps in (0.0, 5e-10, 1e-9, 2e-9, 4e-9):
+                for theta in np.linspace(0.0, 2 * math.pi, 12,
+                                         endpoint=False).tolist():
+                    g = translation_by_polar(curv, eps, theta)
+                    for inner in (outer, point_body(outer.vertices[-1])):
+                        moved = inner.transformed(g)
+                        verdict = body_contains(outer, moved)
+                        assert verdict == self.per_vertex(outer, moved)
+                        seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_curvature_mismatch(self):
+        with pytest.raises(CurvatureMismatch):
+            body_contains(unit_square(), octant_triangle())
 
 
 class TestBoundaryCountInequality:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from curvedkin import radii
+from curvedkin.bonnesen import random_convex_body
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, perimeter, point_body,
                               regular_ngon, segment_body, triple_indices)
@@ -780,3 +781,26 @@ class TestIndexArrays:
         # A grown working set's arrays are not kept.
         assert (radii._index_arrays(small + 1)[1][0]
                 is not radii._index_arrays(small + 1)[1][0])
+
+
+class TestMinidiscScaleCovariance:
+    """(x, y, z; kappa) -> (lam x, lam y, z; kappa/lam^2) maps the surface
+    onto itself with lengths times lam.  With lam = 2^k every coordinate,
+    chord and candidate maps exactly, so the minidisc of the mapped rows is
+    the mapped minidisc, bit for bit.  It runs on rows: a body's hull has
+    its own absolute tolerance, which is not covariant."""
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_radius_and_center_scale_exactly(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(61)
+        for _ in range(100):
+            va = random_convex_body(curv, rng).vertex_array
+            center, r = smallest_enclosing_disc(curv, va)
+            for k in range(-24, 31):
+                lam = 2.0 ** k
+                scale = np.array([lam, lam, 1.0])
+                c, R = smallest_enclosing_disc(Curvature(kappa / lam ** 2),
+                                               va * scale)
+                assert R == lam * r, (k, R, lam * r)
+                assert np.array_equal(c, center * scale), k

@@ -21,13 +21,13 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                normalize_to_surface, point_polar,
                                rotation_about_base, sample_isometry,
                                sample_motions, row_distances,
-                               sample_positions,
                                support_area, translation_by_polar,
                                translation_to)
 
 import exact
 import parent
-from parent import form_dot, from_parent, to_parent
+from parent import (form_dot, from_parent, sample_positions,
+                    to_parent)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
 ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
