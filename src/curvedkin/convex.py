@@ -87,20 +87,16 @@ class GeodesicPolygon:
         return [(i, (i + 1) % n) for i in range(n if n > 2 else n - 1)]
 
     @cached_property
-    def edge_planes(self) -> np.ndarray:
-        """Unnormalized interior half-space normals: endpoint cross products."""
-        va = self.vertex_array
-        return cross3(va, next_rows(va))[:len(self.edges)]
-
-    @cached_property
     def edge_normals(self) -> np.ndarray:
-        """Inward edge-plane normals nu / sqrt(nu^T Lambda nu), one per edge.
+        """Inward edge-plane normals nu / sqrt(nu^T Lambda nu), one per edge,
+        nu the cross product of the edge's endpoints.
 
         For a point p, normal . p is gen_sin of its signed distance from the
         edge's geodesic, positive inside.  A spacelike vertex pair raises;
         antipodal sphere vertices give a 0/0 normal, NaN.
         """
-        nu = self.edge_planes
+        va = self.vertex_array
+        nu = cross3(va, next_rows(va))[:len(self.edges)]
         norm2 = (nu * nu * self.curvature.line_form).sum(axis=-1)
         if np.any(norm2 < 0):
             raise GeometryError("edge does not support a geodesic")

@@ -19,7 +19,7 @@ import numpy as np
 from .convex import (GeodesicPolygon, area, contains_rows, next_rows,
                      perimeter)
 from .radii import circumradius
-from .surface import (EPS, GeometryError, Isometry, RandomStream, cross3,
+from .surface import (GeometryError, Isometry, RandomStream, cross3,
                       fold_table, gen_cos_sin, motion_basis, motion_matrices,
                       sample_motions, support_area, translation_to)
 
@@ -76,12 +76,11 @@ def _mixed_table(curv, vK: np.ndarray, vL: np.ndarray) -> np.ndarray:
     cone supports it iff both neighbours lie on one side, so the plane
     separates the bodies iff the four share one strict sign.
     """
-    def unit_normals(v):  # (2, n, 3): unit neighbour x vertex, both sides
-        c = cross3(np.stack([np.concatenate([v[-1:], v[:-1]]),
-                             next_rows(v)]), v)
-        return c / np.linalg.norm(c, axis=-1, keepdims=True)
+    def normals(v):  # (2, n, 3): neighbour x vertex, both sides
+        return cross3(np.stack([np.concatenate([v[-1:], v[:-1]]),
+                                next_rows(v)]), v)
 
-    nK, nL = unit_normals(vK), unit_normals(vL)
+    nK, nL = normals(vK), normals(vL)
     fwd = nK[:, :, None, :, None] * vL[None, None, :, None, :]
     inv = nL[:, None, :, :, None] * vK[None, :, None, None, :]
     return np.concatenate([fold_table(curv, fwd.reshape(-1, 9)),
@@ -99,15 +98,18 @@ class _OverlapTester:
     Every candidate is rows of an outer-product table folded onto the
     nine-row motion basis: K's planes against moved L vertices, and L's
     unmoved planes against K vertices under the inverse motion, as
-    cross(Ma, Mb) = M^-T (a x b) when det M = 1.
+    cross(Ma, Mb) = M^-T (a x b) when det M = 1.  Both face sides use the
+    Lambda-unit ``edge_normals``.
 
-    A chunk of motions is one matmul of the face table with its basis.  A
-    face plane with every vertex of the other body more than EPS scale
-    outside separates; a vertex inside every face is contained.  In the
-    flat or hyperbolic chart two 2-D bodies are convex Euclidean polygons
-    and the face planes decide alone.  Elsewhere one matmul of the mixed
-    table, by a strict sign test on Euclidean-unit normals, decides the
-    motions that neither settles.
+    A chunk of motions is one matmul of the face table with its basis.
+    Every decision is a sign, with no tolerance band, so scaling lengths by
+    a power of two changes none: a face plane with every vertex of the
+    other body below zero separates, and a vertex at or above zero on
+    every face is contained (touching counts as overlap).  In the flat or
+    hyperbolic chart two 2-D bodies are convex Euclidean polygons and the
+    face planes decide alone.  Elsewhere one matmul of the mixed table, by
+    a strict sign test, decides the motions that neither settles.  Two
+    points meet where :func:`~curvedkin.convex.contains_rows` says so.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
@@ -115,17 +117,14 @@ class _OverlapTester:
         self.curv = K.curvature
         self.K, self.L = K, L
         self.vK, self.vL = K.vertex_array, L.vertex_array
-        self.tol = EPS * float(max(np.max(np.abs(self.vK)), 1.0))
         # (faces, vertices) per 2-D body, in the table's row order.
         self.sides, tables = [], []
-        if K.dim == 2:
-            self.sides.append((len(K.edges), len(self.vL)))
-            tables.append(fold_table(
-                self.curv, _outer_table(K.edge_normals, self.vL)))
-        if L.dim == 2:
-            self.sides.append((len(L.edges), len(self.vK)))
-            tables.append(fold_table(
-                self.curv, _outer_table(L.edge_planes, self.vK), inverse=True))
+        for body, other, inverse in ((K, self.vL, False), (L, self.vK, True)):
+            if body.dim == 2:
+                self.sides.append((len(body.edges), len(other)))
+                tables.append(fold_table(
+                    self.curv, _outer_table(body.edge_normals, other),
+                    inverse=inverse))
         if K.dim == 0 and L.dim == 0:
             # Rows e_c (x) v: the moved point's coordinates.
             tables.append(fold_table(self.curv,
@@ -174,15 +173,15 @@ class _OverlapTester:
             # other body outside separates; a vertex inside all is contained.
             side = s[row:row + faces * n_vertices].reshape(faces, n_vertices, m)
             row += faces * n_vertices
-            apart |= np.any(np.max(side, axis=1) < -self.tol, axis=0)
+            apart |= np.any(np.max(side, axis=1) < 0.0, axis=0)
             if not self.chart:
-                hit |= np.any(np.min(side, axis=0) >= -self.tol, axis=0)
+                hit |= np.any(np.min(side, axis=0) >= 0.0, axis=0)
         counts = self.counts
         if self.chart:
             counts["face_settled"] += m
             return ~apart
         if self.K.dim == 0 and self.L.dim == 0:
-            hit = np.linalg.norm(s - self.vK[0][:, None], axis=0) <= self.tol
+            hit = contains_rows(self.K, s.T)
         face = int(np.count_nonzero(apart))
         counts["face_settled"] += face
         if not len(self.mixed):

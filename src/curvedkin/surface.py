@@ -351,7 +351,7 @@ def _polar_row(curvature: Curvature, r: float, theta: float) -> tuple:
 
 def point_polar(p: SurfacePoint) -> tuple[float, float]:
     """Polar coordinates (r, theta) of p about the base point."""
-    r = geodesic_distance(base_point(p.curvature), p)
+    r = float(row_distances(p.curvature, np.array([0.0, 0.0, 1.0]), p.coords))
     theta = math.atan2(p.coords[1], p.coords[0]) if r > 0 else 0.0
     return r, theta
 

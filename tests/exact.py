@@ -4,7 +4,8 @@ Points are float Cayley-Klein rows, z^2 + kappa (x^2 + y^2) = 1, projected
 onto the quadric in high precision (see _point).  Distances come from acos
 or acosh of the form product and areas from the angle excess (or the
 shoelace on the flat plane), not from the library's formulas; centers
-from the exact perpendicular bisectors and the active edges.
+from the exact perpendicular bisectors and the active edges.  Cone
+meetings (cones_meet) take their signs in exact integer arithmetic.
 """
 
 import mpmath as mp
@@ -270,18 +271,26 @@ def _wedges_meet(p, q, a, b):
     return False
 
 
+def _integers(rows):
+    """The float rows times the least power of two that makes every entry
+    an integer.  Floats are dyadic, so this is exact."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+    den = max(d for row in ratios for _, d in row)
+    return [[n * (den // d) for n, d in row] for row in ratios]
+
+
 def cones_meet(K, M, L):
     """Do the vertex cones of the float rows K and M L meet off the origin?
 
-    M is a float motion matrix and M L is formed in 60 digits, so the
-    verdict is the one for the float motion.  Two convex cones meet iff a
-    vertex of one lies inside the other or two edges cross; each is an
-    orientation sign.
+    M is a float motion matrix.  K, M and L are each scaled to integers by
+    a power of two and M L is formed in integers, so every sign is exact
+    and the verdict is the one for the float motion: each test below is
+    homogeneous in K, M and L, so a positive scale changes no sign.  Two
+    convex cones meet iff a vertex of one lies inside the other or two
+    edges cross; each is an orientation sign.
     """
-    K = [[_CTX.mpf(float(x)) for x in row] for row in K]
-    M = [[_CTX.mpf(float(x)) for x in row] for row in M]
-    L = [[_dot(m, [_CTX.mpf(float(x)) for x in row]) for m in M]
-         for row in L]
+    K, M = _integers(K), _integers(M)
+    L = [[_dot(m, row) for m in M] for row in _integers(L)]
     return (any(_in_cone(K, v) for v in L) or any(_in_cone(L, v) for v in K)
             or any(_wedges_meet(p, q, a, b)
                    for p, q in _edges(K) for a, b in _edges(L)))

@@ -593,7 +593,7 @@ def tiny_crossing_segments(curv, size):
 class TestHalfSpaces:
     """One clip loop on Lambda-unit half-spaces decides every intersection,
     against the arc kernel, the distance-sum containment it replaced for
-    segments, and 60-digit cone signs."""
+    segments, and exact cone signs."""
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     @pytest.mark.parametrize("size", [1e-6, 1e-7])
@@ -1094,12 +1094,15 @@ class TestArrayKernels:
             got = list(zip(*(t.tolist() for t in triple_indices(n))))
             assert got == old_triples(n) == list(combinations(range(n), 3))
 
-    def test_segment_and_point_edge_planes(self):
+    def test_segment_and_point_edge_normals(self):
+        # On the unit sphere the line form is the identity, so a segment's
+        # one normal is its endpoints' cross product over its length.
         p = exp_at_base(Curvature(1.0), 0.3, 0.1)
         q = exp_at_base(Curvature(1.0), 0.5, 2.0)
-        assert point_body(p).edge_planes.shape == (0, 3)
-        seg = segment_body(p, q)
-        assert np.array_equal(seg.edge_planes, [np.cross(p.coords, q.coords)])
+        assert point_body(p).edge_normals.shape == (0, 3)
+        nu = np.cross(p.coords, q.coords)
+        assert np.array_equal(segment_body(p, q).edge_normals,
+                              [nu / np.sqrt((nu * nu).sum())])
 
 
 def sphere_points(coords):

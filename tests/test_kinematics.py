@@ -436,12 +436,14 @@ class TestOverlapKernel:
 
 
 class TestTinyBodies:
-    """Bodies of size 1e-6 and 2e-7, where the EPS tolerance and the arc
-    test's 1e-12 threshold meet the bodies' own scale.  Wherever the tester
-    and the old one disagree, the overlap of the float motion, decided by
-    60-digit orientation signs, must side with the tester."""
+    """Bodies of size 1e-6 and 2e-7, where the old tester's EPS tolerance
+    and its arc test's 1e-12 threshold meet the bodies' own scale.  The
+    overlap of the float motion, decided by exact orientation signs, must
+    side with the tester wherever the two testers disagree, and agree with
+    it on every motion of a smaller draw."""
 
     MOTIONS = 35_000
+    EXACT_MOTIONS = 2_000
 
     def pairs(self, curv):
         def crossing(length):
@@ -475,6 +477,55 @@ class TestTinyBodies:
                 settled += 1
         # The 2e-7 segments alone part the two testers dozens of times.
         assert settled > 0
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_every_motion_is_exact(self, kappa):
+        # Every motion, not only where the testers disagree: a tolerance
+        # band of EPS scale would read the 1e-6 squares as meeting on about
+        # half the sphere's motions and one in fifteen elsewhere.
+        curv = Curvature(kappa)
+        rng = RandomStream(409)
+        for K, L in self.pairs(curv):
+            rho = 1.2 * (circumradius(K)[0] + circumradius(L)[0])
+            radial, theta, phi = sample_motions(curv, rho,
+                                                self.EXACT_MOTIONS, rng)
+            mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
+            hits = _OverlapTester(K, L).hits(radial, theta, phi)
+            assert 0 < np.count_nonzero(hits) < len(hits)
+            assert hits.tolist() == [exact.cones_meet(
+                K.vertex_array, m, L.vertex_array) for m in mats]
+
+
+class TestScaleCovariance:
+    """(x, y, z; kappa) -> (lx, ly, z; kappa / l^2) maps bodies to bodies
+    with lengths times l, and a motion with radial pair (a, b) to the one
+    with (a, l b).  For l = 2^k both maps are exact in floats and scale
+    every row product of the tester by a power of two, so the hit masks of
+    a pair and of its image must be equal bit for bit."""
+
+    MOTIONS = 20_000
+
+    @staticmethod
+    def scaled(K, lam):
+        rows = K.vertex_array * np.array([lam, lam, 1.0])
+        return GeodesicPolygon(rows, Curvature(K.curvature.kappa / lam ** 2))
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_power_of_two_images_hit_alike(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(3)
+        for _ in range(6):
+            rk, _, K = _recenter(random_body(curv, rng))
+            rl, _, L = _recenter(random_body(curv, rng))
+            (a, b), theta, phi = sample_motions(
+                curv, rk + rl + 1e-6 * (1.0 + rk + rl), self.MOTIONS, rng)
+            hits = _OverlapTester(K, L).hits((a, b), theta, phi)
+            assert 0 < np.count_nonzero(hits) < len(hits)
+            for k in (-24, -20, -16, -10, 10, 20):
+                lam = 2.0 ** k
+                image = _OverlapTester(self.scaled(K, lam), self.scaled(L, lam))
+                assert np.array_equal(
+                    image.hits((a, lam * b), theta, phi), hits), k
 
 
 class TestContainmentCriterion:
