@@ -13,7 +13,7 @@ sidedness question in all three regimes.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -21,6 +21,11 @@ import numpy as np
 from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
                       cross3, libm_map, normalize_to_surface, polar_rows,
                       row_distances, squared_chords, validate_rows)
+
+
+# Entries of an n x n table of edges or points evaluated at once, so the
+# checks on those tables hold about this many, not n^2 (n past it).
+_BLOCK = 1 << 16
 
 
 def next_rows(a: np.ndarray) -> np.ndarray:
@@ -32,6 +37,17 @@ def triple_indices(n: int) -> tuple[np.ndarray, ...]:
     """Index arrays (i, j, k) of every i < j < k below n, lexicographically."""
     less = np.triu(np.ones((n, n), dtype=bool), 1)
     return np.nonzero(less[:, :, None] & less[None, :, :])
+
+
+@lru_cache(maxsize=64)
+def _certificate_indices(n: int) -> np.ndarray:
+    """Rows i (edges) and j (vertices) of the entries that certify an n-gon:
+    every turn (i - 1, i + 1) first, then (1..n-2, 0) and (0, 2..n-1)."""
+    idx, fan = np.arange(n), np.arange(1, n - 1)
+    out = np.concatenate([[idx - 1, (idx + 1) % n], [fan, 0 * fan],
+                          [0 * fan, fan + 1]], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def _checked_rows(points: Union[Iterable[SurfacePoint], np.ndarray],
@@ -136,17 +152,37 @@ class GeodesicPolygon:
             raise GeometryError("points do not fit in an open hemisphere")
         if n < 3:
             return
-        dists = self.signed_edge_distances(va)
-        if np.min(dists) < -EPS * scale:
+        # Convexity from d(i, j) = edge_normals[i] . va[j].  Every turn
+        # d(i - 1, i + 1), the fan column d(1..n-2, 0) and edge 0's row
+        # d(0, 2..n-1) at or above tau certify it: in the chart where
+        # geodesics are lines (z = 1, or the open hemisphere), the column
+        # makes every fan triangle (v0, vi, vi+1) positive and the row keeps
+        # the fan's angle at v0 below pi, so the cycle is simple, and with
+        # positive turns convex.  Otherwise the whole matrix decides, a
+        # block of vertex columns at a time.
+        tau = 1e-13 * scale
+        d = self._entries(*_certificate_indices(n))
+        if d.min() >= tau:
+            return
+        worst = np.inf
+        step = max(1, _BLOCK // n)
+        for s in range(0, n, step):
+            worst = np.minimum(
+                worst, np.min(self.signed_edge_distances(va[s:s + step])))
+        if worst < -EPS * scale:
             raise GeometryError(
                 "vertex cycle is not convex/counterclockwise "
-                f"(worst signed distance {np.min(dists):.3g})")
+                f"(worst signed distance {worst:.3g})")
         # Canonical form: no three consecutive collinear vertices.
-        idx = np.arange(n)
-        collinear = np.abs(dists[idx - 1, (idx + 1) % n]) < 1e-13 * scale
+        collinear = np.abs(d[:n]) < tau
         if collinear.any():
             i = int(np.argmax(collinear))
             raise GeometryError(f"vertex {i} is collinear with neighbours")
+
+    def _entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """d(i, j) = edge_normals[i] . va[j] elementwise, rounded as the
+        entries of signed_edge_distances(va) round."""
+        return (self.edge_normals[i] * self.vertex_array[j]).sum(axis=-1)
 
     def _fits_hemisphere(self) -> bool:
         """Does some plane normal u give <u, v> > EPS * scale |u| at every v?
@@ -272,10 +308,17 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
     coords, curvature = _checked_rows(points, curvature)
     if not len(coords):
         raise GeometryError("empty point set")
-    # Drop points within tolerance of an earlier one.
+    # Drop points within tolerance of an earlier one, a block of rows at a
+    # time: row s + a is compared with the rows before it.
     tol = EPS * (float(np.max(np.abs(coords))) + 1.0)
-    near = np.max(np.abs(coords[:, None] - coords[None]), axis=2) <= tol
-    keep = np.flatnonzero(~np.tril(near, -1).any(axis=1))
+    m = len(coords)
+    step = max(1, _BLOCK // m)
+    dropped = []
+    for s in range(0, m, step):
+        near = np.max(np.abs(coords[s:s + step, None]
+                             - coords[None, :s + step]), axis=2) <= tol
+        dropped.append(np.tril(near, s - 1).any(axis=1))
+    keep = np.flatnonzero(~np.concatenate(dropped))
     if len(keep) > 1:
         keep = keep[_hull_cycle(curvature, coords[keep])]
     return GeodesicPolygon(_canonical(coords[keep]), curvature)

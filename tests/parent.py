@@ -31,6 +31,9 @@ the library's until no library code called it, draws r and theta as
 ``surface.sample_motions`` draws its positions.  :func:`_canonical_rotation`
 is the hull's rotation of its vertex cycle on points, which the chart-hull
 oracles still use; the library now rotates rows.
+:class:`MatrixValidatedPolygon` is a GeodesicPolygon validated as the
+library validated every body until convexity was certified from 3n entries
+of the edge-vertex matrix: the whole n x n matrix at once, verbatim.
 """
 
 import math
@@ -41,7 +44,7 @@ import numpy as np
 
 from curvedkin import surface
 from curvedkin.bonnesen import _disc_radius_limit
-from curvedkin.convex import GeodesicPolygon, convex_hull
+from curvedkin.convex import GeodesicPolygon, convex_hull, next_rows
 from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                bisector_normals, cross3, exp_at_base, gen_sin,
                                libm_map, row_distances, squared_chords)
@@ -272,6 +275,36 @@ class ParentPolygon:
         else:
             norm = libm_map(math.hypot, nu[:, 0], nu[:, 1])[:, None]
         return nu / norm
+
+
+class MatrixValidatedPolygon(GeodesicPolygon):
+    """A GeodesicPolygon whose construction checks the whole n x n matrix of
+    signed edge distances: the oracle of every construction verdict and
+    message."""
+
+    def _validate(self):
+        n = self.n_vertices
+        va = self.vertex_array
+        scale = float(np.max(np.abs(va))) + 1.0
+        repeated = np.all(np.abs(va - next_rows(va)) < EPS * scale, axis=1)
+        if n > 1 and repeated.any():
+            i = int(np.argmax(repeated))
+            raise GeometryError(f"repeated adjacent vertices {i}, {(i + 1) % n}")
+        if self.curvature.kappa > 0 and n > 1 and not self._fits_hemisphere():
+            raise GeometryError("points do not fit in an open hemisphere")
+        if n < 3:
+            return
+        dists = self.signed_edge_distances(va)
+        if np.min(dists) < -EPS * scale:
+            raise GeometryError(
+                "vertex cycle is not convex/counterclockwise "
+                f"(worst signed distance {np.min(dists):.3g})")
+        # Canonical form: no three consecutive collinear vertices.
+        idx = np.arange(n)
+        collinear = np.abs(dists[idx - 1, (idx + 1) % n]) < 1e-13 * scale
+        if collinear.any():
+            i = int(np.argmax(collinear))
+            raise GeometryError(f"vertex {i} is collinear with neighbours")
 
 
 # The iterative Welzl that radii.smallest_enclosing_disc was until support

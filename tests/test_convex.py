@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from itertools import combinations
 from typing import Optional
 
@@ -24,10 +25,10 @@ from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
                                translation_to)
 
 import exact
-from parent import (DegeneratePosition, ParentPolygon, _J,
-                    _canonical_rotation, _segment_intersections,
-                    boundary_crossings, form_dot, geodesic_distance,
-                    normals_from_parent, sample_positions,
+from parent import (DegeneratePosition, MatrixValidatedPolygon,
+                    ParentPolygon, _J, _canonical_rotation,
+                    _segment_intersections, boundary_crossings, form_dot,
+                    geodesic_distance, normals_from_parent, sample_positions,
                     segment_contains_point)
 
 REGIME_KAPPAS = [1.0, 0.0, -1.0]
@@ -1079,6 +1080,25 @@ class TestArrayKernels:
             replaced.check(regular_ngon(curv, 0.6, n, phase=0.1))
         replaced.assert_no_worse()
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_regular_10k_gon(self, kappa):
+        # Construction is O(n) in memory; the n x n table would take 3 GB.
+        n, R = 10_000, 0.6
+        tracemalloc.start()
+        try:
+            K = regular_ngon(Curvature(kappa), R, n, phase=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, peak
+        m = metrics(K)
+        assert abs(m.R_circ - R) <= 1e-9
+        # gen_tan r = gen_tan R cos(pi / n), gen_tan t = tan(sqrt(k) t) /
+        # sqrt(k), t at k = 0 and tanh(sqrt(-k) t) / sqrt(-k) below.
+        tan, atan = {1.0: (math.tan, math.atan), 0.0: (float, float),
+                     -1.0: (math.tanh, math.atanh)}[kappa]
+        assert abs(m.r_in - atan(tan(R) * math.cos(math.pi / n))) <= 1e-9
+
     def test_duplicate_chain_drops_every_later_point(self):
         # a, b, c 0.6 tol apart in x: b is near a and c near b only.  The
         # hull drops every point near an earlier one, so c goes with b.
@@ -1088,6 +1108,17 @@ class TestArrayKernels:
         hull = convex_hull(pts)
         assert hull.n_vertices == 3
         assert pts[0] in hull.vertices
+
+    def test_duplicate_chain_across_row_blocks(self):
+        # The same chain among 600 hull vertices, with its links in
+        # different blocks of the rows the duplicate test compares.
+        c = Curvature(0.0)
+        rows = regular_ngon(c, 1.0, 600).vertex_array
+        step = np.array([1.2 * EPS, 0.0, 0.0])  # 0.6 tol, outward
+        pts = np.concatenate([rows[:300], [rows[0] + step], rows[300:],
+                              [rows[0] + 2.0 * step]])
+        assert np.array_equal(convex_hull(pts, c).vertex_array,
+                              convex_hull(rows, c).vertex_array)
 
     def test_triple_indices_in_loop_order(self):
         for n in range(9):
@@ -1103,6 +1134,114 @@ class TestArrayKernels:
         nu = np.cross(p.coords, q.coords)
         assert np.array_equal(segment_body(p, q).edge_normals,
                               [nu / np.sqrt((nu * nu).sum())])
+
+
+def chart_rows(curv: Curvature, xy) -> np.ndarray:
+    """Surface rows over chart points (x, y), where geodesics are lines:
+    (x, y, 1) scaled onto the surface."""
+    xy = np.asarray(xy, dtype=float)
+    v = np.column_stack([xy, np.ones(len(xy))])
+    return v / np.sqrt(1.0 + curv.kappa * (xy * xy).sum(axis=1))[:, None]
+
+
+def construction_error(cls, rows, curv) -> Optional[str]:
+    try:
+        cls(rows, curv)
+    except GeometryError as e:
+        return str(e)
+    return None
+
+
+def same_verdict(rows, curv) -> Optional[str]:
+    """The library's construction message, None for a body, asserted equal
+    to the n x n check's."""
+    got = construction_error(GeodesicPolygon, rows, curv)
+    assert got == construction_error(MatrixValidatedPolygon, rows, curv)
+    return got
+
+
+class TestConvexityCertificate:
+    """Construction certifies convexity from 3n entries of the edge-vertex
+    matrix, the turns, column 0 and row 0, and otherwise checks the whole
+    matrix a block at a time.  Verdicts and messages are the n x n check's
+    on bodies, cycles wound more than once, slightly concave chains and
+    vertices within rounding of collinear."""
+
+    NOT_CONVEX = "vertex cycle is not convex/counterclockwise"
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_random_bodies_and_images(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(181)
+        for _ in range(100):
+            K = random_convex_body(curv, rng)
+            image = K.transformed(sample_isometry(curv, 1.0, rng))
+            for body in (K, image):
+                va = body.vertex_array
+                assert same_verdict(va, curv) is None
+                # The certificate reads the matrix's own entries.
+                i, j = np.indices((len(va), len(va))).reshape(2, -1)
+                assert np.array_equal(body._entries(i, j),
+                                      body.signed_edge_distances(va).ravel())
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("n", [5, 7, 9, 31])
+    def test_star_polygons(self, kappa, n):
+        # {n/2}: every turn is positive, and the cycle winds twice.
+        curv = Curvature(kappa)
+        theta = 0.1 + 4.0 * math.pi * np.arange(n) / n
+        rows = polar_rows(curv, np.full(n, 0.6), theta)
+        assert same_verdict(rows, curv).startswith(self.NOT_CONVEX)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("winds, n, starts", [
+        (2, 41, (0, 10, 20, 21, 30)), (3, 61, (0, 15, 30, 45))])
+    def test_wound_cycles(self, kappa, winds, n, starts):
+        # r = 1 + cos(theta / winds) / 2 turns left everywhere, so the
+        # turns pass; from each start, only the row or the column of the
+        # start catches the winding.
+        curv = Curvature(kappa)
+        theta = 2.0 * math.pi * winds * np.arange(n) / n
+        rows = polar_rows(curv, 1.0 + 0.5 * np.cos(theta / winds), theta)
+        for s in starts:
+            message = same_verdict(np.roll(rows, -s, axis=0), curv)
+            assert message.startswith(self.NOT_CONVEX), s
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("m", [50, 200, 1000])
+    @pytest.mark.parametrize("turn", [-5e-10, -3e-10])
+    def test_concave_chains(self, kappa, m, turn):
+        # A rectangle whose top is a chain of m vertices turning right by
+        # about |turn| each: every entry the certificate reads is above
+        # -EPS * scale, but the chain sags about |turn| m^2 / 8 below its
+        # chord, and its ends lie about |turn| m^2 / 2 outside each other's
+        # edges.
+        curv = Curvature(kappa)
+        x = np.linspace(0.5, -0.5, m)
+        sag = turn * (m - 1) ** 2 / 2.0
+        chain = np.column_stack([x, 0.3 + sag * (0.25 - x * x)])
+        xy = np.concatenate([[(-0.5, -0.5), (0.5, -0.5)], chain])
+        message = same_verdict(chart_rows(curv, xy), curv)
+        assert message.startswith(self.NOT_CONVEX)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    @pytest.mark.parametrize("depth", [5e-10, 5e-12, 5e-14, -5e-14])
+    def test_single_reflex_vertex(self, kappa, depth):
+        # A hexagon with the midpoint of one edge moved inward by depth:
+        # reflex within the EPS band, which is accepted, or collinear within
+        # rounding, which names the moved vertex.
+        curv = Curvature(kappa)
+        t = 2.0 * math.pi * np.arange(6) / 6
+        hexagon = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
+        mid = (1.0 - depth / math.cos(math.pi / 6)) * hexagon[:2].mean(axis=0)
+        rows = chart_rows(curv, np.insert(hexagon, 1, mid, axis=0))
+        for s in range(7):
+            message = same_verdict(np.roll(rows, -s, axis=0), curv)
+            if abs(depth) > 1e-13:
+                assert message is None, s
+            else:
+                assert message == (f"vertex {(1 - s) % 7} is collinear "
+                                   "with neighbours"), s
 
 
 def sphere_points(coords):
