@@ -13,7 +13,7 @@ sidedness question in all three regimes.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -23,9 +23,10 @@ from .surface import (EPS, Curvature, GeometryError, Isometry, SurfacePoint,
                       row_distances, squared_chords, validate_rows)
 
 
-# Entries of an n x n table of edges or points evaluated at once, so the
-# checks on those tables hold about this many, not n^2 (n past it).
-_BLOCK = 1 << 16
+# Entries of a table evaluated at once, so that the temporaries of an
+# n x n table of edges or points, or of a grown radius working set's
+# candidates, stay bounded as n grows.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def next_rows(a: np.ndarray) -> np.ndarray:
@@ -37,17 +38,6 @@ def triple_indices(n: int) -> tuple[np.ndarray, ...]:
     """Index arrays (i, j, k) of every i < j < k below n, lexicographically."""
     less = np.triu(np.ones((n, n), dtype=bool), 1)
     return np.nonzero(less[:, :, None] & less[None, :, :])
-
-
-@lru_cache(maxsize=64)
-def _certificate_indices(n: int) -> np.ndarray:
-    """Rows i (edges) and j (vertices) of the entries that certify an n-gon:
-    every turn (i - 1, i + 1) first, then (1..n-2, 0) and (0, 2..n-1)."""
-    idx, fan = np.arange(n), np.arange(1, n - 1)
-    out = np.concatenate([[idx - 1, (idx + 1) % n], [fan, 0 * fan],
-                          [0 * fan, fan + 1]], axis=1)
-    out.setflags(write=False)
-    return out
 
 
 def _checked_rows(points: Union[Iterable[SurfacePoint], np.ndarray],
@@ -152,37 +142,25 @@ class GeodesicPolygon:
             raise GeometryError("points do not fit in an open hemisphere")
         if n < 3:
             return
-        # Convexity from d(i, j) = edge_normals[i] . va[j].  Every turn
-        # d(i - 1, i + 1), the fan column d(1..n-2, 0) and edge 0's row
-        # d(0, 2..n-1) at or above tau certify it: in the chart where
-        # geodesics are lines (z = 1, or the open hemisphere), the column
-        # makes every fan triangle (v0, vi, vi+1) positive and the row keeps
-        # the fan's angle at v0 below pi, so the cycle is simple, and with
-        # positive turns convex.  Otherwise the whole matrix decides, a
-        # block of vertex columns at a time.
-        tau = 1e-13 * scale
-        d = self._entries(*_certificate_indices(n))
-        if d.min() >= tau:
-            return
-        worst = np.inf
-        step = max(1, _BLOCK // n)
+        # The n x n table of signed edge distances, a block of vertex
+        # columns at a time: its min, and column j's entry d(j - 2, j), the
+        # turn at vertex j - 1.
+        worst, turns = np.inf, np.empty(n)
+        step = max(1, _BLOCK_ENTRIES // n)
         for s in range(0, n, step):
-            worst = np.minimum(
-                worst, np.min(self.signed_edge_distances(va[s:s + step])))
+            cols = np.arange(s, min(n, s + step))
+            dists = self.signed_edge_distances(va[s:s + step])
+            worst = np.min(dists, initial=worst)
+            turns[cols - 1] = dists[cols - 2, cols - s]
         if worst < -EPS * scale:
             raise GeometryError(
                 "vertex cycle is not convex/counterclockwise "
                 f"(worst signed distance {worst:.3g})")
         # Canonical form: no three consecutive collinear vertices.
-        collinear = np.abs(d[:n]) < tau
+        collinear = np.abs(turns) < 1e-13 * scale
         if collinear.any():
             i = int(np.argmax(collinear))
             raise GeometryError(f"vertex {i} is collinear with neighbours")
-
-    def _entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """d(i, j) = edge_normals[i] . va[j] elementwise, rounded as the
-        entries of signed_edge_distances(va) round."""
-        return (self.edge_normals[i] * self.vertex_array[j]).sum(axis=-1)
 
     def _fits_hemisphere(self) -> bool:
         """Does some plane normal u give <u, v> > EPS * scale |u| at every v?
@@ -312,7 +290,7 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
     # time: row s + a is compared with the rows before it.
     tol = EPS * (float(np.max(np.abs(coords))) + 1.0)
     m = len(coords)
-    step = max(1, _BLOCK // m)
+    step = max(1, _BLOCK_ENTRIES // m)
     dropped = []
     for s in range(0, m, step):
         near = np.max(np.abs(coords[s:s + step, None]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, area, next_rows, perimeter,
-                     triple_indices)
+from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, area, next_rows,
+                     perimeter, triple_indices)
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, squared_chords)
@@ -26,8 +26,6 @@ from .surface import (Curvature, GeometryError, SurfacePoint,
 # random_convex_body's default max_vertices, so random bodies solve in one
 # round.
 _FIRST_WORKING_SET = 12
-# The entries of a block of candidates' temporaries: 32 MB of floats each.
-_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ the library's until no library code called it, draws r and theta as
 is the hull's rotation of its vertex cycle on points, which the chart-hull
 oracles still use; the library now rotates rows.
 :class:`MatrixValidatedPolygon` is a GeodesicPolygon validated as the
-library validated every body until convexity was certified from 3n entries
-of the edge-vertex matrix: the whole n x n matrix at once, verbatim.
+library validated every body until it checked the n x n matrix of signed
+edge distances a block of vertex columns at a time: the whole matrix at
+once, verbatim.
 """
 
 import math

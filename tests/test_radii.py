@@ -783,30 +783,6 @@ class TestIndexArrays:
                 is not radii._index_arrays(small + 1)[1][0])
 
 
-class TestBodyScaleCovariance:
-    """The same map on bodies, from 2^-22 to 2^28 times their size: every
-    image builds, and area, perimeter, inradius and incenter map exactly."""
-
-    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
-    def test_area_perimeter_inradius_scale_exactly(self, kappa):
-        curv = Curvature(kappa)
-        rng = RandomStream(61)
-        for _ in range(40):
-            K = random_convex_body(curv, rng)
-            A, P = area(K), perimeter(K)
-            r, center = inradius(K)
-            for k in range(-22, 29):
-                lam = 2.0 ** k
-                scale = np.array([lam, lam, 1.0])
-                L = GeodesicPolygon(K.vertex_array * scale,
-                                    Curvature(kappa / lam ** 2))
-                assert area(L) == lam ** 2 * A, k
-                assert perimeter(L) == lam * P, k
-                s, c = inradius(L)
-                assert s == lam * r, k
-                assert np.array_equal(c.coords, center.coords * scale), k
-
-
 class TestMinidiscScaleCovariance:
     """(x, y, z; kappa) -> (lam x, lam y, z; kappa/lam^2) maps the surface
     onto itself with lengths times lam.  With lam = 2^k every coordinate,
