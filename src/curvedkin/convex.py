@@ -186,9 +186,14 @@ class GeodesicPolygon:
             return bool(np.min(va @ u) / np.linalg.norm(u) > bound)
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
-        """gen_sin of the signed distance from each edge geodesic (rows)."""
-        return (self.edge_normals[:, None, :]
-                * np.atleast_2d(coords)[None, :, :]).sum(axis=-1)
+        """gen_sin of the signed distance from each edge geodesic (rows).
+
+        The three products are summed in written order, which numpy's
+        reduction over an axis does not promise.
+        """
+        nu = self.edge_normals
+        c = np.atleast_2d(coords).T
+        return (nu[:, 0:1] * c[0] + nu[:, 1:2] * c[1]) + nu[:, 2:3] * c[2]
 
     def transformed(self, g: Isometry) -> "GeodesicPolygon":
         """The body moved by g.  One stacked matrix-vector product, which

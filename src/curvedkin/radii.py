@@ -22,10 +22,12 @@ from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, squared_chords)
 
-# Both solvers start from this many evenly spaced vertices or edges:
-# random_convex_body's default max_vertices, so random bodies solve in one
-# round.
+# Both solvers start from this many vertices or edges: random_convex_body's
+# default max_vertices, so random bodies solve in one round.
 _FIRST_WORKING_SET = 12
+# Index arrays are kept for working sets up to this size, about 0.3 MB for
+# all sizes together; a set this large is one a few rounds grew.
+_CACHED_INDEX_SIZE = 24
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,37 @@ class BodyMetrics:
 
 
 def _first_working_set(n: int) -> np.ndarray:
-    """Up to _FIRST_WORKING_SET evenly spaced indices below n: all for small n."""
+    """Up to _FIRST_WORKING_SET evenly spaced indices below n: all for small
+    n.  The minidisc starts here; it solves a cyclic polygon in one round."""
     m = min(n, _FIRST_WORKING_SET)
     return np.arange(m) * n // m
+
+
+def _first_edges(curv: Curvature, va: np.ndarray) -> np.ndarray:
+    """The longest edge, by squared chord, of each run of edges between
+    consecutive indices of _first_working_set: every edge for small n.
+
+    Near a circle the longest edges are the ones nearest the incenter, and
+    one per run keeps the set spread around the body.
+    """
+    n = len(va)
+    starts = _first_working_set(n)
+    if n <= _FIRST_WORKING_SET:
+        return starts
+    chords = squared_chords(curv, va, next_rows(va))
+    return np.array([lo + int(np.argmax(chords[lo:hi]))
+                     for lo, hi in zip(starts, [*starts[1:], n])])
 
 
 def _index_arrays(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The pairs i < j and the triples i < j < k below n, as index arrays.
 
-    Read-only and cached for the sizes of a first working set, which are
-    the only sizes a random body's solve takes.  A grown set builds its own
-    and drops them with the solve: at n = 200 the triples take 32 MB.
+    Read-only and cached up to _CACHED_INDEX_SIZE, which covers a first
+    working set and the few edges a solve usually adds to it.  A larger set
+    builds its own and drops them with the solve: at n = 200 the triples
+    take 32 MB.
     """
-    if n <= _FIRST_WORKING_SET:
+    if n <= _CACHED_INDEX_SIZE:
         return _cached_index_arrays(n)
     return np.triu_indices(n, 1), triple_indices(n)
 
@@ -219,11 +239,12 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     The incenter is a stationary point of the common distance to at most
     three edges, so it is the best of the candidates that
     ``_incenter_candidates`` enumerates.  That enumeration runs on a working
-    set of edges: up to 12 evenly spaced ones first (all of them for
-    n <= 12).  The best candidate x_S of the working set S has value v_S,
-    the least gen_sin distance from x_S to an edge of S.  If no edge of K
-    lies nearer x_S than v_S, x_S is the incenter: v_S bounds the optimum
-    from above, since dropping edges can only enlarge the inscribed disc.
+    set of edges: first the longest edge of each of 12 index runs (all of
+    them for n <= 12; see ``_first_edges``).  The best candidate x_S of the
+    working set S has value v_S, the least gen_sin distance from x_S to an
+    edge of S.  If no edge of K lies nearer x_S than v_S, x_S is the
+    incenter: v_S bounds the optimum from above, since dropping edges can
+    only enlarge the inscribed disc.
     Otherwise the nearest edge joins S and the search repeats; at worst S
     grows to all n edges and the search is the full enumeration.
 
@@ -241,7 +262,7 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
         va = K.vertex_array
         return 0.0, SurfacePoint(normalize_to_surface(curv, va[0] + va[1]), curv)
     normals = K.edge_normals
-    work = _first_working_set(len(normals))
+    work = _first_edges(curv, K.vertex_array)
     while True:
         if curv.kappa <= 0:
             work = _close_working_set(curv, normals, work)

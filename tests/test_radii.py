@@ -323,6 +323,52 @@ def assert_same_incircle(K):
     assert np.max(np.abs(center.coords - center0.coords)) <= 1e-12 * scale, K
 
 
+def workload_polygon(curv, n, rng, radius=0.6):
+    """A cyclic polygon as bench's large-polygons workload builds one: angle
+    i in the middle half of the i-th of n sectors, turned at random."""
+    u = rng.uniform(0.25, 0.75, n)
+    theta = (np.arange(n) + u) * (2.0 * math.pi / n) + rng.uniform(0.0, 1.0)
+    return GeodesicPolygon([exp_at_base(curv, radius, float(t))
+                            for t in theta], curv)
+
+
+def gapped_polygon(curv, rho, gaps):
+    """Vertices on the circle of radius rho about the base point, the i-th
+    and the next gaps[i] radians apart; the gaps sum to 2 pi."""
+    theta = 0.3 + np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+    return GeodesicPolygon([exp_at_base(curv, rho, float(t)) for t in theta],
+                           curv)
+
+
+@pytest.fixture
+def incenter_rounds(monkeypatch):
+    """The working-set sizes of inradius's rounds; clear between solves."""
+    sizes = []
+    enumerate_candidates = radii._incenter_candidates
+
+    def counted(curv, normals):
+        sizes.append(len(normals))
+        return enumerate_candidates(curv, normals)
+
+    monkeypatch.setattr(radii, "_incenter_candidates", counted)
+    return sizes
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """(size before, size after) of each _close_working_set call."""
+    calls = []
+    close = radii._close_working_set
+
+    def recorded(curv, normals, work):
+        out = close(curv, normals, work)
+        calls.append((len(work), len(out)))
+        return out
+
+    monkeypatch.setattr(radii, "_close_working_set", recorded)
+    return calls
+
+
 class TestWorkingSetInradius:
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_matches_enumeration(self, kappa):
@@ -383,9 +429,11 @@ class TestWorkingSetInradius:
                                                    (-1.0, 0.3, 0.62)])
     def test_unbounded_first_working_set(self, kappa, rho, reach):
         # A cup: a 170-degree arc of 60 vertices below two long sides that
-        # diverge upward.  The first working set holds arc edges only, whose
-        # best candidate, the arc's center, lies nearer no other edge; only
-        # closing the working set reveals the larger disc higher up.
+        # diverge upward.  Arc edges alone bound no compact region, and their
+        # best candidate, the arc's center, lies nearer no other edge.  On
+        # the flat plane the first working set holds arc edges and one side,
+        # and only closing it reveals the larger disc higher up; the
+        # hyperbolic cup's first set already holds the top edge.
         curv = Curvature(kappa)
         phi = np.radians(np.linspace(-175.0, -5.0, 60))
         chart = list(rho * np.stack([np.cos(phi), np.sin(phi)], axis=1))
@@ -407,12 +455,12 @@ class TestWorkingSetInradius:
     def test_ultraparallel_working_pair(self):
         # A 190-degree arc of 40 vertices about the Klein chart's origin,
         # closed above by two sides that converge upward and a top edge.
-        # The first working set holds arc edges only; its last and first
-        # edges lean inward, so their lines meet ahead of both (w_z > 0),
-        # but beyond the ideal boundary (G(w, w) < 0): they are
-        # ultraparallel, and only the hyperbolic half of the closing rule
-        # brings in the side between them.  Without it the arc's center is
-        # certified, with a radius 16% short.
+        # The first working set holds arc edges and the right side, which
+        # with the first arc edge lean inward, so their lines meet ahead of
+        # both (w_z > 0), but beyond the ideal boundary (G(w, w) < 0): they
+        # are ultraparallel, and only the hyperbolic half of the closing
+        # rule brings in the edges between them.  Without it the arc's
+        # center is certified, with a radius 16% short.
         curv = Curvature(-1.0)
         rho, half, top, n_arc = 0.4, 95.0, 0.9, 40
         phi = np.radians(np.linspace(-90.0 - half, -90.0 + half, n_arc))
@@ -429,8 +477,8 @@ class TestWorkingSetInradius:
             SurfacePoint(np.array([x, y, 1.0]) / math.sqrt(1.0 - x * x - y * y),
                          curv) for x, y in chart])
         normals = body.edge_normals
-        n = len(normals)
-        work = np.arange(12) * n // 12
+        work = radii._first_edges(curv, body.vertex_array)
+        assert work[-1] == n_arc - 1
         w = np.cross(normals[work[-1]], normals[work[0]])
         assert w[2] > 0 and form_dot(curv, w, w) < 0
         at_center = np.min(body.signed_edge_distances(
@@ -438,6 +486,90 @@ class TestWorkingSetInradius:
         r, _ = inradius(body)
         assert r > 1.1 * gen_asin(curv, float(at_center))
         assert_same_incircle(body)
+
+    def test_workload_polygons_in_one_round(self, incenter_rounds):
+        # Near a circle the longest edges are the ones nearest the incenter,
+        # so the first working set mostly holds the incircle's edges.  The
+        # evenly spaced start took 3-6 rounds on each of these.  Seeds
+        # 200-229 give at most 2 rounds a solve and 15-17 for 15 shapes.
+        shapes = [(seed, n, kappa) for seed in (200, 201)
+                  for n in (32, 64, 128, 160, 200) for kappa in REGIME_KAPPAS]
+        per_solve = []
+        for i, (seed, n, kappa) in enumerate(shapes):
+            body = workload_polygon(Curvature(kappa), n,
+                                    RandomStream([seed, i % 15]))
+            incenter_rounds.clear()
+            inradius(body)
+            per_solve.append(len(incenter_rounds))
+        assert max(per_solve) <= 2, per_solve
+        assert sum(per_solve) <= 1.25 * len(shapes), per_solve
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_regular_ngons_as_from_evenly_spaced_edges(self, kappa,
+                                                       monkeypatch):
+        # Every edge touches the incircle, so every start finds it in one
+        # round, and r_in keeps its bits.  Tied candidates are met in
+        # another order, so the incenter may move within rounding.
+        curv = Curvature(kappa)
+        bodies = [regular_ngon(curv, R, n) for n in (13, 24, 31, 64, 200)
+                  for R in (0.6, largest_radius(curv) if kappa > 0 else 1.2)]
+        for K in bodies:
+            if K.n_vertices <= 64:
+                assert_same_incircle(K)
+        solved = [inradius(K) for K in bodies]
+        monkeypatch.setattr(radii, "_first_edges",
+                            lambda curv, va: radii._first_working_set(len(va)))
+        for K, (r, center) in zip(bodies, solved):
+            r0, center0 = inradius(K)
+            assert r == r0, (K, r, r0)
+            assert np.max(np.abs(center.coords - center0.coords)) <= 1e-12, K
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_longest_edges_in_one_run(self, kappa, incenter_rounds):
+        # The four long edges nearest the center are run 0 of a 48-gon, so
+        # the first set holds one of them and the loop adds the others.
+        curv = Curvature(kappa)
+        n = 48
+        gaps = np.concatenate([np.full(4, 0.5),
+                               np.full(n - 4, (2 * math.pi - 2.0) / (n - 4))])
+        for rho in (0.6, largest_radius(curv)):
+            K = gapped_polygon(curv, rho, gaps)
+            first = radii._first_edges(curv, K.vertex_array)
+            assert len(np.intersect1d(first, np.arange(4))) == 1
+            incenter_rounds.clear()
+            assert_same_incircle(K)
+            assert len(incenter_rounds) > 1 or incenter_rounds == [n]
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_one_large_gap(self, kappa):
+        # 40 vertices on a circle with a gap of 3 radians, whose edge passes
+        # nearest the center and is the longest by far.
+        curv = Curvature(kappa)
+        n = 40
+        gaps = np.concatenate([np.full(n - 1, (2 * math.pi - 3.0) / (n - 1)),
+                               [3.0]])
+        for rho in (0.6, largest_radius(curv)):
+            K = gapped_polygon(curv, rho, gaps)
+            assert n - 1 in radii._first_edges(curv, K.vertex_array)
+            assert_same_incircle(K)
+
+    def test_hyperbolic_closure_adds_edges(self, closures):
+        # Far out on the hyperbolic plane, or with long edges in one run,
+        # the longest edge of each run still leaves an unbounded region, and
+        # only the closure rule makes the first round's bound hold.
+        curv = Curvature(-1.0)
+        rng = RandomStream(7)
+        n = 48
+        gaps = np.concatenate([np.full(4, 0.5),
+                               np.full(n - 4, (2 * math.pi - 2.0) / (n - 4))])
+        bodies = [gapped_polygon(curv, 0.6, gaps), regular_ngon(curv, 5.0, 64)]
+        bodies += [workload_polygon(curv, n, rng, radius=R)
+                   for R in (3.0, 5.0) for n in (16, 40)]
+        for K in bodies:
+            closures.clear()
+            assert_same_incircle(K)
+            before, after = closures[0]
+            assert after > before, (K, closures)
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_200_gon_under_10_ms(self, kappa):
@@ -766,21 +898,22 @@ class TestSupportEnumeration:
 
 
 class TestIndexArrays:
-    @pytest.mark.parametrize("n", range(1, 16))
+    @pytest.mark.parametrize("n", range(1, 27))
     def test_pairs_and_triples(self, n):
         pairs, triples = radii._index_arrays(n)
         for got, want in zip(pairs + triples,
                              np.triu_indices(n, 1) + triple_indices(n)):
             assert np.array_equal(got, want)
 
-    def test_cached_read_only_up_to_the_first_working_set(self):
-        small = radii._FIRST_WORKING_SET
-        assert radii._index_arrays(small) is radii._index_arrays(small)
-        pairs, triples = radii._index_arrays(small)
-        assert not any(a.flags.writeable for a in pairs + triples)
-        # A grown working set's arrays are not kept.
-        assert (radii._index_arrays(small + 1)[1][0]
-                is not radii._index_arrays(small + 1)[1][0])
+    def test_cached_read_only_up_to_24(self):
+        for small in (radii._FIRST_WORKING_SET, radii._CACHED_INDEX_SIZE):
+            assert radii._index_arrays(small) is radii._index_arrays(small)
+            pairs, triples = radii._index_arrays(small)
+            assert not any(a.flags.writeable for a in pairs + triples)
+        # A larger working set's arrays are not kept.
+        large = radii._CACHED_INDEX_SIZE + 1
+        assert (radii._index_arrays(large)[1][0]
+                is not radii._index_arrays(large)[1][0])
 
 
 class TestMinidiscScaleCovariance:
