@@ -490,7 +490,7 @@ class TestWorkingSetInradius:
     def test_workload_polygons_in_one_round(self, incenter_rounds):
         # Near a circle the longest edges are the ones nearest the incenter,
         # so the first working set mostly holds the incircle's edges.  The
-        # evenly spaced start took 3-6 rounds on each of these.  Seeds
+        # evenly spaced start took 2-6 rounds on each of these.  Seeds
         # 200-229 give at most 2 rounds a solve and 15-17 for 15 shapes.
         shapes = [(seed, n, kappa) for seed in (200, 201)
                   for n in (32, 64, 128, 160, 200) for kappa in REGIME_KAPPAS]
