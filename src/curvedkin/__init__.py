@@ -5,9 +5,8 @@ from .surface import (EPS, Curvature, CurvatureMismatch, GeometryError,
                       Isometry, RandomStream, SurfacePoint,
                       base_point, disc_area, disc_perimeter, exp_at_base,
                       form_dot, gen_asin, gen_cos, gen_sin, geodesic_distance,
-                      normalize_to_surface, point_polar, rotation_about_base,
-                      sample_isometry, support_area, translation_by_polar,
-                      translation_to)
+                      normalize_to_surface, point_polar, support_area,
+                      translation_by_polar, translation_to)
 from .convex import (GeodesicPolygon, area, contains_point, convex_hull,
                      euler_intersection, intersect_convex, perimeter,
                      point_body, polygons_close, regular_ngon, segment_body)

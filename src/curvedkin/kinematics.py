@@ -249,29 +249,29 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     """
     K.curvature.require_same(L.curvature)
     curv = K.curvature
-    rk, tK, Kc = _recenter(K)
-    rl, tL, Lc = _recenter(L)
-    pairs = [(Kc, Lc, tK, tL, rl, False), (Lc, Kc, tL, tK, rk, True)]
-    if rk > rl:
+    # (body, circumradius, translation to its circumcenter, body recentered)
+    k_side, l_side = (K, *_recenter(K)), (L, *_recenter(L))
+    pairs = [(k_side, l_side), (l_side, k_side)]
+    if k_side[1] > l_side[1]:
         pairs.reverse()
     spent = 0
     batch = 256
-    for attempt, (inner, outer, t_in, t_out, r_out,
-                  flipped) in enumerate(pairs):
+    for attempt, ((inner, _, t_in, inner_c),
+                  (outer, r_out, t_out, outer_c)) in enumerate(pairs):
         if outer.dim < 2:
             continue
         # Rows edge normal (x) inner vertex, folded: against the motion
         # basis, the gen_sin distances of the moved vertices from outer's
         # edges.
-        table = fold_table(curv, _outer_table(outer.edge_normals,
-                                              inner.vertex_array))
+        table = fold_table(curv, _outer_table(outer_c.edge_normals,
+                                              inner_c.vertex_array))
         sigma = max(r_out, 1e-3)
         best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
         share = (budget * 4) // 5 if attempt == 0 else budget - spent
         used = 0
-        while used < share and spent < budget:
+        while used < share:
             m = min(batch, share - used)
-            if best[0] == -math.inf or used == 0:
+            if best[0] == -math.inf:
                 r = np.abs(rng.normal(0.0, sigma, m))
                 theta = rng.uniform(0.0, 2.0 * math.pi, m)
                 phi = rng.uniform(0.0, 2.0 * math.pi, m)
@@ -297,14 +297,9 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                     sigma = max(r_out, 1e-3)  # restart
                     best = (-math.inf, 0.0, 0.0, 0.0)
             if best[0] >= -1e-12:
-                g_local = Isometry(
-                    motion_matrices(curv, np.array([best[1]]),
-                                    np.array([best[2]]),
-                                    np.array([best[3]]))[0], curv)
+                g_local = Isometry(motion_matrices(curv, *best[1:])[0], curv)
                 g = t_out @ g_local @ t_in.inverse()
-                moved = (L if flipped else K).transformed(g)
-                target = K if flipped else L
-                if body_contains(target, moved):
+                if body_contains(outer, inner.transformed(g)):
                     return g
                 best = (-math.inf, 0.0, 0.0, 0.0)
     return None

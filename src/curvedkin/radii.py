@@ -166,7 +166,7 @@ def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     """Radius and center of the smallest enclosing geodesic disc."""
     curv = K.curvature
     c, r = smallest_enclosing_disc(curv, K.vertex_array)
-    if curv.kappa > 0 and r >= curv.hemisphere_limit:
+    if r >= curv.hemisphere_limit:
         raise GeometryError("enclosing disc leaves the hemisphere; "
                             "polygon violates the convexity convention")
     return r, SurfacePoint(c, curv)

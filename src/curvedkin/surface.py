@@ -53,7 +53,8 @@ class Curvature:
 
     @property
     def hemisphere_limit(self) -> float:
-        """Circumradius bound pi/(2 sqrt(kappa)) for convex bodies; inf otherwise."""
+        """Circumradius bound pi/(2 sqrt(kappa)) for convex bodies, half the
+        sphere's diameter; inf otherwise."""
         if self.kappa > 0:
             return math.pi / (2.0 * math.sqrt(self.kappa))
         return math.inf
@@ -143,10 +144,10 @@ def disc_area(curvature: Curvature, r: float) -> float:
 def _check_disc_radius(curvature: Curvature, r: float) -> None:
     if r < 0:
         raise GeometryError(f"disc radius must be nonnegative, got {r}")
-    if curvature.kappa > 0 and r > math.pi / curvature.scale:
+    if r > 2.0 * curvature.hemisphere_limit:
         raise GeometryError(
             f"disc radius {r} exceeds the sphere's diameter bound "
-            f"{math.pi / curvature.scale}")
+            f"{2.0 * curvature.hemisphere_limit}")
 
 
 def form_dot(curvature: Curvature, u, v):
@@ -343,7 +344,7 @@ def _polar_row(curvature: Curvature, r: float, theta: float) -> tuple:
             f"polar coordinates must be finite, got r = {r}, theta = {theta}")
     if r < 0:
         raise GeometryError(f"radius must be nonnegative, got {r}")
-    if curvature.kappa > 0 and r >= math.pi / curvature.scale:
+    if r >= 2.0 * curvature.hemisphere_limit:
         raise GeometryError(f"radius {r} exceeds the injectivity bound")
     c, s = gen_cos_sin(curvature, r)
     return s * math.cos(theta), s * math.sin(theta), c
@@ -379,12 +380,9 @@ class Isometry:
         self.curvature.require_same(p.curvature)
         return SurfacePoint(self.matrix @ p.coords, self.curvature)
 
-    def compose(self, other: "Isometry") -> "Isometry":
+    def __matmul__(self, other: "Isometry") -> "Isometry":
         self.curvature.require_same(other.curvature)
         return Isometry(self.matrix @ other.matrix, self.curvature)
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return self.compose(other)
 
     def inverse(self) -> "Isometry":
         return Isometry(np.linalg.inv(self.matrix), self.curvature)
@@ -401,11 +399,6 @@ class Isometry:
               and np.allclose(m @ lam @ m.T, lam, atol=tol))
         return bool(ok and np.linalg.det(m) > 0
                     and (self.curvature.kappa > 0 or m[2, 2] > 0))
-
-
-def rotation_about_base(curvature: Curvature, phi: float) -> Isometry:
-    """Rotation by phi about the base point (fixes x0 in every regime)."""
-    return Isometry(motion_matrices(curvature, 0.0, 0.0, phi)[0], curvature)
 
 
 def translation_by_polar(curvature: Curvature, r: float, theta: float) -> Isometry:
@@ -571,11 +564,3 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     a = 1.0 - curvature.kappa * u / (2.0 * math.pi)
     return ((a, np.sqrt(u * (1.0 + a) / (2.0 * math.pi))), theta,
             rng.uniform(0.0, 2.0 * math.pi, n))
-
-
-def sample_isometry(curvature: Curvature, support_radius: float,
-                    rng: RandomStream) -> Isometry:
-    """One Haar-style isometry sample; see :func:`sample_motions`."""
-    m = basis_matrices(curvature, motion_basis(
-        curvature, *sample_motions(curvature, support_radius, 1, rng)))[0]
-    return Isometry(m, curvature)

@@ -28,7 +28,9 @@ body generator as it was before it drew each body's stream in one call and
 built its points as one coordinate array: one point, one draw of theta and
 one of u, one ``exp_at_base`` at a time.  Their :func:`sample_positions`,
 the library's until no library code called it, draws r and theta as
-``surface.sample_motions`` draws its positions.  :func:`_canonical_rotation`
+``surface.sample_motions`` draws its positions, and :func:`sample_isometry`,
+the library's one-motion sampler until only tests called it, draws one
+motion as ``sample_motions`` does.  :func:`_canonical_rotation`
 is the hull's rotation of its vertex cycle on points, which the chart-hull
 oracles still use; the library now rotates rows.
 :class:`MatrixValidatedPolygon` is a GeodesicPolygon validated as the
@@ -46,9 +48,11 @@ import numpy as np
 from curvedkin import surface
 from curvedkin.bonnesen import _disc_radius_limit
 from curvedkin.convex import GeodesicPolygon, convex_hull, next_rows
-from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
-                               bisector_normals, cross3, exp_at_base, gen_sin,
-                               libm_map, row_distances, squared_chords)
+from curvedkin.surface import (EPS, Curvature, GeometryError, Isometry,
+                               RandomStream, basis_matrices, bisector_normals,
+                               cross3, exp_at_base, gen_sin, libm_map,
+                               motion_basis, row_distances, sample_motions,
+                               squared_chords)
 
 # The Minkowski signs of the parent's form for kappa < 0.
 _J = np.array([1.0, 1.0, -1.0])
@@ -592,6 +596,14 @@ def sample_positions(curvature: Curvature, support_radius: float, n: int,
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     u = rng.uniform(0.0, surface.support_area(curvature, support_radius), n)
     return surface.area_radius(curvature, u), theta
+
+
+def sample_isometry(curvature: Curvature, support_radius: float,
+                    rng: RandomStream) -> Isometry:
+    """One Haar-style isometry sample; see ``surface.sample_motions``."""
+    m = basis_matrices(curvature, motion_basis(
+        curvature, *sample_motions(curvature, support_radius, 1, rng)))[0]
+    return Isometry(m, curvature)
 
 
 def random_point_in_disc(curvature: Curvature, rho: float,

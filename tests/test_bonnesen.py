@@ -18,20 +18,12 @@ from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, gen_sin)
 
+from common import unit_square
 import exact
 import parent
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-
-
-def flat_point(x, y):
-    return SurfacePoint(np.array([x, y, 1.0]), Curvature(0.0))
-
-
-def unit_square():
-    return convex_hull([flat_point(x, y)
-                        for x in (0.0, 1.0) for y in (0.0, 1.0)])
 
 
 def fake_metrics(kappa, A, P, r, R):

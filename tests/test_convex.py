@@ -17,37 +17,20 @@ from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               polygons_close, regular_ngon, segment_body,
                               triple_indices)
 from curvedkin.radii import metrics
-from curvedkin.surface import (EPS, Curvature, GeometryError, RandomStream,
-                               SurfacePoint, base_point, disc_area,
-                               exp_at_base, normalize_to_surface,
-                               polar_rows, rotation_about_base,
-                               sample_isometry, translation_by_polar,
-                               translation_to)
+from curvedkin.surface import (EPS, Curvature, GeometryError, Isometry,
+                               RandomStream, SurfacePoint, base_point,
+                               disc_area, exp_at_base, motion_matrices,
+                               normalize_to_surface, polar_rows,
+                               translation_by_polar, translation_to)
 
+from common import (ALL_KAPPAS, REGIME_KAPPAS, flat_point, octant_triangle,
+                    unit_square)
 import exact
 from parent import (DegeneratePosition, MatrixValidatedPolygon,
                     ParentPolygon, _J, _canonical_rotation,
                     _segment_intersections, boundary_crossings, form_dot,
-                    geodesic_distance, normals_from_parent, sample_positions,
-                    segment_contains_point)
-
-REGIME_KAPPAS = [1.0, 0.0, -1.0]
-ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
-
-
-def flat_point(x, y):
-    return SurfacePoint(np.array([x, y, 1.0]), Curvature(0.0))
-
-
-def unit_square():
-    return convex_hull([flat_point(x, y)
-                        for x in (0.0, 1.0) for y in (0.0, 1.0)])
-
-
-def octant_triangle():
-    c = Curvature(1.0)
-    return convex_hull([SurfacePoint(np.array(v, dtype=float), c) for v in
-                        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+                    geodesic_distance, normals_from_parent, sample_isometry,
+                    sample_positions, segment_contains_point)
 
 
 def random_body(curv, rng, n_points=6, rho=0.8):
@@ -524,7 +507,9 @@ def random_segment(curv, rng, rho=0.8):
 
 def half_turn_about(p: SurfacePoint):
     t = translation_to(p)
-    return t @ rotation_about_base(p.curvature, math.pi) @ t.inverse()
+    spin = Isometry(motion_matrices(p.curvature, 0.0, 0.0, math.pi)[0],
+                    p.curvature)
+    return t @ spin @ t.inverse()
 
 
 class TestCrossingOracle:
@@ -943,19 +928,6 @@ def old_triples(n):
     """hemisphere_direction's exact-pass triple loop."""
     return [(i, j, k) for i in range(n) for j in range(i + 1, n)
             for k in range(j + 1, n)]
-
-
-def assert_agree(new, old, ulps=0):
-    """Within ulps units in the last place of old; 0 asks for the same bits.
-
-    The array kernels keep the scalar arithmetic, libm calls included, so
-    they reproduce its bits.  Only spherical edge norms go through BLAS,
-    whose builds may round a dot product differently; they get 4 ulp.
-    """
-    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
-    assert new.shape == old.shape
-    assert np.all(np.abs(new - old) <= ulps * np.spacing(np.abs(old))), \
-        (new, old)
 
 
 def body_limit(curv):

@@ -17,31 +17,16 @@ from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
 from curvedkin.radii import circumradius
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, RandomStream,
-                               SurfacePoint, basis_matrices, disc_area,
+                               basis_matrices, disc_area,
                                exp_at_base, fold_table, gen_cos_sin,
-                               motion_basis, motion_matrices, sample_isometry,
-                               sample_motions, Isometry, translation_by_polar)
+                               motion_basis, motion_matrices, sample_motions,
+                               translation_by_polar)
 
+from common import (REGIME_KAPPAS, flat_point, octant_triangle,
+                    unit_square)
 import exact
 from parent import (DegeneratePosition, ParentPolygon, _J, arc_crossings,
-                    boundary_crossings, to_parent, unit_arcs)
-
-REGIME_KAPPAS = [1.0, 0.0, -1.0]
-
-
-def flat_point(x, y):
-    return SurfacePoint(np.array([x, y, 1.0]), Curvature(0.0))
-
-
-def unit_square():
-    return convex_hull([flat_point(x, y)
-                        for x in (0.0, 1.0) for y in (0.0, 1.0)])
-
-
-def octant_triangle():
-    c = Curvature(1.0)
-    return convex_hull([SurfacePoint(np.array(v, dtype=float), c) for v in
-                        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+                    boundary_crossings, sample_isometry, to_parent, unit_arcs)
 
 
 def random_body(curv, rng, n_points=5, rho=0.7):

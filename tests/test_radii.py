@@ -18,25 +18,19 @@ from curvedkin.radii import (BodyMetrics, circumradius, inradius, metrics,
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,
                                disc_perimeter, exp_at_base, form_dot, gen_asin,
-                               geodesic_distance, row_distances,
-                               sample_isometry)
+                               geodesic_distance, row_distances)
 
+from common import ALL_KAPPAS, REGIME_KAPPAS, flat_point
 import exact
 from parent import (ParentPolygon, _circumcenter3, _disc_from_support,
                     _midpoint, _normalize_rows, from_parent,
-                    old_disc_from_support, recursive_enclosing_disc, to_parent,
-                    welzl_enclosing_disc)
+                    old_disc_from_support, recursive_enclosing_disc,
+                    sample_isometry, to_parent, welzl_enclosing_disc)
 # The chart and hemisphere search the library no longer has.
 from test_convex import _chart, hemisphere_direction
 
-REGIME_KAPPAS = [1.0, 0.0, -1.0]
-ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
 # The Minkowski signs as the enumeration oracle below spells them.
 _J = np.array([1.0, 1.0, -1.0])
-
-
-def flat_point(x, y):
-    return SurfacePoint(np.array([x, y, 1.0]), Curvature(0.0))
 
 
 def random_body(curv, rng, n_points=7, rho=0.8):
@@ -113,19 +107,6 @@ def enumeration_inradius(K):
     if best is None or best_val < 0:
         raise GeometryError("incenter search failed")
     return gen_asin(curv, best_val), SurfacePoint(best, curv)
-
-
-def assert_agree(new, old, ulps=0):
-    """Within ulps units in the last place of old; 0 asks for the same bits.
-
-    The array kernels keep the scalar arithmetic, libm calls included, so
-    they reproduce its bits.  Only spherical edge norms go through BLAS,
-    whose builds may round a dot product differently; they get 4 ulp.
-    """
-    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
-    assert new.shape == old.shape
-    assert np.all(np.abs(new - old) <= ulps * np.spacing(np.abs(old))), \
-        (new, old)
 
 
 def circumdisc_oracle(K):

@@ -19,18 +19,15 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                basis_matrices, fold_table, motion_basis,
                                motion_matrices,
                                normalize_to_surface, point_polar,
-                               rotation_about_base, sample_isometry,
                                sample_motions, row_distances,
                                support_area, translation_by_polar,
                                translation_to)
 
+from common import ALL_KAPPAS, REGIME_KAPPAS
 import exact
 import parent
-from parent import (form_dot, from_parent, sample_positions,
+from parent import (form_dot, from_parent, sample_isometry, sample_positions,
                     to_parent)
-
-REGIME_KAPPAS = [1.0, 0.0, -1.0]
-ALL_KAPPAS = [2.0, 1.0, 0.25, 0.0, -0.25, -1.0, -2.0]
 
 
 class TestCurvature:
@@ -103,9 +100,18 @@ class TestDiscFormulas:
         with pytest.raises(GeometryError):
             disc_area(Curvature(1.0), -0.1)
 
-    def test_beyond_antipode_rejected(self):
-        with pytest.raises(GeometryError):
-            disc_area(Curvature(1.0), math.pi + 0.1)
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0, 1e-8, 0.0, -1.0])
+    def test_beyond_antipode_rejected(self, kappa):
+        # The whole sphere, of diameter pi/sqrt(kappa), is a disc; a disc
+        # one ulp wider is not.  Off the sphere no radius is too large.
+        c = Curvature(kappa)
+        if kappa <= 0.0:
+            disc_area(c, 10.0)
+            return
+        d = math.pi / math.sqrt(kappa)
+        disc_area(c, d)
+        with pytest.raises(GeometryError, match="diameter bound"):
+            disc_area(c, math.nextafter(d, math.inf))
 
     def test_near_zero_kappa_continuity(self):
         for kappa in (1e-6, -1e-6):
@@ -270,9 +276,19 @@ class TestExpAndPolar:
         p = exp_at_base(c, r, theta)
         assert abs(geodesic_distance(base_point(c), p) - r) < 1e-9
 
-    def test_injectivity_bound(self):
-        with pytest.raises(GeometryError):
-            exp_at_base(Curvature(1.0), math.pi + 0.01, 0.0)
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0, 1e-8, 0.0, -1.0])
+    def test_injectivity_bound(self, kappa):
+        # On the sphere polar coordinates reach up to the antipode of the
+        # base point, at pi/sqrt(kappa), and not onto it.
+        c = Curvature(kappa)
+        if kappa <= 0.0:
+            exp_at_base(c, 10.0, 0.0)
+            return
+        d = math.pi / math.sqrt(kappa)
+        with pytest.raises(GeometryError,
+                           match="exceeds the injectivity bound"):
+            exp_at_base(c, d, 0.0)
+        exp_at_base(c, math.nextafter(d, 0.0), 0.0)
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     @pytest.mark.parametrize("r,theta", [(math.nan, 0.1), (math.inf, 0.1),
@@ -328,13 +344,14 @@ class TestIsometry:
     def test_rotation_fixes_base(self):
         for kappa in REGIME_KAPPAS:
             c = Curvature(kappa)
-            g = rotation_about_base(c, 1.1)
+            g = Isometry(motion_matrices(c, 0.0, 0.0, 1.1)[0], c)
             assert np.allclose(g.apply(base_point(c)).coords,
                                base_point(c).coords)
 
     def test_compose_inverse(self):
         c = Curvature(-1.0)
-        g = translation_by_polar(c, 0.7, 0.4) @ rotation_about_base(c, 2.0)
+        spin = Isometry(motion_matrices(c, 0.0, 0.0, 2.0)[0], c)
+        g = translation_by_polar(c, 0.7, 0.4) @ spin
         h = g @ g.inverse()
         assert np.allclose(h.matrix, np.eye(3), atol=1e-12)
 
@@ -357,9 +374,9 @@ class TestHaarSampling:
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_sampled_isometries_preserve_form(self, kappa):
         c = Curvature(kappa)
-        rng = RandomStream(13)
-        for _ in range(30):
-            assert sample_isometry(c, 1.5, rng).check_form()
+        mats = basis_matrices(c, motion_basis(
+            c, *sample_motions(c, 1.5, 30, RandomStream(13))))
+        assert all(Isometry(m, c).check_form() for m in mats)
 
     def test_sphere_orbit_uniformity(self):
         # chi-square over the eight octants of g x0 for kappa = 1, with
@@ -530,11 +547,6 @@ class TestMotionColumns:
             assert np.array_equal(a, a0) and np.array_equal(b, b0)
         assert np.allclose(a, a0, rtol=1e-12, atol=0.0)
         assert np.allclose(b, b0, rtol=1e-12, atol=0.0)
-        # sample_isometry draws one motion in the same order.
-        one = basis_matrices(c, motion_basis(
-            c, *sample_motions(c, 1.0, 1, RandomStream(29))))[0]
-        assert np.array_equal(sample_isometry(c, 1.0, RandomStream(29)).matrix,
-                              one)
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_radial_pair_matches_mpmath(self, kappa):
