@@ -106,26 +106,21 @@ def euclid_bonnesen_rhs(m: BodyMetrics) -> float:
 
 def sphere_bounds(m: BodyMetrics) -> list[Bound]:
     """Right-hand sides of the four spherical inequalities."""
-    k = m.kappa
-    if k <= 0:
+    if m.kappa <= 0:
         raise GeometryError("spherical bounds need kappa > 0 metrics")
-    a = m.A
-    if a >= FOUR_PI / k:
+    if m.A >= FOUR_PI / m.kappa:
         raise GeometryError("body is not a proper subset of the sphere")
     sharp, applies = sharp_bound(m)
     s3 = Bound(BoundName.S3, 0.0, True)
     if not applies:
         return [s3] + [Bound(name, math.nan, False) for name in
                        (BoundName.S1, BoundName.S2, BoundName.S4)]
+    # S4's (kappa^2 / 16) g^2 (A - (4 pi / kappa - A))^2 is S2 term for
+    # term, as kappa A - 2 pi = -t.
     g, t = _radii_gap_and_t(m)
     s2 = g * g * t * t / 4.0
-    a_comp = FOUR_PI / k - a
-    s4 = (k * k / 16.0) * g * g * (a - a_comp) ** 2
-    if abs(s4 - s2) > 1e-9 * (1.0 + abs(s2)):
-        raise GeometryError("complement-form bound disagrees with the "
-                            "simplified bound; metrics are inconsistent")
     return [s3, Bound(BoundName.S1, sharp, True),
-            Bound(BoundName.S2, s2, True), Bound(BoundName.S4, s4, True)]
+            Bound(BoundName.S2, s2, True), Bound(BoundName.S4, s2, True)]
 
 
 def hyperbolic_bounds(m: BodyMetrics) -> list[Bound]:
@@ -143,6 +138,7 @@ def hyperbolic_bounds(m: BodyMetrics) -> list[Bound]:
 
 def deficit_report(curvature: Curvature, m: BodyMetrics) -> DeficitReport:
     """Evaluate every bound of the regime against the deficit."""
+    curvature.require_same(m.incenter.curvature)
     d = deficit(curvature, m.A, m.P)
     k = curvature.kappa
     if k > 0:
@@ -191,6 +187,7 @@ def quadratic_witness(curvature: Curvature, m: BodyMetrics) -> QuadraticWitness:
     coefficient must be positive: on the hyperbolic plane that is the sharp
     bound's sign condition.
     """
+    curvature.require_same(m.incenter.curvature)
     if m.R_circ - m.r_in <= NON_DISC_THRESHOLD * (1.0 + m.R_circ):
         raise GeometryError("witness needs a non-disc body (r_in < R_circ)")
     k = curvature.kappa

@@ -393,41 +393,37 @@ def _build_parser() -> argparse.ArgumentParser:
                     "curvature surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in list(SUITES) + ["all"]:
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--kappa", type=float, action="append", default=None)
-        p.add_argument("--samples", type=int, default=20000)
-        p.add_argument("--count", type=int, default=25)
-        p.add_argument("--max-vertices", type=int, default=8)
-        p.add_argument("--budget", type=int, default=10000)
-        p.add_argument("--body-file", default=None)
-        p.add_argument("--disc-ngon", nargs=2, type=float, default=None,
-                       metavar=("R", "N"))
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        # An absent option stays out of the namespace, so CampaignConfig
+        # alone holds the defaults; each dest is its field's name.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--kappa", dest="kappas", type=float, action="append")
+        p.add_argument("--samples", dest="mc_samples", type=int)
+        p.add_argument("--count", type=int)
+        p.add_argument("--max-vertices", type=int)
+        p.add_argument("--budget", type=int)
+        p.add_argument("--body-file")
+        p.add_argument("--disc-ngon", nargs=2, type=float, metavar=("R", "N"))
+        p.add_argument("--out", dest="output")
+        p.add_argument("--format", dest="fmt", choices=["json", "csv"])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("CURVEDKIN_SEED", "42"))
-        disc = None
-        if args.disc_ngon is not None:
-            r, n = args.disc_ngon
+        if "seed" not in given and "CURVEDKIN_SEED" in os.environ:
+            given["seed"] = int(os.environ["CURVEDKIN_SEED"])
+        if "kappas" in given:
+            given["kappas"] = tuple(given["kappas"])
+        if "disc_ngon" in given:
+            r, n = given["disc_ngon"]
             if not n.is_integer():
                 raise ValueError(f"--disc-ngon N must be an integer, got {n}")
-            disc = (r, int(n))
-        config = CampaignConfig(
-            seed=seed,
-            kappas=tuple(args.kappa) if args.kappa else (-1.0, 0.0, 1.0),
-            mc_samples=args.samples, count=args.count,
-            max_vertices=args.max_vertices, budget=args.budget,
-            body_file=args.body_file, disc_ngon=disc,
-            output=args.out, fmt=args.format)
-        suites = list(SUITES) if args.command == "all" else [args.command]
+            given["disc_ngon"] = (r, int(n))
+        config = CampaignConfig(**given)
+        suites = list(SUITES) if command == "all" else [command]
         status, records = run_campaign(config, suites)
     except (BodyFileError, ValueError, GeometryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -243,6 +243,12 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                      rng: RandomStream) -> Optional[Isometry]:
     """Search for g with gK inside L or gL inside K; None if the budget runs out.
 
+    Inclusion cannot raise the circumradius, so only the body with the
+    smaller one can go inside the other (on a tie, K), and the whole budget
+    searches that order: the other could succeed only on motions that make
+    the two circumdiscs coincide, a set of measure zero.  An outer body
+    with no interior holds nothing.
+
     Randomized-restart local descent over recentered spins and small
     offsets.  Returned witnesses are verified by vertex containment, so a
     non-None result is always sound.
@@ -250,58 +256,50 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     K.curvature.require_same(L.curvature)
     curv = K.curvature
     # (body, circumradius, translation to its circumcenter, body recentered)
-    k_side, l_side = (K, *_recenter(K)), (L, *_recenter(L))
-    pairs = [(k_side, l_side), (l_side, k_side)]
-    if k_side[1] > l_side[1]:
-        pairs.reverse()
-    spent = 0
+    (inner, _, t_in, inner_c), (outer, r_out, t_out, outer_c) = sorted(
+        ((K, *_recenter(K)), (L, *_recenter(L))), key=lambda side: side[1])
+    if outer.dim < 2:
+        return None
+    # Rows edge normal (x) inner vertex, folded: against the motion basis,
+    # the gen_sin distances of the moved vertices from outer's edges.
+    table = fold_table(curv, _outer_table(outer_c.edge_normals,
+                                          inner_c.vertex_array))
+    sigma = max(r_out, 1e-3)
+    best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
     batch = 256
-    for attempt, ((inner, _, t_in, inner_c),
-                  (outer, r_out, t_out, outer_c)) in enumerate(pairs):
-        if outer.dim < 2:
-            continue
-        # Rows edge normal (x) inner vertex, folded: against the motion
-        # basis, the gen_sin distances of the moved vertices from outer's
-        # edges.
-        table = fold_table(curv, _outer_table(outer_c.edge_normals,
-                                              inner_c.vertex_array))
-        sigma = max(r_out, 1e-3)
-        best = (-math.inf, 0.0, 0.0, 0.0)  # score, r, theta, phi
-        share = (budget * 4) // 5 if attempt == 0 else budget - spent
-        used = 0
-        while used < share:
-            m = min(batch, share - used)
-            if best[0] == -math.inf:
-                r = np.abs(rng.normal(0.0, sigma, m))
-                theta = rng.uniform(0.0, 2.0 * math.pi, m)
-                phi = rng.uniform(0.0, 2.0 * math.pi, m)
-                r[0] = 0.0  # always try the concentric placement first
-            else:
-                _, br, bth, bph = best
-                x = br * math.cos(bth) + rng.normal(0.0, sigma, m)
-                y = br * math.sin(bth) + rng.normal(0.0, sigma, m)
-                r = np.hypot(x, y)
-                theta = np.arctan2(y, x)
-                phi = bph + rng.normal(0.0, 0.3 + sigma, m)
-            scores = np.min(table @ motion_basis(
-                curv, gen_cos_sin(curv, r), theta, phi), axis=0)
-            used += m
-            spent += m
-            i = int(np.argmax(scores))
-            if scores[i] > best[0]:
-                best = (float(scores[i]), float(r[i]), float(theta[i]),
-                        float(phi[i]))
-            else:
-                sigma *= 0.7
-                if sigma < 1e-12 * (1.0 + r_out):
-                    sigma = max(r_out, 1e-3)  # restart
-                    best = (-math.inf, 0.0, 0.0, 0.0)
-            if best[0] >= -1e-12:
-                g_local = Isometry(motion_matrices(curv, *best[1:])[0], curv)
-                g = t_out @ g_local @ t_in.inverse()
-                if body_contains(outer, inner.transformed(g)):
-                    return g
+    used = 0
+    while used < budget:
+        m = min(batch, budget - used)
+        if best[0] == -math.inf:
+            r = np.abs(rng.normal(0.0, sigma, m))
+            theta = rng.uniform(0.0, 2.0 * math.pi, m)
+            phi = rng.uniform(0.0, 2.0 * math.pi, m)
+            r[0] = 0.0  # always try the concentric placement first
+        else:
+            _, br, bth, bph = best
+            x = br * math.cos(bth) + rng.normal(0.0, sigma, m)
+            y = br * math.sin(bth) + rng.normal(0.0, sigma, m)
+            r = np.hypot(x, y)
+            theta = np.arctan2(y, x)
+            phi = bph + rng.normal(0.0, 0.3 + sigma, m)
+        scores = np.min(table @ motion_basis(
+            curv, gen_cos_sin(curv, r), theta, phi), axis=0)
+        used += m
+        i = int(np.argmax(scores))
+        if scores[i] > best[0]:
+            best = (float(scores[i]), float(r[i]), float(theta[i]),
+                    float(phi[i]))
+        else:
+            sigma *= 0.7
+            if sigma < 1e-12 * (1.0 + r_out):
+                sigma = max(r_out, 1e-3)  # restart
                 best = (-math.inf, 0.0, 0.0, 0.0)
+        if best[0] >= -1e-12:
+            g_local = Isometry(motion_matrices(curv, *best[1:])[0], curv)
+            g = t_out @ g_local @ t_in.inverse()
+            if body_contains(outer, inner.transformed(g)):
+                return g
+            best = (-math.inf, 0.0, 0.0, 0.0)
     return None
 
 

@@ -9,12 +9,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from curvedkin.bonnesen import (NON_DISC_THRESHOLD, BoundName, deficit_report,
-                                euclid_bonnesen_rhs, hyperbolic_bounds,
-                                kappa_limit_sweep, quadratic_witness,
-                                random_convex_body)
+                                hyperbolic_bounds, kappa_limit_sweep,
+                                quadratic_witness, random_convex_body)
 from curvedkin.convex import convex_hull, regular_ngon, segment_body
 from curvedkin.kinematics import (containment_criterion, find_containment,
                                   kinematic_lhs, kinematic_rhs,

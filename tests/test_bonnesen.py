@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from curvedkin.bonnesen import (Bound, BoundName, QuadraticWitness,
-                                body_from_polar, deficit, deficit_report,
-                                euclid_bonnesen_rhs, hyperbolic_bounds,
-                                kappa_limit_sweep, quadratic_witness,
-                                random_convex_body, sharp_bound,
-                                sphere_bounds)
-from curvedkin.convex import (area, convex_hull, perimeter, regular_ngon,
-                              segment_body)
+from curvedkin.bonnesen import (Bound, BoundName, body_from_polar, deficit,
+                                deficit_report, euclid_bonnesen_rhs,
+                                hyperbolic_bounds, kappa_limit_sweep,
+                                quadratic_witness, random_convex_body,
+                                sharp_bound, sphere_bounds)
+from curvedkin.convex import convex_hull, regular_ngon
 from curvedkin.radii import BodyMetrics, metrics
-from curvedkin.surface import (Curvature, GeometryError, RandomStream,
-                               SurfacePoint, base_point, disc_area,
-                               disc_perimeter, exp_at_base, gen_sin)
+from curvedkin.surface import (Curvature, CurvatureMismatch, GeometryError,
+                               RandomStream, SurfacePoint, base_point,
+                               disc_area, disc_perimeter, gen_sin)
 
 from common import unit_square
 import exact
@@ -82,15 +80,27 @@ class TestSphereBounds:
             assert b[BoundName.S2].value >= 0.0
             assert b[BoundName.S3].value == 0.0
 
-    def test_complement_identity_random_area(self):
-        # (A - A')^2 = 4 (2 pi - A)^2 when A + A' = 4 pi, kappa = 1.
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0])
+    def test_complement_identity_random_area(self, kappa):
+        # S4 = (kappa^2 / 16) g^2 (A - A')^2 with A' = 4 pi / kappa - A is
+        # S2 = g^2 t^2 / 4 term for term, as kappa A - 2 pi = -t: reported
+        # as one value, and within rounding of the complement form.
         rng = RandomStream(5)
         for _ in range(1000):
-            A = float(rng.uniform(0.0, FOUR_PI))
-            a_comp = FOUR_PI - A
-            lhs = (A - a_comp) ** 2
-            rhs = 4.0 * (TWO_PI - A) ** 2
-            assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(rhs))
+            # Below a hemisphere's area, where the bounds apply; P does
+            # not enter S2 or S4.
+            A = float(rng.uniform(0.0, TWO_PI / kappa))
+            r, R = sorted(rng.uniform(0.0, 0.5 * math.pi / math.sqrt(kappa),
+                                      2))
+            m = fake_metrics(kappa, A, TWO_PI / math.sqrt(kappa), r, R)
+            b = {x.name: x for x in sphere_bounds(m)}
+            assert b[BoundName.S4] == Bound(BoundName.S4,
+                                            b[BoundName.S2].value, True)
+            g = gen_sin(m.incenter.curvature, R) - gen_sin(
+                m.incenter.curvature, r)
+            a_comp = FOUR_PI / kappa - A
+            s4 = (kappa * kappa / 16.0) * g * g * (A - a_comp) ** 2
+            assert abs(s4 - b[BoundName.S4].value) <= 1e-12 * abs(s4)
 
     def test_octant_triangle_pipeline(self):
         c = Curvature(1.0)
@@ -205,6 +215,14 @@ class TestDeficitReport:
                 c, [(0.7, i * math.pi / 2 + 0.4) for i in range(4)]))
             rep = deficit_report(c, m_sq)
             assert rep.active_bound.value > 1e-6
+
+    def test_curvature_mismatch(self):
+        # Metrics of a kappa = 2 body at kappa = 1 would take the deficit on
+        # one surface and the bounds on the other.
+        m = metrics(regular_ngon(Curvature(2.0), 0.3, 5))
+        for evaluate in (deficit_report, quadratic_witness):
+            with pytest.raises(CurvatureMismatch):
+                evaluate(Curvature(1.0), m)
 
 
 class TestQuadraticWitness:

@@ -7,17 +7,16 @@ import math
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 import curvedkin.cli as cli
-from curvedkin.cli import (BodyFileError, CampaignConfig, DEFAULT_SQUARE,
-                           KINEMATIC_ALPHA, emit_body_file, kinematic_band,
-                           main, parse_body_file, run_campaign,
-                           run_kinematic_suite, SUITES)
+from curvedkin.cli import (BodyFileError, CampaignConfig, KINEMATIC_ALPHA,
+                           emit_body_file, kinematic_band, main,
+                           parse_body_file, run_campaign, run_kinematic_suite,
+                           SUITES)
 from curvedkin.surface import RandomStream
 from curvedkin.convex import polygons_close, regular_ngon
-from curvedkin.surface import Curvature, exp_at_base
+from curvedkin.surface import Curvature
 
 # sha256 of the JSON report of `curvedkin all --seed 42 --count 3
 # --samples 2000 --budget 500`.  Against the report of the one-task-per-
@@ -36,8 +35,11 @@ from curvedkin.surface import Curvature, exp_at_base
 # to 2.8e-16 relative, 4 records) and the floats computed from it: bound
 # values (up to 1.3e-15) and slacks (3.9e-16, and 4.7e-12 for the
 # kappa = -0.001 sweep's square, a cancelling difference of 1.2e-4).
+# sphere_complement (S4) then took sphere_simplified's (S2) value, equal
+# term for term, in place of its own complement-form expression: 3 bound
+# values moved by up to 3.9e-16 relative, and their slacks by 2.9e-16.
 GOLDEN_ALL_SMALL = (
-    "0de445b6271cee2aba1c58aa03a5f1e4840d043051ab09bc58696f47f6e3a582")
+    "ceef50ab2d4eeea5c4249a3b3f5ff5cfe3079bf09d53bf0bbc5670cd97cb4015")
 GOLDEN_CONFIG = dict(seed=42, count=3, mc_samples=2000, budget=500)
 
 
@@ -390,6 +392,15 @@ class TestMain:
     def test_disc_ngon_integral_float_accepted(self):
         assert main(["metrics", "--disc-ngon", "0.5", "6.0",
                      "--kappa", "0.0"]) == 0
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch, capsys):
+        # The parser declares no default of its own.
+        monkeypatch.delenv("CURVEDKIN_SEED", raising=False)
+        given = []
+        monkeypatch.setattr(cli, "run_campaign", lambda config, suites: (
+            given.append(config) or (0, [])))
+        assert main(["metrics"]) == 0
+        assert given == [CampaignConfig()]
 
     def test_workers_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

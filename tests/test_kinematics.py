@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
-                              convex_hull, euler_intersection, perimeter,
-                              point_body, regular_ngon, segment_body)
+                              convex_hull, euler_intersection, point_body,
+                              regular_ngon, segment_body)
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
                                   kinematic_lhs, kinematic_rhs,
                                   monotonicity_probe)
-from curvedkin.radii import circumradius
+from curvedkin.radii import circumradius, inradius
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
-                               GeometryError, RandomStream,
+                               GeometryError, Isometry, RandomStream,
                                basis_matrices, disc_area,
                                exp_at_base, fold_table, gen_cos_sin,
-                               motion_basis, motion_matrices, sample_motions,
-                               translation_by_polar)
+                               motion_basis, motion_matrices, point_polar,
+                               polar_rows, sample_motions,
+                               translation_by_polar, translation_to)
 
 from common import (REGIME_KAPPAS, flat_point, octant_triangle,
                     unit_square)
@@ -442,12 +443,18 @@ class TestTinyBodies:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_disagreements_are_settled_for_the_tester(self, kappa):
-        # 4 pairs x 35000 motions per regime, drawn in a disc just wider
-        # than the pair's reach, so about one in ten overlaps.
+        # 3 pairs x 35000 motions per regime, drawn in a disc just wider
+        # than the pair's reach, so about one in ten overlaps: enough for
+        # the rare near-crossings that part the testers.  The two squares
+        # are left to test_every_motion_is_exact: the old tester's band
+        # reads them as meeting on up to half the motions, and re-deciding
+        # each such motion exactly cost nearly all of this test's time.
         curv = Curvature(kappa)
         rng = RandomStream(401)
         settled = 0
-        for K, L in self.pairs(curv):
+        pairs = self.pairs(curv)
+        del pairs[2]
+        for K, L in pairs:
             rho = 1.2 * (circumradius(K)[0] + circumradius(L)[0])
             radial, theta, phi = sample_motions(curv, rho, self.MOTIONS,
                                                 rng)
@@ -576,13 +583,16 @@ class TestFindContainment:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_concentric_discs(self, kappa):
+        # At budget 1 the one sample is the concentric placement, which
+        # goes to the only order that can succeed.
         curv = Curvature(kappa)
         small = regular_ngon(curv, 0.2, 32)
         big = regular_ngon(curv, 0.8, 32)
-        g = find_containment(small, big, 5000, RandomStream(17))
-        assert g is not None
-        assert g.check_form()
-        assert body_contains(big, small.transformed(g))
+        for budget in (5000, 1):
+            g = find_containment(small, big, budget, RandomStream(17))
+            assert g is not None
+            assert g.check_form()
+            assert body_contains(big, small.transformed(g))
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_displaced_bodies(self, kappa):
@@ -594,6 +604,31 @@ class TestFindContainment:
         g = find_containment(small, big, 10000, RandomStream(19))
         assert g is not None
         assert body_contains(big, small.transformed(g))
+
+    @pytest.mark.parametrize("kappa,parent_found", [(1.0, 57), (0.0, 58),
+                                                    (-1.0, 58)])
+    def test_tight_pairs(self, kappa, parent_found):
+        # A body and its copy shrunk by 0.97 about its incenter, turned and
+        # moved, so the copy fits only near one placement.  The search that
+        # split its budget 4/5 and 1/5 between both orders found
+        # parent_found of these 60; one order with the whole budget must
+        # find as many.
+        curv = Curvature(kappa)
+        gen, searches = RandomStream(61), RandomStream(67).split(60)
+        found = 0
+        for i, search in enumerate(searches):
+            K = random_body(curv, gen, n_points=8)
+            to_in = translation_to(inradius(K)[1])
+            r, theta = np.array([point_polar(v) for v in K.transformed(
+                to_in.inverse()).vertices]).T
+            L = convex_hull(polar_rows(curv, 0.97 * r, theta), curv)
+            g = to_in @ Isometry(motion_matrices(curv, *gen.uniform(
+                0.0, [0.5, 2 * math.pi, 2 * math.pi]))[0], curv)
+            pair = (K, L.transformed(g))
+            if i % 2:  # either body first: the search picks the inner one
+                pair = pair[::-1]
+            found += find_containment(*pair, 10000, search) is not None
+        assert found >= parent_found
 
     def test_order_agnostic(self):
         # The witness may move either body into the other.

@@ -10,10 +10,10 @@ import pytest
 
 from curvedkin import radii
 from curvedkin.bonnesen import random_convex_body
-from curvedkin.convex import (GeodesicPolygon, area, contains_point,
-                              convex_hull, perimeter, point_body,
-                              regular_ngon, segment_body, triple_indices)
-from curvedkin.radii import (BodyMetrics, circumradius, inradius, metrics,
+from curvedkin.convex import (GeodesicPolygon, contains_point, convex_hull,
+                              point_body, regular_ngon, segment_body,
+                              triple_indices)
+from curvedkin.radii import (circumradius, inradius, metrics,
                              smallest_enclosing_disc)
 from curvedkin.surface import (Curvature, GeometryError, RandomStream,
                                SurfacePoint, base_point, disc_area,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
+from curvedkin.surface import (Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
                                SurfacePoint, base_point, cross3,
                                disc_area,
