@@ -164,10 +164,13 @@ def emit_body_file(bodies: Sequence[tuple[Curvature, GeodesicPolygon]],
                 fh.write(f"v {r!r} {theta!r}\n")
 
 
-def _bodies_for(config: CampaignConfig, curv: Curvature,
-                rng: RandomStream) -> list[tuple[str, GeodesicPolygon]]:
+def _bodies_for(config: CampaignConfig, curv: Curvature, rng: RandomStream,
+                file_bodies: Optional[list] = None
+                ) -> list[tuple[str, GeodesicPolygon]]:
+    """The (id, body) list of a suite at curv.  file_bodies is the body
+    file as parsed once per campaign; without it the file is parsed here."""
     if config.body_file is not None:
-        parsed = parse_body_file(config.body_file)
+        parsed = file_bodies or parse_body_file(config.body_file)
         return [(f"file{i}", poly) for i, (c, poly) in enumerate(parsed)
                 if c.kappa == curv.kappa]
     if config.disc_ngon is not None:
@@ -184,9 +187,11 @@ def _bodies_for(config: CampaignConfig, curv: Curvature,
 # ---------------------------------------------------------------------------
 
 def run_metrics_suite(config: CampaignConfig, kappa: float,
-                      rng: RandomStream) -> list[dict]:
+                      rng: RandomStream,
+                      file_bodies: Optional[list] = None) -> list[dict]:
     records = []
-    for body_id, body in _bodies_for(config, Curvature(kappa), rng):
+    for body_id, body in _bodies_for(config, Curvature(kappa), rng,
+                                     file_bodies):
         m = metrics(body)
         ok = 0.0 <= m.r_in <= m.R_circ + 1e-9
         records.append(_record(
@@ -197,10 +202,11 @@ def run_metrics_suite(config: CampaignConfig, kappa: float,
 
 
 def run_bonnesen_suite(config: CampaignConfig, kappa: float,
-                       rng: RandomStream) -> list[dict]:
+                       rng: RandomStream,
+                       file_bodies: Optional[list] = None) -> list[dict]:
     records = []
     curv = Curvature(kappa)
-    for body_id, body in _bodies_for(config, curv, rng):
+    for body_id, body in _bodies_for(config, curv, rng, file_bodies):
         m = metrics(body)
         rep = deficit_report(curv, m)
         for b in rep.bounds:
@@ -215,12 +221,15 @@ def run_bonnesen_suite(config: CampaignConfig, kappa: float,
     return records
 
 
-def kinematic_band(config: CampaignConfig) -> float:
+def kinematic_band(config: CampaignConfig,
+                   file_bodies: Optional[list] = None) -> float:
     """The Bonferroni z of each of the run's kinematic pairs, over all kappas:
-    a run of correct pairs then fails with probability KINEMATIC_ALPHA."""
+    a run of correct pairs then fails with probability KINEMATIC_ALPHA.
+    file_bodies is as for :func:`_bodies_for`."""
     from statistics import NormalDist  # here: about 3 ms to import
     if config.body_file is not None:
-        kappas = [c.kappa for c, _ in parse_body_file(config.body_file)]
+        parsed = file_bodies or parse_body_file(config.body_file)
+        kappas = [c.kappa for c, _ in parsed]
         pairs = sum(kappas.count(k) // 2 for k in config.kappas)
     else:  # a disc run has one body per kappa, so no pair
         pairs = 0 if config.disc_ngon else (
@@ -229,12 +238,13 @@ def kinematic_band(config: CampaignConfig) -> float:
 
 
 def run_kinematic_suite(config: CampaignConfig, kappa: float,
-                        rng: RandomStream) -> list[dict]:
+                        rng: RandomStream,
+                        file_bodies: Optional[list] = None) -> list[dict]:
     records = []
     gen, mc = rng.split(2)
-    bodies = _bodies_for(config, Curvature(kappa), gen)
+    bodies = _bodies_for(config, Curvature(kappa), gen, file_bodies)
     task_streams = mc.split(max(1, len(bodies) // 2))
-    z = kinematic_band(config)
+    z = kinematic_band(config, file_bodies)
     for i in range(len(bodies) // 2):
         (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
         est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
@@ -250,7 +260,9 @@ def run_kinematic_suite(config: CampaignConfig, kappa: float,
 
 
 def run_containment_suite(config: CampaignConfig, kappa: float,
-                          rng: RandomStream) -> list[dict]:
+                          rng: RandomStream,
+                          file_bodies: Optional[list] = None) -> list[dict]:
+    del file_bodies  # draws its own pairs
     records = []
     curv = Curvature(kappa)
     gen, search = rng.split(2)
@@ -276,8 +288,9 @@ def run_containment_suite(config: CampaignConfig, kappa: float,
 
 
 def run_sweep_suite(config: CampaignConfig, kappa: Optional[float],
-                    rng: RandomStream) -> list[dict]:
-    del kappa, rng  # deterministic suite over SWEEP_KAPPAS
+                    rng: RandomStream,
+                    file_bodies: Optional[list] = None) -> list[dict]:
+    del kappa, rng, file_bodies  # deterministic suite over SWEEP_KAPPAS
     records = []
     rows = kappa_limit_sweep(DEFAULT_SQUARE, SWEEP_KAPPAS)
     reference = rows[0].euclid_reference
@@ -328,10 +341,43 @@ def _tasks(config: CampaignConfig, suites: Sequence[str]) -> list[tuple]:
     return tasks
 
 
-def _run_task(config: CampaignConfig, task: tuple) -> list[dict]:
+def _run_task(config: CampaignConfig, file_bodies: Optional[list],
+              task: tuple) -> list[dict]:
     # The suite is looked up here, in the worker, so only its name is sent.
     name, kappa, rng = task
-    return SUITES[name](config, kappa, rng)
+    return SUITES[name](config, kappa, rng, file_bodies)
+
+
+# OpenBLAS's thread-count setters, as numpy's and scipy's wheels export
+# them and as a plain OpenBLAS does.
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: set each OpenBLAS the process has loaded to one
+    thread; a no-op where none is loaded or there is no /proc.
+
+    A forked worker otherwise runs a BLAS thread per core beside the pool's
+    worker per core.  The report does not depend on the thread count.
+    """
+    import ctypes  # here: only workers need it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in BLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def run_campaign(config: CampaignConfig,
@@ -339,17 +385,20 @@ def run_campaign(config: CampaignConfig,
     """Run the selected suites; exit status 0 iff everything is satisfied.
 
     The work is split into (suite, kappa) tasks, each with its own pre-split
-    stream, and run on a fork process pool with one worker per core.  On
-    one core, or where there is no ``fork``, the tasks run inline.  Records
-    are assembled in task order, so the output is identical for any core
-    count.
+    stream, and run on a fork process pool with one worker per core, each
+    worker's BLAS on one thread.  On one core, or where there is no
+    ``fork``, the tasks run inline.  A body file is parsed once, here.
+    Records are assembled in task order, so the output is identical for any
+    core count.
     """
     # Imported here: at module level, multiprocessing and the process pool
     # add about 14 ms to every import of this module.
     import multiprocessing
 
     tasks = _tasks(config, suites)
-    run = functools.partial(_run_task, config)
+    file_bodies = (None if config.body_file is None
+                   else parse_body_file(config.body_file))
+    run = functools.partial(_run_task, config, file_bodies)
     workers = min(os.cpu_count() or 1, len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         from concurrent.futures import ProcessPoolExecutor
@@ -357,7 +406,8 @@ def run_campaign(config: CampaignConfig,
         # Not spawn or forkserver: both re-run an unguarded __main__.  With
         # fork the executor starts every worker before its own threads.
         with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_one_blas_thread) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = list(map(run, tasks))

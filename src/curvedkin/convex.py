@@ -75,6 +75,11 @@ class GeodesicPolygon:
         self.vertex_array.setflags(write=False)
         self._validate()
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writable; a body sent to a worker stays not.
+        self.__dict__.update(state)
+        self.vertex_array.setflags(write=False)
+
     @cached_property
     def vertices(self) -> tuple[SurfacePoint, ...]:
         return tuple(SurfacePoint(c, self.curvature) for c in self.vertex_array)

@@ -11,6 +11,7 @@ overlap test sees every sample.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +20,10 @@ import numpy as np
 from .convex import (GeodesicPolygon, area, contains_rows, next_rows,
                      perimeter)
 from .radii import circumradius
-from .surface import (GeometryError, Isometry, RandomStream, cross3,
-                      fold_table, gen_cos_sin, motion_basis, motion_matrices,
-                      sample_motions, support_area, translation_to)
+from .surface import (BASIS_BLOCK_ROWS, GeometryError, Isometry,
+                      RandomStream, cross3, fold_table, gen_cos_sin,
+                      motion_basis, motion_matrices, sample_motions,
+                      support_area, translation_to)
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,7 @@ class _OverlapTester:
         rows = max(1, len(self.table), len(self.mixed))
         self.chunk = min(4096, max(64, 2 ** 21 // rows))
         self._out = np.empty(rows * self.chunk)
+        self._basis = np.empty(BASIS_BLOCK_ROWS * self.chunk)
         # Over every hits call: the KinematicEstimate decision counts.
         self.counts = dict.fromkeys(
             ("face_settled", "vertex_settled", "mixed_tested"), 0)
@@ -149,13 +152,21 @@ class _OverlapTester:
     def hits(self, radial: tuple, theta: np.ndarray,
              phi: np.ndarray) -> np.ndarray:
         """Overlap mask of K with L moved by each motion ((a, b), theta, phi),
-        (a, b) the radial pair of :func:`~curvedkin.surface.motion_basis`."""
+        (a, b) the radial pair of :func:`~curvedkin.surface.motion_basis`.
+
+        The mask is new and the caller's.  Each chunk's motion basis and
+        products are written into blocks the tester keeps for its lifetime
+        and overwrites on every chunk, so one tester serves one thread.
+        """
         a, b = radial
         hit = np.empty(len(a), dtype=bool)
         for lo in range(0, len(a), self.chunk):
-            hi = lo + self.chunk
+            hi = min(lo + self.chunk, len(a))
+            block = self._basis[:BASIS_BLOCK_ROWS * (hi - lo)].reshape(
+                BASIS_BLOCK_ROWS, -1)
             hit[lo:hi] = self._hits_chunk(motion_basis(
-                self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi]))
+                self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi],
+                out=block))
         return hit
 
     def _product(self, table: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -200,9 +211,26 @@ class _OverlapTester:
         return hit
 
 
+# Each thread's (4, n) block of motion samples for kinematic_lhs, grown to
+# the largest n drawn and kept, so repeated calls fault in no new pages.
+_samples = threading.local()
+
+
+def _sample_block(n: int) -> np.ndarray:
+    block = getattr(_samples, "block", None)
+    if block is None or block.shape[1] < n:
+        block = _samples.block = np.empty((4, n))
+    return block[:, :n]
+
+
 def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
                   rng: RandomStream) -> KinematicEstimate:
-    """Monte Carlo estimate of the kinematic integral for K and L."""
+    """Monte Carlo estimate of the kinematic integral for K and L.
+
+    The samples are drawn into this thread's kept block, which its next
+    call overwrites, and each chunk's motion basis into the tester's, so
+    threads may estimate pairs at once.
+    """
     K.curvature.require_same(L.curvature)
     if n < 1000:
         raise GeometryError("need at least 1000 samples")
@@ -212,7 +240,8 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     margin = 1e-6 * (1.0 + rk + rl)
     support = rk + rl + margin
     tester = _OverlapTester(Kc, Lc)
-    hits = tester.hits(*sample_motions(curv, support, n, rng))
+    hits = tester.hits(*sample_motions(curv, support, n, rng,
+                                       out=_sample_block(n)))
     k_hits = int(np.count_nonzero(hits))
     w = support_area(curv, support)
     p = k_hits / n

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -462,21 +463,36 @@ def area_radius(curvature: Curvature, u: np.ndarray) -> np.ndarray:
     return 2.0 * gen_asin(curvature, np.sqrt(u / (4.0 * math.pi)))
 
 
-def half_angle_cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def half_angle_cos_sin(x: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> tuple:
     """(cos x, sin x) from one tangent t = tan(x/2): (1 - t^2)/(1 + t^2) and
     2t/(1 + t^2), within 2.5e-16 absolute on (-2 pi, 2 pi).
 
-    On 4096 angles np.tan takes 12 us, np.cos and np.sin about 60 us each
-    (numpy 2.4, x86-64 Xeon).
+    out, if given, is a (3,) + x.shape float block written in place: cos and
+    sin are its first two rows, returned as views, and the third is scratch.
+    Otherwise a new block is taken.  On 4096 angles np.tan takes 12 us,
+    np.cos and np.sin about 60 us each (numpy 2.4, x86-64 Xeon).
     """
-    t = np.tan(0.5 * x)
-    t2 = t * t
-    d = 1.0 + t2
-    return (1.0 - t2) / d, (t + t) / d
+    cos, sin, d = np.empty((3,) + np.shape(x)) if out is None else out
+    np.multiply(x, 0.5, out=sin)
+    np.tan(sin, out=sin)  # t
+    np.multiply(sin, sin, out=cos)  # t^2
+    np.add(cos, 1.0, out=d)
+    np.subtract(1.0, cos, out=cos)
+    cos /= d
+    sin += sin
+    sin /= d
+    return cos, sin
+
+
+# Rows of motion_basis's block: nine of basis, then ct, st, cp, sp and one
+# row of scratch.
+BASIS_BLOCK_ROWS = 14
 
 
 def motion_basis(curvature: Curvature, radial: tuple, theta: np.ndarray,
-                 phi: np.ndarray) -> np.ndarray:
+                 phi: np.ndarray, out: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
     """(9, n) basis rows of the motions M = Rz(theta) t(r) Rz(phi - theta).
 
     t(r) moves the base point by r along the theta = 0 geodesic, so each
@@ -487,23 +503,36 @@ def motion_basis(curvature: Curvature, radial: tuple, theta: np.ndarray,
     a st cp + ct sp, -a st sp + ct cp, a, b ct, b st, b cp and b sp.  Every
     entry of M and of M^-1 is +-1 or +-kappa times one row (see
     :func:`fold_table`).
+
+    out, if given, is a (BASIS_BLOCK_ROWS, n) float block written in place:
+    the basis is its first nine rows, returned as a view that the next call
+    on the same block overwrites, and the other rows are scratch.  Otherwise
+    a new block is taken, and the basis is the caller's.
     """
     a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in radial)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), a.shape)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), a.shape)
-    ct, st = half_angle_cos_sin(theta)
-    cp, sp = half_angle_cos_sin(phi - theta)
-    basis = np.empty((9,) + a.shape)
-    ac, as_ = a * ct, a * st
-    basis[0] = ac * cp - st * sp
-    basis[1] = -ac * sp - st * cp
-    basis[2] = as_ * cp + ct * sp
-    basis[3] = -as_ * sp + ct * cp
-    basis[4] = a
-    basis[5] = b * ct
-    basis[6] = b * st
-    basis[7] = b * cp
-    basis[8] = b * sp
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    block = np.empty((BASIS_BLOCK_ROWS,) + a.shape) if out is None else out
+    basis, tmp = block[:9], block[13]
+    # psi goes to row 0, free until rows 0-3 are written last.
+    ct, st = half_angle_cos_sin(theta, out=block[9:12])
+    np.subtract(phi, theta, out=basis[0])
+    cp, sp = half_angle_cos_sin(basis[0], out=block[11:14])
+    np.copyto(basis[4], a)
+    for row, c in zip(basis[5:], (ct, st, cp, sp)):
+        np.multiply(b, c, out=row)
+    # Rows 0-3 by the operations of the expressions above, in their order;
+    # -x y rounds as -(x y).
+    for row, (x, y), (u, v), combine in zip(basis[:4], (
+            (ct, cp), (ct, sp), (st, cp), (st, sp)), (
+            (st, sp), (st, cp), (ct, sp), (ct, cp)), (
+            np.subtract, np.subtract, np.add, np.add)):
+        np.multiply(a, x, out=row)
+        row *= y
+        if y is sp:
+            np.negative(row, out=row)
+        np.multiply(u, v, out=tmp)
+        combine(row, tmp, out=row)
     return basis
 
 
@@ -545,7 +574,8 @@ def motion_matrices(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
 
 
 def sample_motions(curvature: Curvature, support_radius: float, n: int,
-                   rng: RandomStream) -> tuple:
+                   rng: RandomStream, out: Optional[np.ndarray] = None
+                   ) -> tuple:
     """Haar samples ((a, b), theta, phi) of motions t_x . gamma, vectorized.
 
     gamma is a uniform rotation by phi about x0, and x = (r, theta) is
@@ -556,11 +586,28 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
     b^2 = (1 - a^2)/kappa elsewhere.  So no sample takes an inverse only to
     take the cosine and sine again.
+
+    The four arrays are the rows of one (4, n) float block: out if given,
+    so the next call on the same out overwrites them, else a new block that
+    is the caller's.  Each draw is numpy's uniform(0, w) bit for bit, as
+    0 + w d = w d.
     """
     if support_radius <= 0:
         raise GeometryError("support radius must be positive")
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    u = rng.uniform(0.0, support_area(curvature, support_radius), n)
-    a = 1.0 - curvature.kappa * u / (2.0 * math.pi)
-    return ((a, np.sqrt(u * (1.0 + a) / (2.0 * math.pi))), theta,
-            rng.uniform(0.0, 2.0 * math.pi, n))
+    theta, b, phi, a = np.empty((4, n)) if out is None else out
+    two_pi = 2.0 * math.pi
+    draw = rng.generator.random
+    draw(out=theta)
+    theta *= two_pi
+    draw(out=b)  # u, until b replaces it
+    b *= support_area(curvature, support_radius)
+    np.multiply(b, curvature.kappa, out=a)
+    a /= two_pi
+    np.subtract(1.0, a, out=a)
+    np.add(a, 1.0, out=phi)  # phi's row is scratch until phi is drawn
+    b *= phi
+    b /= two_pi
+    np.sqrt(b, out=b)
+    draw(out=phi)
+    phi *= two_pi
+    return (a, b), theta, phi

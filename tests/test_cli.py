@@ -133,6 +133,34 @@ class TestBodyFile:
             assert c0.kappa == c1.kappa
             assert polygons_close(p0, p1, tol=1e-12)
 
+    def test_parsed_once_per_campaign(self, tmp_path, monkeypatch):
+        # Each parse appends to a file, so parses in forked workers count.
+        path = str(tmp_path / "bodies.txt")
+        emit_body_file([(Curvature(k), regular_ngon(Curvature(k), r, 5))
+                        for k in (-1.0, 0.0, 1.0) for r in (0.3, 0.5)], path)
+        calls = tmp_path / "calls"
+        real = cli.parse_body_file
+
+        def counted(body_file):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write("parse\n")
+            return real(body_file)
+
+        monkeypatch.setattr(cli, "parse_body_file", counted)
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            calls.write_text("")
+            out = tmp_path / f"w{cores}.json"
+            main(["all", "--body-file", path, "--samples", "2000",
+                  "--count", "2", "--budget", "200", "--out", str(out)])
+            assert calls.read_text().splitlines() == ["parse"], cores
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        records = json.loads(reports[0])
+        assert {r["suite"] for r in records if r["body_id"] == "file0|file1"
+                } == {"kinematic"}
+
 
 class TestSuites:
     CONFIG = dict(count=4, mc_samples=2000, budget=2000)
@@ -293,6 +321,34 @@ class TestReports:
         assert records[-1]["body_id"] != str(os.getpid())
         assert not multiprocessing.active_children()
 
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        threads = loaded_openblas()
+        if threads is None:
+            pytest.skip("no OpenBLAS loaded")
+        set_threads, get_threads = threads
+        # Two BLAS threads here, so a worker that inherited them shows it.
+        before = get_threads()
+        set_threads(2)
+        try:
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setitem(SUITES, "sweep-kappa", lambda *args: [
+                {"suite": "blas", "body_id": str(get_threads()),
+                 "satisfied": True}])
+            _, records = run_campaign(CampaignConfig(count=1, kappas=(0.0,)),
+                                      ["metrics", "sweep-kappa"])
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert records[-1] == {"suite": "blas", "body_id": "1",
+                               "satisfied": True}
+
+    def test_blas_pin_without_proc_is_a_no_op(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError(args[0])
+
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        assert cli._one_blas_thread() is None
+
     def test_different_seed_differs(self, tmp_path):
         out1 = str(tmp_path / "a.json")
         out2 = str(tmp_path / "b.json")
@@ -408,6 +464,29 @@ class TestMain:
         assert exc.value.code == 2
 
 
-def _pid_suite(config, kappa, rng):
+def loaded_openblas():
+    """(set, get) of the thread count of the first OpenBLAS this process
+    has loaded, or None."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in cli.BLAS_SETTERS:
+            getter = name.replace("_set_", "_get_")
+            if hasattr(lib, name) and hasattr(lib, getter):
+                set_n, get_n = getattr(lib, name), getattr(lib, getter)
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                get_n.argtypes, get_n.restype = [], ctypes.c_int
+                return set_n, get_n
+    return None
+
+
+def _pid_suite(config, kappa, rng, file_bodies=None):
     """A stand-in suite that records the process it ran in."""
     return [{"suite": "pid", "body_id": str(os.getpid()), "satisfied": True}]

@@ -63,6 +63,17 @@ class TestConstruction:
         assert point_body(p).dim == 0
         assert segment_body(p, q).dim == 1
 
+    def test_pickled_copy_stays_read_only(self):
+        # As the campaign sends a body file's bodies to its workers.
+        import pickle
+
+        body = random_convex_body(Curvature(1.0), RandomStream(3))
+        body.edge_normals  # a cached value travels with the body
+        copy = pickle.loads(pickle.dumps(body))
+        assert np.array_equal(copy.vertex_array, body.vertex_array)
+        assert np.array_equal(copy.edge_normals, body.edge_normals)
+        assert not copy.vertex_array.flags.writeable
+
     def test_repeated_adjacent_vertices_rejected(self):
         p = flat_point(0.0, 0.0)
         with raises_exactly("repeated adjacent vertices 0, 1"):

@@ -1,6 +1,7 @@
 """Tests for Monte Carlo kinematic integrals, containment, monotonicity."""
 
 import math
+import os
 from typing import Optional
 
 import numpy as np
@@ -135,6 +136,76 @@ class TestKinematicLhs:
             assert (mixed > 0) == (K.dim > 0 and not chart)
             if chart:
                 assert face == 20_000
+
+
+class TestReusedBuffers:
+    """kinematic_lhs draws into a per-thread block and the tester builds
+    each chunk in blocks it keeps; no result aliases either."""
+
+    def pairs(self):
+        rng = RandomStream(59)
+        return [(random_body(Curvature(k), rng, n_points=8),
+                 random_body(Curvature(k), rng, n_points=8))
+                for k in (1.0, -1.0, 0.0, 1.0)]
+
+    def test_same_as_new_buffers(self):
+        # A smaller n after a larger one draws into a slice of the grown
+        # block; each estimate counts what new arrays give.
+        for (K, L), n in zip(self.pairs(), (9000, 3000, 12_000, 5000)):
+            est = kinematic_lhs(K, L, n, RandomStream(61))
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            hits = _OverlapTester(Kc, Lc).hits(*sample_motions(
+                K.curvature, support, n, RandomStream(61)))
+            assert est.mean == est.support_area * (np.count_nonzero(hits) / n)
+
+    def test_threads_match_serial(self):
+        # More threads than cores estimate different pairs at once, three
+        # calls each of different sizes, with thread switches forced often;
+        # each estimate equals its serial run.
+        from concurrent.futures import ThreadPoolExecutor
+        import sys
+        import threading
+
+        pairs = self.pairs()
+        workers = (os.cpu_count() or 1) + 2
+        jobs = [[(pairs[(t + 2 * i) % 4], n, 100 * t + i)
+                 for i, n in enumerate((20_000, 8000, 30_000))]
+                for t in range(workers)]
+
+        def run(batch, barrier=None):
+            if barrier is not None:
+                barrier.wait(timeout=60)
+            return [kinematic_lhs(K, L, n, RandomStream(seed))
+                    for (K, L), n, seed in batch]
+
+        serial = [run(batch) for batch in jobs]
+        barrier = threading.Barrier(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(run, batch, barrier) for batch in jobs]
+                together = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == serial
+
+    def test_interleaved_hits_are_independent(self):
+        # 10,000 motions take three chunks, the last one short.
+        K, L = self.pairs()[0]
+        rk, _, Kc = _recenter(K)
+        rl, _, Lc = _recenter(L)
+        support = rk + rl
+        draws = [sample_motions(K.curvature, support, 10_000, RandomStream(s))
+                 for s in (67, 71)]
+        tester = _OverlapTester(Kc, Lc)
+        first, second = (tester.hits(*d) for d in draws)
+        assert not np.shares_memory(first, second)
+        for mask, d in zip((first, second), draws):
+            assert np.array_equal(mask, _OverlapTester(Kc, Lc).hits(*d))
+        assert not np.array_equal(first, second)
 
 
 class OldCrossing:

@@ -493,6 +493,68 @@ class TestHalfAngle:
         assert worst <= 4e-16
 
 
+class TestReusedBuffers:
+    """sample_motions, motion_basis and half_angle_cos_sin write into a
+    given block exactly what they return in a new one."""
+
+    @staticmethod
+    def arrays(samples):
+        (a, b), theta, phi = samples
+        return a, b, theta, phi
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_sample_motions_into_out(self, kappa):
+        c = Curvature(kappa)
+        first = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(29)))
+        kept = [x.copy() for x in first]
+        second = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(30)))
+        # Without out, each call's arrays are its caller's.
+        for x, y, z in zip(first, kept, second):
+            assert np.array_equal(x, y) and not np.shares_memory(x, z)
+        out = np.full((4, 1000), np.nan)
+        into = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(29),
+                                          out=out))
+        for x, y in zip(into, kept):
+            assert np.shares_memory(x, out) and np.array_equal(x, y)
+        # The next call on the same out overwrites them, as documented.
+        sample_motions(c, 1.0, 1000, RandomStream(30), out=out)
+        assert np.array_equal(into[2], second[2])
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+    def test_draws_are_numpy_uniform(self, kappa):
+        # random(out=) scaled by w is uniform(0, w) bit for bit.
+        c = Curvature(kappa)
+        (a, b), theta, phi = sample_motions(c, 1.5, 3000, RandomStream(37))
+        ref = RandomStream(37)
+        assert np.array_equal(theta, ref.uniform(0.0, 2 * math.pi, 3000))
+        u = ref.uniform(0.0, support_area(c, 1.5), 3000)
+        assert np.array_equal(phi, ref.uniform(0.0, 2 * math.pi, 3000))
+        # The parent's expressions for the radial pair.
+        a0 = 1.0 - kappa * u / (2.0 * math.pi)
+        assert np.array_equal(a, a0)
+        assert np.array_equal(b, np.sqrt(u * (1.0 + a0) / (2.0 * math.pi)))
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+    def test_motion_basis_into_out(self, kappa):
+        c = Curvature(kappa)
+        radial, theta, phi = sample_motions(c, 1.5, 5000, RandomStream(41))
+        fresh = motion_basis(c, radial, theta, phi)
+        block = np.full((14, 5000), np.nan)
+        into = motion_basis(c, radial, theta, phi, out=block)
+        assert np.shares_memory(into, block) and np.array_equal(into, fresh)
+        # Scalar angles broadcast as before.
+        one = motion_basis(c, radial, 0.5, phi)
+        assert np.array_equal(one, motion_basis(
+            c, radial, np.full(5000, 0.5), phi))
+
+    def test_half_angle_into_out(self):
+        x = RandomStream(43).uniform(-2 * math.pi, 2 * math.pi, 4096)
+        block = np.full((3, 4096), np.nan)
+        into = half_angle_cos_sin(x, out=block)
+        for y, z in zip(into, half_angle_cos_sin(x)):
+            assert np.shares_memory(y, block) and np.array_equal(y, z)
+
+
 class TestMotionColumns:
     KAPPAS = [2.0, 0.25, 0.0, -0.25, -2.0]
 
