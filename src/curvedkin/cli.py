@@ -168,10 +168,9 @@ def _bodies_for(config: CampaignConfig, curv: Curvature, rng: RandomStream,
                 file_bodies: Optional[list] = None
                 ) -> list[tuple[str, GeodesicPolygon]]:
     """The (id, body) list of a suite at curv.  file_bodies is the body
-    file as parsed once per campaign; without it the file is parsed here."""
-    if config.body_file is not None:
-        parsed = file_bodies or parse_body_file(config.body_file)
-        return [(f"file{i}", poly) for i, (c, poly) in enumerate(parsed)
+    file as :func:`run_campaign` parsed it, or None without one."""
+    if file_bodies is not None:
+        return [(f"file{i}", poly) for i, (c, poly) in enumerate(file_bodies)
                 if c.kappa == curv.kappa]
     if config.disc_ngon is not None:
         r, n = config.disc_ngon
@@ -227,9 +226,8 @@ def kinematic_band(config: CampaignConfig,
     a run of correct pairs then fails with probability KINEMATIC_ALPHA.
     file_bodies is as for :func:`_bodies_for`."""
     from statistics import NormalDist  # here: about 3 ms to import
-    if config.body_file is not None:
-        parsed = file_bodies or parse_body_file(config.body_file)
-        kappas = [c.kappa for c, _ in parsed]
+    if file_bodies is not None:
+        kappas = [c.kappa for c, _ in file_bodies]
         pairs = sum(kappas.count(k) // 2 for k in config.kappas)
     else:  # a disc run has one body per kappa, so no pair
         pairs = 0 if config.disc_ngon else (
@@ -348,36 +346,53 @@ def _run_task(config: CampaignConfig, file_bodies: Optional[list],
     return SUITES[name](config, kappa, rng, file_bodies)
 
 
-# OpenBLAS's thread-count setters, as numpy's and scipy's wheels export
-# them and as a plain OpenBLAS does.
+# OpenBLAS's thread-count setters: numpy's wheels bundle an OpenBLAS that
+# exports the first, scipy's wheels one that exports the second.
 BLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                "scipy_openblas_set_num_threads",
-                "openblas_set_num_threads64_", "openblas_set_num_threads")
+                "scipy_openblas_set_num_threads")
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: set each OpenBLAS the process has loaded to one
-    thread; a no-op where none is loaded or there is no /proc.
+def loaded_openblas() -> list:
+    """(library, setter) of each OpenBLAS this process has loaded that
+    exports one of BLAS_SETTERS, the setter taking the thread count.
 
-    A forked worker otherwise runs a BLAS thread per core beside the pool's
-    worker per core.  The report does not depend on the thread count.
+    Empty where none is loaded or there is no /proc.  A library is a mapped
+    file whose name holds "openblas"; one that cannot be loaded (not a
+    library, or deleted since it was mapped) is skipped.
     """
-    import ctypes  # here: only workers need it
+    import ctypes  # here: only workers and tests need it
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh
-                     if "openblas" in line.lower()}
+            paths = {fields[5].strip() for fields in
+                     (line.split(None, 5) for line in fh) if len(fields) == 6}
     except OSError:
-        return
+        return []
+    found = []
     for path in sorted(paths):
-        lib = ctypes.CDLL(path)
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in BLAS_SETTERS:
             if hasattr(lib, name):
                 setter = getattr(lib, name)
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                found.append((lib, setter))
                 break
+    return found
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: set each loaded OpenBLAS to one thread.
+
+    A forked worker otherwise runs a BLAS thread per core beside the pool's
+    worker per core.  The report does not depend on the thread count.
+    """
+    for _, setter in loaded_openblas():
+        setter(1)
 
 
 def run_campaign(config: CampaignConfig,

@@ -1,11 +1,14 @@
 """Tests for the campaign runner: body files, reports, determinism, CLI."""
 
 import csv
+import ctypes
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
+import sys
 
 import pytest
 
@@ -233,7 +236,8 @@ class TestKinematicBand:
         # Three flat bodies make one pair, two spherical ones another.
         config = CampaignConfig(body_file=str(path), kappas=(0.0, 1.0))
         two = CampaignConfig(count=2, kappas=(0.0, 1.0))
-        assert kinematic_band(config) == kinematic_band(two)
+        assert (kinematic_band(config, parse_body_file(str(path)))
+                == kinematic_band(two))
 
     def test_default_seed_8_passes(self):
         # At 3 sigma per pair, pair rand22|rand23 on kappa = 1 read z = 3.24
@@ -347,7 +351,39 @@ class TestReports:
             raise FileNotFoundError(args[0])
 
         monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        assert cli.loaded_openblas() == []
         assert cli._one_blas_thread() is None
+
+    def test_blas_pin_skips_what_is_not_an_openblas(self, monkeypatch,
+                                                    tmp_path):
+        # An executable under a directory named openblas, a file named
+        # openblas that is not a library, one deleted since it was mapped,
+        # and an anonymous mapping.
+        fake = tmp_path / "libopenblas_fake.so"
+        fake.write_text("not a library\n")
+        maps = "".join(
+            f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0 {path}\n"
+            for path in (sys.executable.replace("/bin/", "/openblas/bin/"),
+                         sys.executable, str(fake),
+                         "/gone/libopenblas.so (deleted)"))
+        maps += "7f0000002000-7f0000003000 rw-p 00000000 00:00 0\n"
+        real_open = open
+        monkeypatch.setattr(
+            cli, "open", lambda path, *args, **kwargs: io.StringIO(maps)
+            if path == "/proc/self/maps" else real_open(path, *args, **kwargs),
+            raising=False)
+        tried = []
+        real_cdll = ctypes.CDLL
+
+        def cdll(path, *args, **kwargs):
+            tried.append(path)
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli.loaded_openblas() == []
+        assert cli._one_blas_thread() is None
+        assert sorted(set(tried)) == ["/gone/libopenblas.so (deleted)",
+                                      str(fake)]
 
     def test_different_seed_differs(self, tmp_path):
         out1 = str(tmp_path / "a.json")
@@ -469,21 +505,11 @@ def loaded_openblas():
     has loaded, or None."""
     import ctypes
 
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in cli.BLAS_SETTERS:
-            getter = name.replace("_set_", "_get_")
-            if hasattr(lib, name) and hasattr(lib, getter):
-                set_n, get_n = getattr(lib, name), getattr(lib, getter)
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                get_n.argtypes, get_n.restype = [], ctypes.c_int
-                return set_n, get_n
+    for lib, set_n in cli.loaded_openblas():
+        get_n = getattr(lib, set_n.__name__.replace("_set_", "_get_"), None)
+        if get_n is not None:
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            return set_n, get_n
     return None
 
 
