@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex import GeodesicPolygon, convex_hull
+from .convex import (GeodesicPolygon, _build_polygons, _hull_rows,
+                     _raise_first, convex_hull)
 from .radii import BodyMetrics, metrics
 from .surface import (Curvature, GeometryError, RandomStream, area_radius,
                       gen_sin, polar_rows, support_area)
@@ -270,14 +271,51 @@ def random_convex_body(curvature: Curvature, rng: RandomStream,
     of u in [0, support_area(rho)], since numpy's uniform(low, high) is
     low + (high - low) times the next double.
     """
+    return random_convex_bodies(curvature, [rng], min_vertices, max_vertices,
+                                rho_limit)[0]
+
+
+def random_convex_bodies(curvature: Curvature,
+                         streams: Sequence[RandomStream],
+                         min_vertices: int = 3, max_vertices: int = 12,
+                         rho_limit: Optional[float] = None
+                         ) -> list[GeodesicPolygon]:
+    """:func:`random_convex_body` of each stream in turn, bit for bit, the
+    polygons checked in one pass over their stack.  A stream may repeat, to
+    draw bodies from it in sequence.
+
+    The first body, in order, that one-by-one draws would fail on raises
+    its error; where the streams then stand is unspecified.
+    """
     if rho_limit is None:
         rho_limit = _disc_radius_limit(curvature)
+    entries = []
+    for rng in streams:
+        try:
+            entries.append(_body_rows(curvature, rng, min_vertices,
+                                      max_vertices, rho_limit))
+        except GeometryError as e:
+            entries.append(e)
+            break
+    return _raise_first(_build_polygons(curvature, entries))
+
+
+def _body_rows(curvature: Curvature, rng: RandomStream, min_vertices: int,
+               max_vertices: int, rho_limit: float) -> np.ndarray:
+    """The hull rows of one random body's first try with interior.
+
+    The tries, the dedupe and the hull are per body: a try without interior
+    is dropped and drawn again, so they decide how much of the stream is
+    read.  A dropped try is checked as a polygon as it is drawn, so that
+    its error, if any, comes in draw order.
+    """
     while True:
         m = int(rng.integers(min_vertices, max_vertices + 1))
         rho = float(rng.uniform(0.1, 0.9 * rho_limit))
         d = rng.uniform(0.0, 1.0, 2 * m)
         r = area_radius(curvature, support_area(curvature, rho) * d[1::2])
-        hull = convex_hull(polar_rows(curvature, r, 2.0 * math.pi * d[::2]),
-                           curvature)
-        if hull.dim == 2:
-            return hull
+        rows, _ = _hull_rows(polar_rows(curvature, r, 2.0 * math.pi * d[::2]),
+                             curvature)
+        if len(rows) > 2:
+            return rows
+        GeodesicPolygon(rows, curvature)

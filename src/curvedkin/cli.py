@@ -18,11 +18,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bonnesen import (deficit_report, kappa_limit_sweep, random_convex_body)
+from .bonnesen import (deficit_report, kappa_limit_sweep,
+                       random_convex_bodies)
 from .convex import GeodesicPolygon, convex_hull, regular_ngon
-from .kinematics import (containment_criterion, find_containment,
+from .kinematics import (containment_criteria, find_containment,
                          kinematic_lhs, kinematic_rhs)
-from .radii import metrics
+from .radii import metrics_stack
 from .surface import (Curvature, GeometryError, RandomStream, exp_at_base,
                       point_polar)
 
@@ -175,23 +176,30 @@ def _bodies_for(config: CampaignConfig, curv: Curvature, rng: RandomStream,
     if config.disc_ngon is not None:
         r, n = config.disc_ngon
         return [("disc", regular_ngon(curv, r, n))]
-    streams = rng.split(config.count)
-    return [(f"rand{i}", random_convex_body(curv, streams[i],
-                                            max_vertices=config.max_vertices))
-            for i in range(config.count)]
+    bodies = random_convex_bodies(curv, rng.split(config.count),
+                                  max_vertices=config.max_vertices)
+    return [(f"rand{i}", body) for i, body in enumerate(bodies)]
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
+def _measured_bodies(config: CampaignConfig, curv: Curvature,
+                     rng: RandomStream, file_bodies: Optional[list]) -> list:
+    """(id, metrics) of the suite's bodies, their areas and perimeters taken
+    in one pass."""
+    bodies = _bodies_for(config, curv, rng, file_bodies)
+    return list(zip([body_id for body_id, _ in bodies],
+                    metrics_stack([body for _, body in bodies])))
+
+
 def run_metrics_suite(config: CampaignConfig, kappa: float,
                       rng: RandomStream,
                       file_bodies: Optional[list] = None) -> list[dict]:
     records = []
-    for body_id, body in _bodies_for(config, Curvature(kappa), rng,
-                                     file_bodies):
-        m = metrics(body)
+    for body_id, m in _measured_bodies(config, Curvature(kappa), rng,
+                                       file_bodies):
         ok = 0.0 <= m.r_in <= m.R_circ + 1e-9
         records.append(_record(
             suite="metrics", seed=config.seed, kappa=kappa,
@@ -205,8 +213,7 @@ def run_bonnesen_suite(config: CampaignConfig, kappa: float,
                        file_bodies: Optional[list] = None) -> list[dict]:
     records = []
     curv = Curvature(kappa)
-    for body_id, body in _bodies_for(config, curv, rng, file_bodies):
-        m = metrics(body)
+    for body_id, m in _measured_bodies(config, curv, rng, file_bodies):
         rep = deficit_report(curv, m)
         for b in rep.bounds:
             records.append(_record(
@@ -237,12 +244,15 @@ def kinematic_band(config: CampaignConfig,
 
 def run_kinematic_suite(config: CampaignConfig, kappa: float,
                         rng: RandomStream,
-                        file_bodies: Optional[list] = None) -> list[dict]:
+                        file_bodies: Optional[list] = None,
+                        z: Optional[float] = None) -> list[dict]:
+    """z is the run's :func:`kinematic_band`, computed here if None."""
     records = []
     gen, mc = rng.split(2)
     bodies = _bodies_for(config, Curvature(kappa), gen, file_bodies)
     task_streams = mc.split(max(1, len(bodies) // 2))
-    z = kinematic_band(config, file_bodies)
+    if z is None:
+        z = kinematic_band(config, file_bodies)
     for i in range(len(bodies) // 2):
         (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
         est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
@@ -260,21 +270,29 @@ def run_kinematic_suite(config: CampaignConfig, kappa: float,
 def run_containment_suite(config: CampaignConfig, kappa: float,
                           rng: RandomStream,
                           file_bodies: Optional[list] = None) -> list[dict]:
+    """Screens random pairs by the containment criterion, then searches
+    each accepted pair for a containing motion.
+
+    Pairs are drawn in blocks of the pairs still needed, capped by the
+    attempts left: drawing one pair at a time would draw every pair of the
+    block too, since finishing takes all of them.  Each block is measured
+    in one pass and screened in draw order, so the same pairs are accepted
+    and no body past the last needed pair is drawn.
+    """
     del file_bodies  # draws its own pairs
     records = []
     curv = Curvature(kappa)
     gen, search = rng.split(2)
     found_pairs = []
-    attempts = 0
-    while len(found_pairs) < config.count and attempts < config.count * 200:
-        attempts += 1
-        a = random_convex_body(curv, gen, max_vertices=config.max_vertices)
-        b = random_convex_body(curv, gen, max_vertices=config.max_vertices)
-        try:
-            if containment_criterion(a, b, slack=-1e-3):
-                found_pairs.append((a, b))
-        except GeometryError:
-            continue
+    attempts, limit = 0, config.count * 200
+    while len(found_pairs) < config.count and attempts < limit:
+        block = min(config.count - len(found_pairs), limit - attempts)
+        bodies = random_convex_bodies(curv, [gen] * (2 * block),
+                                      max_vertices=config.max_vertices)
+        pairs = list(zip(bodies[::2], bodies[1::2]))
+        attempts += block
+        found_pairs += [pair for pair, ok in zip(
+            pairs, containment_criteria(pairs, slack=-1e-3)) if ok]
     task_streams = search.split(max(1, len(found_pairs)))
     for i, (a, b) in enumerate(found_pairs):
         witness = find_containment(a, b, config.budget, task_streams[i])
@@ -340,10 +358,12 @@ def _tasks(config: CampaignConfig, suites: Sequence[str]) -> list[tuple]:
 
 
 def _run_task(config: CampaignConfig, file_bodies: Optional[list],
-              task: tuple) -> list[dict]:
+              z: Optional[float], task: tuple) -> list[dict]:
     # The suite is looked up here, in the worker, so only its name is sent.
+    # z is the run's kinematic band, for the kinematic suite.
     name, kappa, rng = task
-    return SUITES[name](config, kappa, rng, file_bodies)
+    extra = {"z": z} if name == "verify-kinematic" else {}
+    return SUITES[name](config, kappa, rng, file_bodies, **extra)
 
 
 # OpenBLAS's thread-count setters: numpy's wheels bundle an OpenBLAS that
@@ -413,7 +433,11 @@ def run_campaign(config: CampaignConfig,
     tasks = _tasks(config, suites)
     file_bodies = (None if config.body_file is None
                    else parse_body_file(config.body_file))
-    run = functools.partial(_run_task, config, file_bodies)
+    # The band once, here: in a fresh worker its import of statistics
+    # costs about 5 ms.
+    z = (kinematic_band(config, file_bodies)
+         if "verify-kinematic" in suites else None)
+    run = functools.partial(_run_task, config, file_bodies, z)
     workers = min(os.cpu_count() or 1, len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,7 @@ sidedness question in all three regimes.
 
 from __future__ import annotations
 
+import functools
 import math
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -104,14 +105,14 @@ class GeodesicPolygon:
 
         For a point p, normal . p is gen_sin of its signed distance from the
         edge's geodesic, positive inside.  A spacelike vertex pair raises;
-        antipodal sphere vertices give a 0/0 normal, NaN.
+        antipodal sphere vertices give a 0/0 normal, NaN.  A body built in a
+        stack keeps its slice of the stack's normals instead.
         """
-        va = self.vertex_array
-        nu = cross3(va, next_rows(va))[:len(self.edges)]
-        norm2 = (nu * nu * self.curvature.line_form).sum(axis=-1)
-        if np.any(norm2 < 0):
+        stack = _Stack([self.vertex_array])
+        normals, spacelike = stack.edge_normals(self.curvature)
+        if spacelike[0]:
             raise GeometryError("edge does not support a geodesic")
-        return nu / np.sqrt(norm2)[:, None]
+        return normals[0, :len(self.edges)]
 
     @cached_property
     def half_spaces(self) -> np.ndarray:
@@ -136,69 +137,13 @@ class GeodesicPolygon:
         return np.concatenate([n, -n, caps])
 
     def _validate(self):
-        n = self.n_vertices
-        va = self.vertex_array
-        scale = float(np.max(np.abs(va))) + 1.0
-        repeated = np.all(np.abs(va - next_rows(va)) < EPS * scale, axis=1)
-        if n > 1 and repeated.any():
-            i = int(np.argmax(repeated))
-            raise GeometryError(f"repeated adjacent vertices {i}, {(i + 1) % n}")
-        if self.curvature.kappa > 0 and n > 1 and not self._fits_hemisphere():
-            raise GeometryError("points do not fit in an open hemisphere")
-        if n < 3:
-            return
-        # The n x n table of signed edge distances, a block of vertex
-        # columns at a time: its min, and column j's entry d(j - 2, j), the
-        # turn at vertex j - 1.
-        worst, turns = np.inf, np.empty(n)
-        step = max(1, _BLOCK_ENTRIES // n)
-        for s in range(0, n, step):
-            cols = np.arange(s, min(n, s + step))
-            dists = self.signed_edge_distances(va[s:s + step])
-            worst = np.min(dists, initial=worst)
-            turns[cols - 1] = dists[cols - 2, cols - s]
-        if worst < -EPS * scale:
-            raise GeometryError(
-                "vertex cycle is not convex/counterclockwise "
-                f"(worst signed distance {worst:.3g})")
-        # Canonical form: no three consecutive collinear vertices.
-        collinear = np.abs(turns) < 1e-13 * scale
-        if collinear.any():
-            i = int(np.argmax(collinear))
-            raise GeometryError(f"vertex {i} is collinear with neighbours")
-
-    def _fits_hemisphere(self) -> bool:
-        """Does some plane normal u give <u, v> > EPS * scale |u| at every v?
-
-        The sum of the edge normals (G (a + b) for a segment) is tried first,
-        then G c for the minidisc center c, which maximizes the worst margin.
-        A 0/0 normal gives NaN, and a failed minidisc no center: no fit.
-        """
-        from .radii import smallest_enclosing_disc
-        va = self.vertex_array
-        g = self.curvature.point_form
-        bound = EPS * float(np.max(np.linalg.norm(va, axis=1)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = (va * g if self.n_vertices == 2
-                 else self.edge_normals).sum(axis=0)
-            if np.min(va @ u) / np.linalg.norm(u) > bound:
-                return True
-            try:
-                u, _ = smallest_enclosing_disc(self.curvature, va)
-            except GeometryError:
-                return False
-            u = u * g
-            return bool(np.min(va @ u) / np.linalg.norm(u) > bound)
+        (error,) = _validate_stack([self])
+        if error is not None:
+            raise error
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
-        """gen_sin of the signed distance from each edge geodesic (rows).
-
-        The three products are summed in written order, which numpy's
-        reduction over an axis does not promise.
-        """
-        nu = self.edge_normals
-        c = np.atleast_2d(coords).T
-        return (nu[:, 0:1] * c[0] + nu[:, 1:2] * c[1]) + nu[:, 2:3] * c[2]
+        """gen_sin of the signed distance from each edge geodesic (rows)."""
+        return _dot3(self.edge_normals[:, None], np.atleast_2d(coords)[None])
 
     def transformed(self, g: Isometry) -> "GeodesicPolygon":
         """The body moved by g.  One stacked matrix-vector product, which
@@ -219,6 +164,207 @@ def point_body(p: SurfacePoint) -> GeodesicPolygon:
 
 def segment_body(a: SurfacePoint, b: SurfacePoint) -> GeodesicPolygon:
     return GeodesicPolygon([a, b])
+
+
+# ---------------------------------------------------------------------------
+# Stacks of bodies
+# ---------------------------------------------------------------------------
+
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y along the last axis, broadcast, its three products summed in
+    written order, which numpy's reduction over an axis does not promise."""
+    return (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2]
+
+
+class _Stack:
+    """Bodies' (n_i, 3) vertex arrays as one (B, N, 3) array ``V``, zero past
+    each body's n_i rows.
+
+    ``real`` marks the rows that are vertices and ``edge`` the rows that
+    start an edge (a polygon has an edge per vertex, a segment one, a point
+    none); each is True where every row is one.  ``next`` is each row's
+    cyclic successor in its body; a padded row's is arbitrary.
+    """
+
+    def __init__(self, rows: Sequence[np.ndarray]):
+        self.sizes = [len(r) for r in rows]
+        self.n = np.array(self.sizes)
+        if min(self.sizes) == max(self.sizes):
+            self.real = True
+            self.V = rows[0][None] if len(rows) == 1 else np.stack(rows)
+        else:
+            self.real = np.arange(max(self.sizes)) < self.n[:, None]
+            self.V = np.zeros((len(rows), max(self.sizes), 3))
+            self.V[self.real] = np.concatenate(rows)
+        self.next = self.successors(self.V)
+
+    @cached_property
+    def edge(self):
+        if self.real is True and self.sizes[0] > 2:
+            return True
+        edges = np.where(self.n > 2, self.n, self.n - 1)
+        return np.arange(self.V.shape[1]) < edges[:, None]
+
+    def where_real(self, X: np.ndarray, fill) -> np.ndarray:
+        """X, with fill in the padded rows."""
+        return X if self.real is True else np.where(self.real, X, fill)
+
+    def successors(self, X: np.ndarray) -> np.ndarray:
+        """Row i of X replaced by row i + 1 of its body's cycle."""
+        out = np.concatenate([X[:, 1:], X[:, :1]], axis=1)
+        if self.real is not True:
+            out[np.arange(len(X)), self.n - 1] = X[:, 0]
+        return out
+
+    def predecessors(self, X: np.ndarray) -> np.ndarray:
+        """Row i of X replaced by row i - 1 of its body's cycle."""
+        out = np.concatenate([X[:, -1:], X[:, :-1]], axis=1)
+        if self.real is not True:
+            out[:, 0] = X[np.arange(len(X)), self.n - 1]
+        return out
+
+    def edge_normals(self, curv: Curvature) -> tuple[np.ndarray, np.ndarray]:
+        """(B, N, 3) edge normals as :attr:`GeodesicPolygon.edge_normals`
+        makes them, zero past each body's edges, and which bodies have a
+        spacelike edge."""
+        nu = cross3(self.V, self.next)
+        norm2 = (nu * nu * curv.line_form).sum(axis=-1)
+        spacelike = ((norm2 < 0) & self.edge).any(axis=1)
+        # NaN for a zero or spacelike normal, as 0/0 gives, without warning.
+        normals = nu / np.sqrt(np.where(norm2 > 0, norm2, np.nan))[..., None]
+        if self.edge is not True:
+            normals[~self.edge] = 0.0
+        return normals, spacelike
+
+
+def _validate_stack(bodies: Sequence[GeodesicPolygon]
+                    ) -> list[Optional[GeometryError]]:
+    """Check bodies of one curvature, each as a polygon checks its vertices,
+    in one pass over their stack; each body's first failed check, or None.
+
+    The checks run in construction's order on every body, and a body fails
+    on the first it fails; the minidisc of the hemisphere test runs only
+    where the earlier checks pass.  A valid body keeps its slice of the
+    stacked edge normals, unless it is a segment with a spacelike edge: its
+    ``edge_normals`` then raises when asked for, as a segment's always has.
+    """
+    curv = bodies[0].curvature
+    stack = _Stack([K.vertex_array for K in bodies])
+    V, n = stack.V, stack.n
+    scale = np.abs(V).max(axis=(1, 2)) + 1.0
+    repeated = stack.where_real(
+        np.all(np.abs(V - stack.next) < EPS * scale[:, None, None], axis=2),
+        False)
+
+    def repeated_at(b: int) -> str:
+        i = repeated[b].argmax()
+        return f"repeated adjacent vertices {i}, {(i + 1) % n[b]}"
+
+    # (bodies failing a check, message of body b), in construction's order.
+    checks = [((n > 1) & repeated.any(axis=1), repeated_at)]
+    normals, spacelike = stack.edge_normals(curv)
+    if curv.kappa > 0:
+        check = (n > 1) & ~checks[0][0]
+        checks.append((check & ~_fit_hemisphere(curv, stack, normals, check),
+                       lambda b: "points do not fit in an open hemisphere"))
+    polygon = n > 2
+    checks.append((polygon & spacelike,
+                   lambda b: "edge does not support a geodesic"))
+    if polygon.any():
+        worst = _least_edge_distance(normals, V)
+        turns = _dot3(stack.predecessors(normals), stack.next)
+        collinear = stack.where_real(
+            np.abs(turns) < 1e-13 * scale[:, None], False)
+        checks += [
+            (polygon & (worst < -EPS * scale), lambda b: (
+                "vertex cycle is not convex/counterclockwise "
+                f"(worst signed distance {worst[b]:.3g})")),
+            (polygon & collinear.any(axis=1), lambda b: (
+                f"vertex {collinear[b].argmax()} is collinear "
+                "with neighbours"))]
+    errors: list[Optional[GeometryError]] = [None] * len(bodies)
+    if functools.reduce(np.logical_or, [failed for failed, _ in checks]).any():
+        for failed, message in checks:
+            for b in np.flatnonzero(failed).tolist():
+                if errors[b] is None:
+                    errors[b] = GeometryError(message(b))
+    for b, (K, size) in enumerate(zip(bodies, stack.sizes)):
+        if errors[b] is None and not spacelike[b]:
+            K.edge_normals = normals[b, :size if size > 2 else size - 1]
+    return errors
+
+
+def _fit_hemisphere(curv: Curvature, stack: _Stack, normals: np.ndarray,
+                    check: np.ndarray) -> np.ndarray:
+    """Does some plane normal u give <u, v> > EPS * scale |u| at every vertex
+    v of a stacked body?  Decided for the bodies that check marks.
+
+    The sum of the edge normals (G (a + b) for a segment) is tried first,
+    then, where that fails, G c for the minidisc center c, which maximizes
+    the worst margin.  A 0/0 normal gives NaN, and a failed minidisc no
+    center: no fit.
+    """
+    from .radii import smallest_enclosing_disc
+    V, n, g = stack.V, stack.n, curv.point_form
+    bound = EPS * np.sqrt((V * V).sum(axis=-1)).max(axis=1)
+    u = normals.sum(axis=1)
+    segment = n == 2
+    if segment.any():
+        u[segment] = V[segment, 0] * g + V[segment, 1] * g
+    with np.errstate(invalid="ignore", divide="ignore"):
+        margin = stack.where_real(_dot3(V, u[:, None]), np.inf)
+        fits = margin.min(axis=1) / np.sqrt((u * u).sum(axis=-1)) > bound
+        for b in np.flatnonzero(check & ~fits).tolist():
+            va = V[b, :n[b]]
+            try:
+                c, _ = smallest_enclosing_disc(curv, va)
+            except GeometryError:
+                continue
+            c = c * g
+            fits[b] = np.min(va @ c) / np.linalg.norm(c) > bound[b]
+    return fits
+
+
+def _least_edge_distance(normals: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per stacked body, the least entry of its table of signed edge
+    distances, a block of vertex columns at a time.
+
+    Padded rows are zero, so padded entries are zero: they decide nothing,
+    since a body fails only on an entry below -EPS * scale.
+    """
+    worst = np.inf
+    step = max(1, _BLOCK_ENTRIES // V[:, :, 0].size)
+    for s in range(0, V.shape[1], step):
+        block = _dot3(normals[:, :, None], V[:, None, s:s + step])
+        worst = np.minimum(worst, block.min(axis=(1, 2)))
+    return worst
+
+
+def _build_polygons(curvature: Curvature, entries: Sequence) -> list:
+    """A polygon of each entry that is a checked (n, 3) row array, all
+    checked as polygons in one pass; an entry that is a GeometryError, or a
+    body that fails its check, is its error."""
+    out = list(entries)
+    shells = []
+    for i, rows in enumerate(entries):
+        if not isinstance(rows, GeometryError):
+            K = GeodesicPolygon.__new__(GeodesicPolygon)
+            K.vertex_array, K.curvature = rows, curvature
+            rows.setflags(write=False)
+            shells.append((i, K))
+    if shells:
+        errors = _validate_stack([K for _, K in shells])
+        for (i, K), error in zip(shells, errors):
+            out[i] = K if error is None else error
+    return out
+
+
+def _raise_first(entries: list) -> list:
+    """entries, unless one is a GeometryError: then the first raises."""
+    for entry in entries:
+        if isinstance(entry, GeometryError):
+            raise entry
+    return entries
 
 
 def _canonical(rows: np.ndarray) -> np.ndarray:
@@ -287,11 +433,13 @@ def _hull_cycle(curv: Curvature, c: np.ndarray) -> list[int]:
     return hull
 
 
-def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
-                curvature: Optional[Curvature] = None) -> GeodesicPolygon:
-    """Minimal convex polygon containing the points; vertices are inputs.
+def _hull_rows(points: Union[Iterable[SurfacePoint], np.ndarray],
+               curvature: Optional[Curvature] = None) -> tuple:
+    """The vertex rows of the points' hull in canonical order, and their
+    curvature; the points are checked as :func:`convex_hull` takes them.
 
-    The points are taken as :class:`GeodesicPolygon` takes its vertices.
+    The rows are input rows, bit for bit, so they need no second check as
+    points.
     """
     coords, curvature = _checked_rows(points, curvature)
     if not len(coords):
@@ -309,18 +457,50 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
     keep = np.flatnonzero(~np.concatenate(dropped))
     if len(keep) > 1:
         keep = keep[_hull_cycle(curvature, coords[keep])]
-    return GeodesicPolygon(_canonical(coords[keep]), curvature)
+    return _canonical(coords[keep]), curvature
+
+
+def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
+                curvature: Optional[Curvature] = None) -> GeodesicPolygon:
+    """Minimal convex polygon containing the points; vertices are inputs.
+
+    The points are taken as :class:`GeodesicPolygon` takes its vertices.
+    """
+    rows, curvature = _hull_rows(points, curvature)
+    return _raise_first(_build_polygons(curvature, [rows]))[0]
 
 
 # ---------------------------------------------------------------------------
 # Metric quantities
 # ---------------------------------------------------------------------------
 
+def _stack_curvature(bodies: Sequence[GeodesicPolygon]) -> Curvature:
+    curv = bodies[0].curvature
+    for K in bodies[1:]:
+        curv.require_same(K.curvature)
+    return curv
+
+
 def perimeter(K: GeodesicPolygon) -> float:
     """Boundary length; twice the length for a segment body, 0 for a point."""
+    return perimeters([K])[0]
+
+
+def perimeters(bodies: Sequence[GeodesicPolygon]) -> list[float]:
+    """:func:`perimeter` of each body, bit for bit, in one pass over their
+    stack; the bodies share one curvature.
+
+    Each body's distances are summed in order by Python's ``sum``, as one
+    body's always were.
+    """
+    if not bodies:
+        return []
+    curv = _stack_curvature(bodies)
     # A segment's vertex cycle runs there and back; a point's stays put.
-    va = K.vertex_array
-    return sum(row_distances(K.curvature, va, next_rows(va)).tolist())
+    stack = _Stack([K.vertex_array for K in bodies])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = row_distances(curv, stack.V, stack.next)
+    return [sum(row[:k]) for row, k in zip(d.tolist(), stack.n.tolist())]
 
 
 def area(K: GeodesicPolygon) -> float:
@@ -329,28 +509,70 @@ def area(K: GeodesicPolygon) -> float:
     products (IEEE TBME 30 (1983) 125).  For small |u| = |kappa det/D| it is
     2 (det/D) atan(u)/u by series: exact as kappa -> 0, half det at 0.
     """
-    if K.dim < 2:
-        return 0.0
-    curv = K.curvature
-    va = K.vertex_array
-    a, b, c = va[0], va[1:-1], va[2:]
-    g = curv.point_form
-    # det(a, b, c) = det(a, b - a, c - a) = -(b - a) . (a x (c - a)), with
-    # the edges from a small where the triangle is, and a x as one matrix.
-    cross_a = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]],
-                        [-a[1], a[0], 0.0]])
-    det = -((b - a) * ((c - a) @ cross_a.T)).sum(axis=-1)
-    den = 1.0 + b @ (a * g) + (b * c) @ g + c @ (a * g)
-    u = curv.kappa * det / den
+    return areas([K])[0]
+
+
+def areas(bodies: Sequence[GeodesicPolygon]) -> list[float]:
+    """:func:`area` of each body, bit for bit, in one pass over their stack;
+    the bodies share one curvature.
+
+    det and D take matrix products, which BLAS rounds by their shapes, so
+    the products go one stacked call per fan length: each body's rows meet
+    the kernel that one body's call would take.  The rest is elementwise
+    over the padded (B, N - 2) table of triangles, and each body's
+    triangles are summed in order by Python's ``sum``.
+    """
+    if not bodies:
+        return []
+    curv = _stack_curvature(bodies)
+    k = curv.kappa
+    fans = [K.n_vertices - 2 for K in bodies]
+    det = np.zeros((len(bodies), max(1, *fans)))
+    den = np.ones_like(det)
+    for m in set(fans) - {-1, 0}:
+        which = [i for i, f in enumerate(fans) if f == m]
+        det[which, :m], den[which, :m] = _fan_products(
+            curv, _stacked([bodies[i] for i in which]))
+    u = k * det / den
     # den <= 0 only for a spherical triangle of excess pi or more.
     small = (np.abs(u) < 1e-3) & (den > 0)
     u2 = u[small] ** 2
     tri = np.empty_like(det)
     tri[small] = (2.0 * det[small] / den[small]
                   * (1.0 - u2 / 3.0 + u2 * u2 / 5.0 - u2 ** 3 / 7.0))
-    tri[~small] = 2.0 * libm_map(math.atan2, curv.kappa * det[~small],
-                                 den[~small]) / curv.kappa
-    return sum(tri.tolist())
+    tri[~small] = 2.0 * libm_map(math.atan2, k * det[~small],
+                                 den[~small]) / k
+    return [sum(row[:m]) if m > 0 else 0.0
+            for row, m in zip(tri.tolist(), fans)]
+
+
+# Entries of the matrix of a x, [[0, -z, y], [z, 0, -x], [-y, x, 0]], as
+# indices into (x, y, z, -x, -y, -z, 0).
+_CROSS_MATRIX = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+
+
+def _stacked(bodies: Sequence[GeodesicPolygon]) -> np.ndarray:
+    """The vertex arrays of bodies of one size as a (B, n, 3) array."""
+    if len(bodies) == 1:
+        return bodies[0].vertex_array[None]
+    return np.stack([K.vertex_array for K in bodies])
+
+
+def _fan_products(curv: Curvature, va: np.ndarray) -> tuple:
+    """det(v0, v_i, v_i+1) and D = 1 + G(v0, v_i) + G(v_i, v_i+1) +
+    G(v_i+1, v0) of the fan triangles of a (G, m + 2, 3) stack of bodies."""
+    a, b, c = va[:, :1], va[:, 1:-1], va[:, 2:]
+    # det(a, b, c) = det(a, b - a, c - a) = -(b - a) . (a x (c - a)), with
+    # the edges from a small where the triangle is, and a x as one matrix.
+    # BLAS rounds by layout too: take, unlike fancy indexing, gives the
+    # C-contiguous matrices that one body's product was taken with.
+    signed = np.concatenate([a[:, 0], -a[:, 0], np.zeros((len(a), 1))], axis=1)
+    cross_a = signed.take(_CROSS_MATRIX, axis=1).reshape(-1, 3, 3)
+    det = -((b - a) * ((c - a) @ cross_a.transpose(0, 2, 1))).sum(axis=-1)
+    g = curv.point_form
+    ag = (a * g).transpose(0, 2, 1)
+    den = 1.0 + b @ ag + (b * c) @ g[:, None] + c @ ag
+    return det, den[..., 0]
 
 
 def contains_rows(K: GeodesicPolygon, rows: np.ndarray) -> np.ndarray:

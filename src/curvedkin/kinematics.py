@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, area, contains_rows, next_rows,
-                     perimeter)
+from .convex import (GeodesicPolygon, area, areas, contains_rows, next_rows,
+                     perimeter, perimeters)
 from .radii import circumradius
 from .surface import (BASIS_BLOCK_ROWS, GeometryError, Isometry,
                       RandomStream, cross3, fold_table, gen_cos_sin,
@@ -253,13 +253,25 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
 def containment_criterion(K: GeodesicPolygon, L: GeodesicPolygon,
                           slack: float = 1e-12) -> bool:
     """P_K P_L <= 2pi (A_K + A_L) - kappa A_K A_L, within slack."""
-    K.curvature.require_same(L.curvature)
-    if K.dim < 2 or L.dim < 2:
-        raise GeometryError("containment criterion needs nonempty interiors")
-    kappa = K.curvature.kappa
-    ak, al = area(K), area(L)
-    pk, pl = perimeter(K), perimeter(L)
-    return pk * pl <= 2.0 * math.pi * (ak + al) - kappa * ak * al + slack
+    return containment_criteria([(K, L)], slack)[0]
+
+
+def containment_criteria(pairs: Sequence[tuple[GeodesicPolygon,
+                                                GeodesicPolygon]],
+                         slack: float = 1e-12) -> list[bool]:
+    """:func:`containment_criterion` of each pair (K, L), bit for bit, with
+    the areas and perimeters of all the bodies taken in one pass.  The
+    pairs share one curvature."""
+    for K, L in pairs:
+        K.curvature.require_same(L.curvature)
+        if K.dim < 2 or L.dim < 2:
+            raise GeometryError(
+                "containment criterion needs nonempty interiors")
+    bodies = [K for pair in pairs for K in pair]
+    A, P = areas(bodies), perimeters(bodies)
+    kappa = bodies[0].curvature.kappa if bodies else 0.0
+    return [pk * pl <= 2.0 * math.pi * (ak + al) - kappa * ak * al + slack
+            for ak, al, pk, pl in zip(A[::2], A[1::2], P[::2], P[1::2])]
 
 
 def body_contains(outer: GeodesicPolygon, inner: GeodesicPolygon) -> bool:

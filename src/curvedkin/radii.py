@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, area, next_rows,
-                     perimeter, triple_indices)
+from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, area, areas,
+                     next_rows, perimeter, perimeters, triple_indices)
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, squared_chords)
@@ -285,7 +286,19 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
 
 def metrics(K: GeodesicPolygon) -> BodyMetrics:
     """All four scalar quantities of a body plus both centers."""
+    return _with_radii(K, area(K), perimeter(K))
+
+
+def metrics_stack(bodies: Sequence[GeodesicPolygon]) -> list[BodyMetrics]:
+    """:func:`metrics` of each body, bit for bit: the areas and perimeters in
+    one pass over their stack, the radii body by body.  The bodies share
+    one curvature."""
+    return [_with_radii(K, A, P) for K, A, P in
+            zip(bodies, areas(bodies), perimeters(bodies))]
+
+
+def _with_radii(K: GeodesicPolygon, A: float, P: float) -> BodyMetrics:
     r, inc = inradius(K)
     R, circ = circumradius(K)
-    return BodyMetrics(A=area(K), P=perimeter(K), r_in=r, R_circ=R,
-                       incenter=inc, circumcenter=circ)
+    return BodyMetrics(A=A, P=P, r_in=r, R_circ=R, incenter=inc,
+                       circumcenter=circ)

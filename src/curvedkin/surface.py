@@ -13,6 +13,7 @@ one set of linear-algebra predicates serves every curvature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -248,7 +249,15 @@ def libm_map(f, *xs: np.ndarray) -> np.ndarray:
     numpy's arcsin, arccos, arcsinh and hypot differ from math's by 1-2 ulp
     on some hosts (AVX-512), which would make results depend on the host.
     """
-    return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
+    return np.asarray(_libm_ufunc(f, len(xs))(*xs), dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _libm_ufunc(f, nin: int) -> np.ufunc:
+    """f as a ufunc of nin arguments, built once: building one costs more
+    than mapping it over a small body's entries.  The keys are the few math
+    functions the library maps."""
+    return np.frompyfunc(f, nin, 1)
 
 
 def _dz_over_kappa(curvature: Curvature, d: np.ndarray,

@@ -36,7 +36,8 @@ oracles still use; the library now rotates rows.
 :class:`MatrixValidatedPolygon` is a GeodesicPolygon validated as the
 library validated every body until it checked the n x n matrix of signed
 edge distances a block of vertex columns at a time: the whole matrix at
-once, verbatim.
+once, verbatim, with the one-body hemisphere test that the library ran
+until it checked a stack of bodies in one pass.
 """
 
 import math
@@ -310,6 +311,29 @@ class MatrixValidatedPolygon(GeodesicPolygon):
         if collinear.any():
             i = int(np.argmax(collinear))
             raise GeometryError(f"vertex {i} is collinear with neighbours")
+
+    def _fits_hemisphere(self) -> bool:
+        """Does some plane normal u give <u, v> > EPS * scale |u| at every v?
+
+        The sum of the edge normals (G (a + b) for a segment) is tried first,
+        then G c for the minidisc center c, which maximizes the worst margin.
+        A 0/0 normal gives NaN, and a failed minidisc no center: no fit.
+        """
+        from curvedkin.radii import smallest_enclosing_disc
+        va = self.vertex_array
+        g = self.curvature.point_form
+        bound = EPS * float(np.max(np.linalg.norm(va, axis=1)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = (va * g if self.n_vertices == 2
+                 else self.edge_normals).sum(axis=0)
+            if np.min(va @ u) / np.linalg.norm(u) > bound:
+                return True
+            try:
+                u, _ = smallest_enclosing_disc(self.curvature, va)
+            except GeometryError:
+                return False
+            u = u * g
+            return bool(np.min(va @ u) / np.linalg.norm(u) > bound)
 
 
 # The iterative Welzl that radii.smallest_enclosing_disc was until support

@@ -13,13 +13,15 @@ import sys
 import pytest
 
 import curvedkin.cli as cli
+from curvedkin import bonnesen
+from curvedkin.bonnesen import random_convex_body
 from curvedkin.cli import (BodyFileError, CampaignConfig, KINEMATIC_ALPHA,
                            emit_body_file, kinematic_band, main,
                            parse_body_file, run_campaign, run_kinematic_suite,
                            SUITES)
-from curvedkin.surface import RandomStream
 from curvedkin.convex import polygons_close, regular_ngon
-from curvedkin.surface import Curvature
+from curvedkin.kinematics import containment_criterion
+from curvedkin.surface import Curvature, GeometryError, RandomStream
 
 # sha256 of the JSON report of `curvedkin all --seed 42 --count 3
 # --samples 2000 --budget 500`.  Against the report of the one-task-per-
@@ -209,6 +211,97 @@ class TestSuites:
         config = CampaignConfig(body_file=str(path), kappas=(0.0,))
         status, records = run_campaign(config, ["metrics"])
         assert status == 0 and len(records) == 1
+
+
+def sequential_pairs(config, kappa, rng, accept):
+    """The containment screen as it drew and tested one pair at a time: the
+    accepted pairs, and the pairs drawn."""
+    curv = Curvature(kappa)
+    gen, _ = rng.split(2)
+    found, attempts = [], 0
+    while len(found) < config.count and attempts < config.count * 200:
+        attempts += 1
+        a = random_convex_body(curv, gen, max_vertices=config.max_vertices)
+        b = random_convex_body(curv, gen, max_vertices=config.max_vertices)
+        if accept(a, b):
+            found.append((a, b))
+    return found, attempts
+
+
+def screened_pairs(monkeypatch, config, kappa, rng):
+    """The pairs that run_containment_suite hands to the search."""
+    seen = []
+    monkeypatch.setattr(cli, "find_containment",
+                        lambda a, b, budget, stream: seen.append((a, b)))
+    records = cli.run_containment_suite(config, kappa, rng)
+    assert len(records) == len(seen)
+    return seen
+
+
+def same_pairs(got, expected) -> bool:
+    return [(a.vertex_array.tobytes(), b.vertex_array.tobytes())
+            for a, b in got] == [(a.vertex_array.tobytes(),
+                                  b.vertex_array.tobytes())
+                                 for a, b in expected]
+
+
+def screen(a, b):
+    return containment_criterion(a, b, slack=-1e-3)
+
+
+class TestContainmentScreen:
+    """The screen draws blocks of pairs and measures each block in one
+    pass; it accepts the pairs of drawing and testing one pair at a time."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+    def test_same_pairs_as_one_at_a_time(self, monkeypatch, kappa):
+        config = CampaignConfig(count=6)
+        got = screened_pairs(monkeypatch, config, kappa, RandomStream(12))
+        expected, _ = sequential_pairs(config, kappa, RandomStream(12),
+                                       screen)
+        assert len(expected) == 6 and same_pairs(got, expected)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_a_run_that_stops_at_the_attempt_cap(self, monkeypatch, kappa):
+        # Both bodies of 7 or more vertices: 1 pair in 400, then the cap.
+        def rare(a, b):
+            return a.n_vertices >= 7 and b.n_vertices >= 7
+
+        monkeypatch.setattr(cli, "containment_criteria", lambda pairs, slack: [
+            rare(a, b) for a, b in pairs])
+        config = CampaignConfig(count=2)
+        got = screened_pairs(monkeypatch, config, kappa, RandomStream([1, 3]))
+        expected, attempts = sequential_pairs(
+            config, kappa, RandomStream([1, 3]), rare)
+        assert attempts == 400 and len(expected) == 1
+        assert same_pairs(got, expected)
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_invalid_body_past_the_last_needed_pair(self, monkeypatch, seed):
+        # The screen draws the bodies that one pair at a time draws, and no
+        # more: a body that would fail construction just past the last
+        # needed pair is never drawn, and one within that pair raises.
+        config = CampaignConfig(count=4)
+        expected, attempts = sequential_pairs(config, -1.0,
+                                              RandomStream(seed), screen)
+        needed = 2 * attempts
+        real = bonnesen._body_rows
+        drawn = []
+
+        def rows(*args):
+            drawn.append(real(*args))
+            if len(drawn) == bad:  # clockwise: fails construction
+                return drawn[-1][::-1].copy()
+            return drawn[-1]
+
+        monkeypatch.setattr(bonnesen, "_body_rows", rows)
+        bad = needed + 1
+        got = screened_pairs(monkeypatch, config, -1.0, RandomStream(seed))
+        assert len(drawn) == needed and same_pairs(got, expected)
+        drawn.clear()
+        bad = needed
+        with pytest.raises(GeometryError, match="^vertex cycle is not convex"):
+            screened_pairs(monkeypatch, config, -1.0, RandomStream(seed))
 
 
 class TestKinematicBand:

@@ -791,7 +791,7 @@ def old_area(K):
 
 
 # The chart hull and the hemisphere search that the edge-plane hull and
-# GeodesicPolygon._fits_hemisphere replaced, kept verbatim.
+# construction's hemisphere test replaced, kept verbatim.
 
 def hemisphere_direction(curvature: Curvature,
                          coords: np.ndarray) -> np.ndarray:
