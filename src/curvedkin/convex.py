@@ -332,12 +332,10 @@ def _least_edge_distance(normals: np.ndarray, V: np.ndarray) -> np.ndarray:
     Padded rows are zero, so padded entries are zero: they decide nothing,
     since a body fails only on an entry below -EPS * scale.
     """
-    worst = np.inf
-    step = max(1, _BLOCK_ENTRIES // V[:, :, 0].size)
-    for s in range(0, V.shape[1], step):
-        block = _dot3(normals[:, :, None], V[:, None, s:s + step])
-        worst = np.minimum(worst, block.min(axis=(1, 2)))
-    return worst
+    step = max(1, _BLOCK_ENTRIES // (len(V) * V.shape[1]))
+    blocks = (_dot3(normals[:, :, None], V[:, None, s:s + step]).min(axis=(1, 2))
+              for s in range(0, V.shape[1], step))
+    return functools.reduce(np.minimum, blocks)
 
 
 def _build_polygons(curvature: Curvature, entries: Sequence) -> list:
@@ -498,9 +496,8 @@ def perimeters(bodies: Sequence[GeodesicPolygon]) -> list[float]:
     curv = _stack_curvature(bodies)
     # A segment's vertex cycle runs there and back; a point's stays put.
     stack = _Stack([K.vertex_array for K in bodies])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = row_distances(curv, stack.V, stack.next)
-    return [sum(row[:k]) for row, k in zip(d.tolist(), stack.n.tolist())]
+    d = row_distances(curv, stack.V, stack.next)
+    return [sum(row[:k]) for row, k in zip(d.tolist(), stack.sizes)]
 
 
 def area(K: GeodesicPolygon) -> float:
@@ -527,12 +524,15 @@ def areas(bodies: Sequence[GeodesicPolygon]) -> list[float]:
     curv = _stack_curvature(bodies)
     k = curv.kappa
     fans = [K.n_vertices - 2 for K in bodies]
-    det = np.zeros((len(bodies), max(1, *fans)))
-    den = np.ones_like(det)
-    for m in set(fans) - {-1, 0}:
-        which = [i for i, f in enumerate(fans) if f == m]
-        det[which, :m], den[which, :m] = _fan_products(
-            curv, _stacked([bodies[i] for i in which]))
+    if min(fans) == max(fans) > 0:
+        det, den = _fan_products(curv, _stacked(bodies))
+    else:
+        det = np.zeros((len(bodies), max(1, *fans)))
+        den = np.ones_like(det)
+        for m in set(fans) - {-1, 0}:
+            which = [i for i, f in enumerate(fans) if f == m]
+            det[which, :m], den[which, :m] = _fan_products(
+                curv, _stacked([bodies[i] for i in which]))
     u = k * det / den
     # den <= 0 only for a spherical triangle of excess pi or more.
     small = (np.abs(u) < 1e-3) & (den > 0)
