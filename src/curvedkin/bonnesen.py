@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex import (GeodesicPolygon, _build_polygons, _hull_rows,
-                     _raise_first, convex_hull)
+                     convex_hull)
 from .radii import BodyMetrics, metrics
 from .surface import (Curvature, GeometryError, RandomStream, area_radius,
                       gen_sin, polar_rows, support_area)
@@ -289,15 +289,19 @@ def random_convex_bodies(curvature: Curvature,
     """
     if rho_limit is None:
         rho_limit = _disc_radius_limit(curvature)
-    entries = []
+    drawn, error = [], None
     for rng in streams:
         try:
-            entries.append(_body_rows(curvature, rng, min_vertices,
-                                      max_vertices, rho_limit))
+            drawn.append(_body_rows(curvature, rng, min_vertices,
+                                    max_vertices, rho_limit))
         except GeometryError as e:
-            entries.append(e)
+            error = e
             break
-    return _raise_first(_build_polygons(curvature, entries))
+    # The bodies drawn before a draw's error raise theirs first.
+    bodies = _build_polygons(curvature, drawn)
+    if error is not None:
+        raise error
+    return bodies
 
 
 def _body_rows(curvature: Curvature, rng: RandomStream, min_vertices: int,

@@ -244,15 +244,13 @@ def kinematic_band(config: CampaignConfig,
 
 def run_kinematic_suite(config: CampaignConfig, kappa: float,
                         rng: RandomStream,
-                        file_bodies: Optional[list] = None,
-                        z: Optional[float] = None) -> list[dict]:
-    """z is the run's :func:`kinematic_band`, computed here if None."""
+                        file_bodies: Optional[list] = None, *,
+                        z: float) -> list[dict]:
+    """z is the run's :func:`kinematic_band`."""
     records = []
     gen, mc = rng.split(2)
     bodies = _bodies_for(config, Curvature(kappa), gen, file_bodies)
     task_streams = mc.split(max(1, len(bodies) // 2))
-    if z is None:
-        z = kinematic_band(config, file_bodies)
     for i in range(len(bodies) // 2):
         (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
         est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])

@@ -338,31 +338,21 @@ def _least_edge_distance(normals: np.ndarray, V: np.ndarray) -> np.ndarray:
     return functools.reduce(np.minimum, blocks)
 
 
-def _build_polygons(curvature: Curvature, entries: Sequence) -> list:
-    """A polygon of each entry that is a checked (n, 3) row array, all
-    checked as polygons in one pass; an entry that is a GeometryError, or a
-    body that fails its check, is its error."""
-    out = list(entries)
-    shells = []
-    for i, rows in enumerate(entries):
-        if not isinstance(rows, GeometryError):
-            K = GeodesicPolygon.__new__(GeodesicPolygon)
-            K.vertex_array, K.curvature = rows, curvature
-            rows.setflags(write=False)
-            shells.append((i, K))
-    if shells:
-        errors = _validate_stack([K for _, K in shells])
-        for (i, K), error in zip(shells, errors):
-            out[i] = K if error is None else error
-    return out
-
-
-def _raise_first(entries: list) -> list:
-    """entries, unless one is a GeometryError: then the first raises."""
-    for entry in entries:
-        if isinstance(entry, GeometryError):
-            raise entry
-    return entries
+def _build_polygons(curvature: Curvature,
+                    rows: Sequence[np.ndarray]) -> list[GeodesicPolygon]:
+    """A polygon of each checked (n, 3) row array, all checked as polygons
+    in one pass; the first body, in order, that fails its check raises."""
+    bodies = []
+    for r in rows:
+        K = GeodesicPolygon.__new__(GeodesicPolygon)
+        K.vertex_array, K.curvature = r, curvature
+        r.setflags(write=False)
+        bodies.append(K)
+    if bodies:
+        for error in _validate_stack(bodies):
+            if error is not None:
+                raise error
+    return bodies
 
 
 def _canonical(rows: np.ndarray) -> np.ndarray:
@@ -465,7 +455,7 @@ def convex_hull(points: Union[Iterable[SurfacePoint], np.ndarray],
     The points are taken as :class:`GeodesicPolygon` takes its vertices.
     """
     rows, curvature = _hull_rows(points, curvature)
-    return _raise_first(_build_polygons(curvature, [rows]))[0]
+    return _build_polygons(curvature, [rows])[0]
 
 
 # ---------------------------------------------------------------------------

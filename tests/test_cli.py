@@ -352,7 +352,8 @@ class TestKinematicBand:
         monkeypatch.setattr(cli, "kinematic_lhs", lhs)
         monkeypatch.setattr(cli, "kinematic_rhs", lambda K, L: (
             seen[-1].mean + 6.0 * seen[-1].std_error))
-        records = run_kinematic_suite(config, 1.0, RandomStream(8))
+        records = run_kinematic_suite(config, 1.0, RandomStream(8),
+                                      z=kinematic_band(config))
         assert len(records) == 12
         # The 1e-3 rhs floor still forgives pairs whose 6 sigma is smaller.
         banded = [r for r in records
