@@ -137,9 +137,7 @@ class GeodesicPolygon:
         return np.concatenate([n, -n, caps])
 
     def _validate(self):
-        (error,) = _validate_stack([self])
-        if error is not None:
-            raise error
+        _validate_stack([self])
 
     def signed_edge_distances(self, coords: np.ndarray) -> np.ndarray:
         """gen_sin of the signed distance from each edge geodesic (rows)."""
@@ -237,16 +235,16 @@ class _Stack:
         return normals, spacelike
 
 
-def _validate_stack(bodies: Sequence[GeodesicPolygon]
-                    ) -> list[Optional[GeometryError]]:
+def _validate_stack(bodies: Sequence[GeodesicPolygon]) -> None:
     """Check bodies of one curvature, each as a polygon checks its vertices,
-    in one pass over their stack; each body's first failed check, or None.
+    in one pass over their stack; the first body, in order, that fails
+    raises its first failed check.
 
-    The checks run in construction's order on every body, and a body fails
-    on the first it fails; the minidisc of the hemisphere test runs only
-    where the earlier checks pass.  A valid body keeps its slice of the
-    stacked edge normals, unless it is a segment with a spacelike edge: its
-    ``edge_normals`` then raises when asked for, as a segment's always has.
+    The checks run in construction's order on every body; the minidisc of
+    the hemisphere test runs only where the earlier checks pass.  A valid
+    body keeps its slice of the stacked edge normals, unless it is a segment
+    with a spacelike edge: its ``edge_normals`` then raises when asked for,
+    as a segment's always has.
     """
     curv = bodies[0].curvature
     stack = _Stack([K.vertex_array for K in bodies])
@@ -282,16 +280,15 @@ def _validate_stack(bodies: Sequence[GeodesicPolygon]
             (polygon & collinear.any(axis=1), lambda b: (
                 f"vertex {collinear[b].argmax()} is collinear "
                 "with neighbours"))]
-    errors: list[Optional[GeometryError]] = [None] * len(bodies)
-    if functools.reduce(np.logical_or, [failed for failed, _ in checks]).any():
-        for failed, message in checks:
-            for b in np.flatnonzero(failed).tolist():
-                if errors[b] is None:
-                    errors[b] = GeometryError(message(b))
+    failed = functools.reduce(np.logical_or, [fails for fails, _ in checks])
+    if failed.any():
+        b = int(failed.argmax())
+        for fails, message in checks:
+            if fails[b]:
+                raise GeometryError(message(b))
     for b, (K, size) in enumerate(zip(bodies, stack.sizes)):
-        if errors[b] is None and not spacelike[b]:
+        if not spacelike[b]:
             K.edge_normals = normals[b, :size if size > 2 else size - 1]
-    return errors
 
 
 def _fit_hemisphere(curv: Curvature, stack: _Stack, normals: np.ndarray,
@@ -349,9 +346,7 @@ def _build_polygons(curvature: Curvature,
         r.setflags(write=False)
         bodies.append(K)
     if bodies:
-        for error in _validate_stack(bodies):
-            if error is not None:
-                raise error
+        _validate_stack(bodies)
     return bodies
 
 
@@ -500,29 +495,24 @@ def area(K: GeodesicPolygon) -> float:
 
 
 def areas(bodies: Sequence[GeodesicPolygon]) -> list[float]:
-    """:func:`area` of each body, bit for bit, in one pass over their stack;
-    the bodies share one curvature.
+    """:func:`area` of each body, in one pass over their stack; the bodies
+    share one curvature.
 
-    det and D take matrix products, which BLAS rounds by their shapes, so
-    the products go one stacked call per fan length: each body's rows meet
-    the kernel that one body's call would take.  The rest is elementwise
-    over the padded (B, N - 2) table of triangles, and each body's
-    triangles are summed in order by Python's ``sum``.
+    Elementwise over the padded (B, N) table of edges, in written order, so
+    a body's bits do not depend on its stack: edge i gives the triangle
+    (v0, v_i, next(v_i)).  The two at v0 have det exactly 0, so a body's
+    edges, summed in order by Python's ``sum``, are its fan.
     """
     if not bodies:
         return []
     curv = _stack_curvature(bodies)
-    k = curv.kappa
-    fans = [K.n_vertices - 2 for K in bodies]
-    if min(fans) == max(fans) > 0:
-        det, den = _fan_products(curv, _stacked(bodies))
-    else:
-        det = np.zeros((len(bodies), max(1, *fans)))
-        den = np.ones_like(det)
-        for m in set(fans) - {-1, 0}:
-            which = [i for i, f in enumerate(fans) if f == m]
-            det[which, :m], den[which, :m] = _fan_products(
-                curv, _stacked([bodies[i] for i in which]))
+    k, g = curv.kappa, curv.point_form
+    stack = _Stack([K.vertex_array for K in bodies])
+    a, b, c = stack.V[:, :1], stack.V, stack.next
+    # det(a, b, c) = det(a, b - a, c - a): the edges from a are small where
+    # the triangle is.
+    det = _dot3(a, cross3(b - a, c - a))
+    den = 1.0 + _dot3(a * g, b) + _dot3(b * g, c) + _dot3(c * g, a)
     u = k * det / den
     # den <= 0 only for a spherical triangle of excess pi or more.
     small = (np.abs(u) < 1e-3) & (den > 0)
@@ -532,37 +522,7 @@ def areas(bodies: Sequence[GeodesicPolygon]) -> list[float]:
                   * (1.0 - u2 / 3.0 + u2 * u2 / 5.0 - u2 ** 3 / 7.0))
     tri[~small] = 2.0 * libm_map(math.atan2, k * det[~small],
                                  den[~small]) / k
-    return [sum(row[:m]) if m > 0 else 0.0
-            for row, m in zip(tri.tolist(), fans)]
-
-
-# Entries of the matrix of a x, [[0, -z, y], [z, 0, -x], [-y, x, 0]], as
-# indices into (x, y, z, -x, -y, -z, 0).
-_CROSS_MATRIX = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
-
-
-def _stacked(bodies: Sequence[GeodesicPolygon]) -> np.ndarray:
-    """The vertex arrays of bodies of one size as a (B, n, 3) array."""
-    if len(bodies) == 1:
-        return bodies[0].vertex_array[None]
-    return np.stack([K.vertex_array for K in bodies])
-
-
-def _fan_products(curv: Curvature, va: np.ndarray) -> tuple:
-    """det(v0, v_i, v_i+1) and D = 1 + G(v0, v_i) + G(v_i, v_i+1) +
-    G(v_i+1, v0) of the fan triangles of a (G, m + 2, 3) stack of bodies."""
-    a, b, c = va[:, :1], va[:, 1:-1], va[:, 2:]
-    # det(a, b, c) = det(a, b - a, c - a) = -(b - a) . (a x (c - a)), with
-    # the edges from a small where the triangle is, and a x as one matrix.
-    # BLAS rounds by layout too: take, unlike fancy indexing, gives the
-    # C-contiguous matrices that one body's product was taken with.
-    signed = np.concatenate([a[:, 0], -a[:, 0], np.zeros((len(a), 1))], axis=1)
-    cross_a = signed.take(_CROSS_MATRIX, axis=1).reshape(-1, 3, 3)
-    det = -((b - a) * ((c - a) @ cross_a.transpose(0, 2, 1))).sum(axis=-1)
-    g = curv.point_form
-    ag = (a * g).transpose(0, 2, 1)
-    den = 1.0 + b @ ag + (b * c) @ g[:, None] + c @ ag
-    return det, den[..., 0]
+    return [sum(row[:m]) for row, m in zip(tri.tolist(), stack.sizes)]
 
 
 def contains_rows(K: GeodesicPolygon, rows: np.ndarray) -> np.ndarray:

@@ -122,15 +122,6 @@ def gen_asin(curvature: Curvature, x):
     return libm_map(math.asinh, s * x) / s
 
 
-def _versine_over_kappa(curvature: Curvature, t: float) -> float:
-    """(1 - gen_cos)/kappa, series-evaluated near kappa = 0."""
-    k = curvature.kappa
-    u = k * t * t
-    if abs(u) < TAYLOR_CUTOFF:
-        return t * t * (0.5 - u / 24.0 + u * u / 720.0 - u ** 3 / 40320.0)
-    return (1.0 - gen_cos(curvature, t)) / k
-
-
 def disc_perimeter(curvature: Curvature, r: float) -> float:
     """Perimeter of the geodesic disc of radius r."""
     _check_disc_radius(curvature, r)
@@ -138,9 +129,10 @@ def disc_perimeter(curvature: Curvature, r: float) -> float:
 
 
 def disc_area(curvature: Curvature, r: float) -> float:
-    """Area of the geodesic disc of radius r."""
+    """Area of the geodesic disc of radius r, 4 pi gen_sin^2(r/2), which
+    keeps its digits as kappa r^2 -> 0; :func:`area_radius` inverts it."""
     _check_disc_radius(curvature, r)
-    return 2.0 * math.pi * _versine_over_kappa(curvature, r)
+    return 4.0 * math.pi * gen_sin(curvature, 0.5 * r) ** 2
 
 
 def _check_disc_radius(curvature: Curvature, r: float) -> None:

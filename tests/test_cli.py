@@ -43,8 +43,15 @@ from curvedkin.surface import Curvature, GeometryError, RandomStream
 # sphere_complement (S4) then took sphere_simplified's (S2) value, equal
 # term for term, in place of its own complement-form expression: 3 bound
 # values moved by up to 3.9e-16 relative, and their slacks by 2.9e-16.
+# Area then went elementwise in written order over the edge cycle, in place
+# of fan products through BLAS, and disc_area became 4 pi gen_sin^2(r/2):
+# area alone moved A by up to 5.2e-16 relative and deficits and slacks by
+# up to 7.9e-16; disc_area moved curved random bodies, which draw through
+# support_area, by rounding, so A, P, R_circ, r_in, bound values, deficits
+# and slacks moved by up to 4.8e-15 relative.  Ids, booleans, counts, bound
+# names and the Monte Carlo estimates did not move.
 GOLDEN_ALL_SMALL = (
-    "ceef50ab2d4eeea5c4249a3b3f5ff5cfe3079bf09d53bf0bbc5670cd97cb4015")
+    "40ec189362aac0e0d592e1c1fb6ca67457ea727c978111e5402f4d1fc72ca0a6")
 GOLDEN_CONFIG = dict(seed=42, count=3, mc_samples=2000, budget=500)
 
 

@@ -119,6 +119,21 @@ class TestDiscFormulas:
             for r in np.linspace(0.1, 2.0, 20):
                 assert abs(disc_area(c, r) - math.pi * r * r) < 1e-4
 
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0, -0.25, -1.0])
+    def test_area_just_past_series_cutoff_matches_mpmath(self, kappa):
+        # |kappa| r^2 just above TAYLOR_CUTOFF = 1e-8, where 1 - gen_cos
+        # cancels to 8 digits; 4 pi gen_sin^2(r/2) keeps them all.
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        c, k = Curvature(kappa), mp.mpf(kappa)
+        worst = 0.0
+        for x in np.linspace(1e-8, 3e-8, 1000).tolist():
+            r = math.sqrt(x / abs(kappa))
+            s = mp.sqrt(abs(k)) * mp.mpf(r)
+            ref = 2 * mp.pi * (1 - (mp.cos(s) if kappa > 0 else mp.cosh(s))) / k
+            worst = max(worst, float(abs(disc_area(c, r) - ref) / ref))
+        assert worst <= 1e-15, worst
+
 
 class TestSurfacePoint:
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
