@@ -122,7 +122,7 @@ class TestDiscFormulas:
     @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0, -0.25, -1.0])
     def test_area_just_past_series_cutoff_matches_mpmath(self, kappa):
         # |kappa| r^2 just above TAYLOR_CUTOFF = 1e-8, where 1 - gen_cos
-        # cancels to 8 digits; 4 pi gen_sin^2(r/2) keeps them all.
+        # loses 8 digits to cancellation; 4 pi gen_sin^2(r/2) keeps them.
         mp = mpmath.MPContext()
         mp.dps = 50
         c, k = Curvature(kappa), mp.mpf(kappa)
