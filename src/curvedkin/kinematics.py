@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, area, areas, contains_rows, next_rows,
+from .convex import (GeodesicPolygon, areas, contains_rows, next_rows,
                      perimeter, perimeters)
 from .radii import circumradius
 from .surface import (BASIS_BLOCK_ROWS, GeometryError, Isometry,
@@ -31,8 +31,8 @@ class KinematicEstimate:
     """The estimate, and how the overlap test decided its n samples.
 
     The three counts sum to the samples: settled by a face plane, settled
-    by a contained vertex (a point body's samples that no face plane
-    separates count here), and sent to the mixed-plane pass.  support_area
+    by a contained vertex (every sample of two points), and sent to the
+    mixed-plane pass (never on the flat or hyperbolic plane).  support_area
     is the area W of the sampled position region, so mean = W * hits / n.
     """
 
@@ -49,8 +49,7 @@ def kinematic_rhs(K: GeodesicPolygon, L: GeodesicPolygon) -> float:
     """Closed form: A_L + P_K P_L / 2pi + A_K - kappa A_K A_L / 2pi."""
     K.curvature.require_same(L.curvature)
     kappa = K.curvature.kappa
-    ak, al = area(K), area(L)
-    pk, pl = perimeter(K), perimeter(L)
+    (ak, al), (pk, pl) = areas([K, L]), perimeters([K, L])
     return al + pk * pl / (2.0 * math.pi) + ak - kappa * ak * al / (2.0 * math.pi)
 
 
@@ -100,48 +99,48 @@ class _OverlapTester:
     Every candidate is rows of an outer-product table folded onto the
     nine-row motion basis: K's planes against moved L vertices, and L's
     unmoved planes against K vertices under the inverse motion, as
-    cross(Ma, Mb) = M^-T (a x b) when det M = 1.  Both face sides use the
-    Lambda-unit ``edge_normals``.
+    cross(Ma, Mb) = M^-T (a x b) when det M = 1.  A body's face planes are
+    its Lambda-unit ``half_spaces``: a polygon's edge normals, a segment's
+    two line normals and two end caps; a point has none.
 
     A chunk of motions is one matmul of the face table with its basis.
-    Every decision is a sign, with no tolerance band, so scaling lengths by
-    a power of two changes none: a face plane with every vertex of the
-    other body below zero separates, and a vertex at or above zero on
-    every face is contained (touching counts as overlap).  In the flat or
-    hyperbolic chart two 2-D bodies are convex Euclidean polygons and the
-    face planes decide alone.  Elsewhere one matmul of the mixed table, by
-    a strict sign test, decides the motions that neither settles.  Two
-    points meet where :func:`~curvedkin.convex.contains_rows` says so.
+    Every decision is a sign or an equality, with no tolerance band, so
+    scaling lengths by a power of two changes none: a face plane with
+    every vertex of the other body below zero separates, and a vertex at
+    or above zero on every face is contained (touching counts as overlap).
+    In the flat or hyperbolic chart the bodies are convex Euclidean
+    points, segments and polygons, and a line that separates two of them
+    can be moved onto a face of one (an end cap for collinear segments),
+    so where either body has a face the face planes decide alone.
+    Elsewhere, when both have faces, one matmul of the mixed table, by a
+    strict sign test, decides the motions that neither settles.  Two
+    points meet where the moved point's coordinates equal K's point's.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
         K.curvature.require_same(L.curvature)
         self.curv = K.curvature
-        self.K, self.L = K, L
         self.vK, self.vL = K.vertex_array, L.vertex_array
-        # (faces, vertices) per 2-D body, in the table's row order.
+        # (faces, vertices) per body with faces, in the table's row order.
         self.sides, tables = [], []
         for body, other, inverse in ((K, self.vL, False), (L, self.vK, True)):
-            if body.dim == 2:
-                self.sides.append((len(body.edges), len(other)))
+            if len(body.half_spaces):
+                self.sides.append((len(body.half_spaces), len(other)))
                 tables.append(fold_table(
-                    self.curv, _outer_table(body.edge_normals, other),
+                    self.curv, _outer_table(body.half_spaces, other),
                     inverse=inverse))
-        if K.dim == 0 and L.dim == 0:
+        if not self.sides:
             # Rows e_c (x) v: the moved point's coordinates.
             tables.append(fold_table(self.curv,
                                      _outer_table(np.eye(3), self.vL)))
-        self.table = np.concatenate(tables) if tables else np.empty((0, 9))
-        self.chart = self.curv.kappa <= 0 and K.dim == 2 and L.dim == 2
-        # A segment's own plane, were it to separate, could be turned about
-        # an endpoint until it meets L's moved vertex cone: a mixed plane
-        # that still separates.  So mixed rows complete the candidates.
+        self.table = np.concatenate(tables)
+        self.chart = self.curv.kappa <= 0 and bool(self.sides)
         self.pairs = len(self.vK) * len(self.vL)
         self.mixed = (_mixed_table(self.curv, self.vK, self.vL)
-                      if K.dim >= 1 and L.dim >= 1 and not self.chart
+                      if len(self.sides) == 2 and not self.chart
                       else np.empty((0, 9)))
         # Motions per matmul, the product buffer kept within 2^21 floats.
-        rows = max(1, len(self.table), len(self.mixed))
+        rows = max(len(self.table), len(self.mixed))
         self.chunk = min(4096, max(64, 2 ** 21 // rows))
         self._out = np.empty(rows * self.chunk)
         self._basis = np.empty(BASIS_BLOCK_ROWS * self.chunk)
@@ -191,8 +190,8 @@ class _OverlapTester:
         if self.chart:
             counts["face_settled"] += m
             return ~apart
-        if self.K.dim == 0 and self.L.dim == 0:
-            hit = contains_rows(self.K, s.T)
+        if not self.sides:  # two points
+            hit = (s == self.vK.T).all(axis=0)
         face = int(np.count_nonzero(apart))
         counts["face_settled"] += face
         if not len(self.mixed):

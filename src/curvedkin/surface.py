@@ -226,7 +226,7 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Bit for bit np.cross's products and differences, without its axis
     handling, which costs more than the arithmetic on a body's few rows.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast(a, b).shape)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     np.subtract(a1 * b2, a2 * b1, out=out[..., 0])

@@ -124,6 +124,20 @@ class TestBodyFile:
         with pytest.raises(BodyFileError, match=f"bodies.txt:{line}: bad"):
             parse_body_file(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("kappa 1.0\nkappa 1.0\nv 0.3 0.0\n", 2, "duplicate kappa header"),
+        ("kappa 1.0\n", 1, "body has no vertices"),
+        # Fits in no open hemisphere of the unit sphere.
+        ("kappa 1.0\nv 0 0\nv 2.0 0\nv 2.0 2.1\nv 2.0 4.2\n", 1,
+         "invalid body"),
+    ])
+    def test_body_errors_named_at_their_line(self, tmp_path, text, line,
+                                             message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(BodyFileError,
+                           match=f"bodies.txt:{line}: {message}"):
+            parse_body_file(path)
+
     def test_out_of_domain_vertex_named(self, tmp_path):
         # kappa = 1 vertex beyond the injectivity bound names its index.
         text = "kappa 1.0\nv 0.3 0.0\nv 4.0 1.0\n"

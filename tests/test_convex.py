@@ -392,6 +392,14 @@ class TestIntersection:
         assert intersect_convex(sq, inside) is not None
         assert intersect_convex(sq, outside) is None
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_two_points(self, kappa):
+        curv = Curvature(kappa)
+        p = point_body(exp_at_base(curv, 0.3, 1.0))
+        assert intersect_convex(p, p) is p
+        q = point_body(exp_at_base(curv, 0.3 + 1e-3, 1.0))
+        assert intersect_convex(p, q) is None
+
 
 class TestBoundaryCrossings:
     def test_disjoint_zero(self):

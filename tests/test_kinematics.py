@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
-                              convex_hull, euler_intersection, point_body,
-                              regular_ngon, segment_body)
+                              convex_hull, euler_intersection, perimeter,
+                              point_body, regular_ngon, segment_body)
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
@@ -24,7 +24,7 @@ from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                polar_rows, sample_motions,
                                translation_by_polar, translation_to)
 
-from common import (REGIME_KAPPAS, flat_point, octant_triangle,
+from common import (ALL_KAPPAS, REGIME_KAPPAS, flat_point, octant_triangle,
                     unit_square)
 import exact
 from parent import (DegeneratePosition, ParentPolygon, _J, arc_crossings,
@@ -59,6 +59,21 @@ class TestKinematicRhs:
     def test_curvature_mismatch(self):
         with pytest.raises(GeometryError):
             kinematic_rhs(unit_square(), octant_triangle())
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_one_pass_matches_one_body_formula(self, kappa):
+        # Both bodies measured in one stack give the bits of each measured
+        # alone, for bodies of different vertex counts.
+        curv = Curvature(kappa)
+        rng = RandomStream(61)
+        bodies = ([random_body(curv, rng, n_points=n) for n in (3, 5, 8)]
+                  + [random_segment(curv, rng), random_point(curv, rng)])
+        for K in bodies:
+            for L in bodies:
+                ak, al, pk, pl = area(K), area(L), perimeter(K), perimeter(L)
+                assert kinematic_rhs(K, L) == (
+                    al + pk * pl / (2.0 * math.pi) + ak
+                    - kappa * ak * al / (2.0 * math.pi))
 
 
 class TestKinematicLhs:
@@ -132,7 +147,7 @@ class TestKinematicLhs:
             assert counts[0] == counts[1]
             face, vertex, mixed = counts[0]
             assert face + vertex + mixed == 20_000
-            chart = kappa <= 0 and K.dim == L.dim == 2
+            chart = kappa <= 0
             assert (mixed > 0) == (K.dim > 0 and not chart)
             if chart:
                 assert face == 20_000
@@ -491,6 +506,24 @@ class TestOverlapKernel:
                            np.zeros(3), np.array([0.0, 0.0, 2.0]))
         assert hits.tolist() == [True, False, True]
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_degenerate_pairs_at_the_identity(self, kappa):
+        # A point on a segment meets it; two points meet only where they
+        # coincide, with no band: points 5e-10 apart do not meet.  Segments
+        # on one geodesic meet only where they overlap.
+        curv = Curvature(kappa)
+        at = lambda r: point_body(exp_at_base(curv, r, 0.0))
+        span = lambda r0, r1: segment_body(exp_at_base(curv, r0, 0.0),
+                                           exp_at_base(curv, r1, 0.0))
+        identity = (gen_cos_sin(curv, np.zeros(1)), np.zeros(1), np.zeros(1))
+        for K, L, meet in [(at(0.3), span(0.1, 0.5), True),
+                           (span(0.1, 0.5), at(0.3), True),
+                           (at(0.3), at(0.3), True),
+                           (at(0.3), at(0.3 + 5e-10), False),
+                           (span(0.1, 0.3), span(0.2, 0.5), True),
+                           (span(0.1, 0.3), span(0.4, 0.5), False)]:
+            assert _OverlapTester(K, L).hits(*identity).tolist() == [meet]
+
 
 class TestTinyBodies:
     """Bodies of size 1e-6 and 2e-7, where the old tester's EPS tolerance
@@ -710,6 +743,17 @@ class TestFindContainment:
         assert g is not None
         assert (body_contains(small, big.transformed(g))
                 or body_contains(big, small.transformed(g)))
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_segment_holds_nothing(self, kappa):
+        # The segment has the larger circumradius, so it would be the outer
+        # body, and a body with no interior holds nothing.
+        curv = Curvature(kappa)
+        small = regular_ngon(curv, 0.1, 5)
+        long = segment_body(exp_at_base(curv, 0.5, 0.0),
+                            exp_at_base(curv, 0.5, math.pi))
+        for K, L in [(small, long), (long, small)]:
+            assert find_containment(K, L, 1000, RandomStream(37)) is None
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_criterion_pairs_yield_witnesses(self, kappa):
