@@ -103,10 +103,8 @@ def parse_body_file(path: str) -> list[tuple[Curvature, GeodesicPolygon]]:
 
     def flush(lineno):
         nonlocal curv, verts
-        if curv is None and not verts:
+        if curv is None:  # no body open; vertices only follow a header
             return
-        if curv is None:
-            raise BodyFileError(f"{path}:{first_line}: body has no kappa header")
         if not verts:
             raise BodyFileError(f"{path}:{first_line}: body has no vertices")
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,19 +22,19 @@ from .convex import (GeodesicPolygon, areas, contains_rows, next_rows,
                      perimeter, perimeters)
 from .radii import circumradius
 from .surface import (BASIS_BLOCK_ROWS, GeometryError, Isometry,
-                      RandomStream, cross3, fold_table, gen_cos_sin,
-                      motion_basis, motion_matrices, sample_motions,
-                      support_area, translation_to)
+                      RandomStream, cross3, fold_table, gen_cos, gen_cos_sin,
+                      motion_basis, motion_matrices, row_distances,
+                      sample_motions, support_area, translation_to)
 
 
 @dataclass(frozen=True)
 class KinematicEstimate:
     """The estimate, and how the overlap test decided its n samples.
 
-    The three counts sum to the samples: settled by a face plane, settled
-    by a contained vertex (every sample of two points), and sent to the
-    mixed-plane pass (never on the flat or hyperbolic plane).  support_area
-    is the area W of the sampled position region, so mean = W * hits / n.
+    The three counts sum to the samples: settled by the face planes, by
+    comparing two points (point bodies only), and sent to the mixed-plane
+    pass (only sphere motions past the overlap test's hemisphere rule).
+    support_area is the area W of the sampled region, so mean = W hits / n.
     """
 
     mean: float
@@ -105,21 +106,20 @@ class _OverlapTester:
 
     A chunk of motions is one matmul of the face table with its basis.
     Every decision is a sign or an equality, with no tolerance band, so
-    scaling lengths by a power of two changes none: a face plane with
-    every vertex of the other body below zero separates, and a vertex at
-    or above zero on every face is contained (touching counts as overlap).
-    In the flat or hyperbolic chart the bodies are convex Euclidean
-    points, segments and polygons, and a line that separates two of them
-    can be moved onto a face of one (an end cap for collinear segments),
-    so where either body has a face the face planes decide alone.
-    Elsewhere, when both have faces, one matmul of the mixed table, by a
-    strict sign test, decides the motions that neither settles.  Two
-    points meet where the moved point's coordinates equal K's point's.
+    scaling lengths by a power of two changes none; touching counts as
+    overlap.  A motion at polar r with r + rho_K + rho_L < pi/sqrt(kappa),
+    rho the largest distance of a body's vertices from the base point,
+    keeps both bodies in one open hemisphere, as every motion does off
+    the sphere.  In its gnomonic chart the bodies are convex Euclidean
+    sets, and a line that separates two can be moved onto a face of one
+    (an end cap for collinear segments), so the face planes decide alone.
+    Elsewhere one matmul of the mixed table decides the motions that no
+    face plane separates.  Two points are compared by equality.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
         K.curvature.require_same(L.curvature)
-        self.curv = K.curvature
+        self.curv = curv = K.curvature
         self.vK, self.vL = K.vertex_array, L.vertex_array
         # (faces, vertices) per body with faces, in the table's row order.
         self.sides, tables = [], []
@@ -127,26 +127,30 @@ class _OverlapTester:
             if len(body.half_spaces):
                 self.sides.append((len(body.half_spaces), len(other)))
                 tables.append(fold_table(
-                    self.curv, _outer_table(body.half_spaces, other),
+                    curv, _outer_table(body.half_spaces, other),
                     inverse=inverse))
         if not self.sides:
             # Rows e_c (x) v: the moved point's coordinates.
-            tables.append(fold_table(self.curv,
-                                     _outer_table(np.eye(3), self.vL)))
+            tables.append(fold_table(curv, _outer_table(np.eye(3), self.vL)))
         self.table = np.concatenate(tables)
-        self.chart = self.curv.kappa <= 0 and bool(self.sides)
-        self.pairs = len(self.vK) * len(self.vL)
-        self.mixed = (_mixed_table(self.curv, self.vK, self.vL)
-                      if len(self.sides) == 2 and not self.chart
-                      else np.empty((0, 9)))
+        # The rule above is a > cut for the radial cosine a; the margin
+        # sends what rounding could misplace to the exact mixed pass.
+        reach = sum(float(np.max(row_distances(curv, v, (0.0, 0.0, 1.0))))
+                    for v in (self.vK, self.vL))
+        self.cut = (1e-9 - gen_cos(curv, min(reach, 2 * curv.hemisphere_limit))
+                    if len(self.sides) == 2 else -math.inf)
         # Motions per matmul, the product buffer kept within 2^21 floats.
-        rows = max(len(self.table), len(self.mixed))
-        self.chunk = min(4096, max(64, 2 ** 21 // rows))
-        self._out = np.empty(rows * self.chunk)
+        self.chunk = min(4096, max(64, 2 ** 21 // len(self.table)))
+        self._out = np.empty(len(self.table) * self.chunk)
         self._basis = np.empty(BASIS_BLOCK_ROWS * self.chunk)
         # Over every hits call: the KinematicEstimate decision counts.
         self.counts = dict.fromkeys(
             ("face_settled", "vertex_settled", "mixed_tested"), 0)
+
+    @cached_property
+    def mixed(self) -> np.ndarray:
+        """The mixed table, built for the first motion that needs it."""
+        return _mixed_table(self.curv, self.vK, self.vL)
 
     def hits(self, radial: tuple, theta: np.ndarray,
              phi: np.ndarray) -> np.ndarray:
@@ -158,6 +162,7 @@ class _OverlapTester:
         and overwrites on every chunk, so one tester serves one thread.
         """
         a, b = radial
+        far = np.min(a, initial=math.inf) <= self.cut  # mask chunks if so
         hit = np.empty(len(a), dtype=bool)
         for lo in range(0, len(a), self.chunk):
             hi = min(lo + self.chunk, len(a))
@@ -165,7 +170,7 @@ class _OverlapTester:
                 BASIS_BLOCK_ROWS, -1)
             hit[lo:hi] = self._hits_chunk(motion_basis(
                 self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi],
-                out=block))
+                out=block), far)
         return hit
 
     def _product(self, table: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -173,39 +178,34 @@ class _OverlapTester:
         return np.matmul(table, basis,
                          out=self._out[:len(table) * m].reshape(-1, m))
 
-    def _hits_chunk(self, basis: np.ndarray) -> np.ndarray:
+    def _hits_chunk(self, basis: np.ndarray, far: bool) -> np.ndarray:
         m = basis.shape[1]
         s = self._product(self.table, basis)
-        hit, apart = np.zeros((2, m), dtype=bool)
+        if not self.sides:  # two points
+            self.counts["vertex_settled"] += m
+            return (s == self.vK.T).all(axis=0)
+        apart = np.zeros(m, dtype=bool)
         row = 0
         for faces, n_vertices in self.sides:
-            # (faces, vertices, samples).  A face with every vertex of the
-            # other body outside separates; a vertex inside all is contained.
+            # (faces, vertices, samples): a face with every vertex of the
+            # other body outside separates.
             side = s[row:row + faces * n_vertices].reshape(faces, n_vertices, m)
             row += faces * n_vertices
             apart |= np.any(np.max(side, axis=1) < 0.0, axis=0)
-            if not self.chart:
-                hit |= np.any(np.min(side, axis=0) >= 0.0, axis=0)
-        counts = self.counts
-        if self.chart:
-            counts["face_settled"] += m
-            return ~apart
-        if not self.sides:  # two points
-            hit = (s == self.vK.T).all(axis=0)
-        face = int(np.count_nonzero(apart))
-        counts["face_settled"] += face
-        if not len(self.mixed):
-            counts["vertex_settled"] += m - face
-            return hit
-        rest = np.flatnonzero(~(apart | hit))
-        counts["vertex_settled"] += m - face - len(rest)
-        counts["mixed_tested"] += len(rest)
-        if len(rest):
+        hit = ~apart
+        # Basis row 4 is the radial cosine a.
+        rest = np.flatnonzero((basis[4] <= self.cut) & hit) if far else ()
+        self.counts["face_settled"] += m - len(rest)
+        self.counts["mixed_tested"] += len(rest)
+        # Half a chunk fits _out: no body has fewer faces than vertices, so
+        # the mixed table's 4 nK nL rows are at most twice the face table's.
+        for lo in range(0, len(rest), self.chunk // 2):
+            cols = rest[lo:lo + self.chunk // 2]
             # (4, pairs, samples): a mixed plane separates where its four
             # rows share one strict sign.
-            group = self._product(self.mixed, basis[:, rest]).reshape(
-                4, self.pairs, -1)
-            hit[rest] = ~(np.any(np.max(group, axis=0) < 0.0, axis=0)
+            group = self._product(self.mixed, basis[:, cols]).reshape(
+                4, -1, len(cols))
+            hit[cols] = ~(np.any(np.max(group, axis=0) < 0.0, axis=0)
                           | np.any(np.min(group, axis=0) > 0.0, axis=0))
         return hit
 

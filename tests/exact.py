@@ -250,25 +250,37 @@ def _edges(rows):
         (rows[i], rows[(i + 1) % n]) for i in range(n)]
 
 
-def _in_cone(polygon, v):
-    """Is v on the inner side of every edge plane of a counterclockwise
-    polygon of at least three vertices?"""
-    return len(polygon) > 2 and all(_dot(_cross(p, q), v) >= 0
-                                    for p, q in _edges(polygon))
+def _in_wedge(p, q, v):
+    """Is v, in the plane of the rays p and q, a nonnegative combination
+    of them?"""
+    n = _cross(p, q)
+    return _dot(_cross(p, v), n) >= 0 and _dot(_cross(v, q), n) >= 0
+
+
+def _in_cone(body, v):
+    """Is the ray v in the vertex cone of the counterclockwise rows body: on
+    the inner side of every edge plane of a polygon, in a segment's wedge,
+    or along a point's ray?"""
+    if len(body) == 1:
+        return not any(_cross(body[0], v)) and _dot(body[0], v) > 0
+    if len(body) == 2:
+        return _dot(_cross(*body), v) == 0 and _in_wedge(*body, v)
+    return all(_dot(_cross(p, q), v) >= 0 for p, q in _edges(body))
 
 
 def _wedges_meet(p, q, a, b):
-    """Do the plane wedges spanned by p, q and by a, b share a ray?"""
+    """Do the plane wedges spanned by p, q and by a, b share a ray?
+
+    Wedges in one plane are arcs of one circle, each under a half turn, so
+    they meet iff an end ray of one lies in the other.
+    """
     n1, n2 = _cross(p, q), _cross(a, b)
     d = _cross(n1, n2)
     if not any(d):
-        return False
-    for x in (d, [-c for c in d]):
-        if (_dot(_cross(p, x), n1) >= 0 and _dot(_cross(x, q), n1) >= 0
-                and _dot(_cross(a, x), n2) >= 0
-                and _dot(_cross(x, b), n2) >= 0):
-            return True
-    return False
+        return (_in_wedge(p, q, a) or _in_wedge(p, q, b)
+                or _in_wedge(a, b, p) or _in_wedge(a, b, q))
+    return any(_in_wedge(p, q, x) and _in_wedge(a, b, x)
+               for x in (d, [-c for c in d]))
 
 
 def _integers(rows):
@@ -287,7 +299,8 @@ def cones_meet(K, M, L):
     and the verdict is the one for the float motion: each test below is
     homogeneous in K, M and L, so a positive scale changes no sign.  Two
     convex cones meet iff a vertex of one lies inside the other or two
-    edges cross; each is an orientation sign.
+    edges cross; each is an orientation sign.  Points and segments are
+    degenerate cones: a ray and a plane wedge.
     """
     K, M = _integers(K), _integers(M)
     L = [[_dot(m, row) for m in M] for row in _integers(L)]

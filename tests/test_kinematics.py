@@ -130,8 +130,11 @@ class TestKinematicLhs:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_decision_counts(self, kappa):
-        # Every sample is settled by a face plane or a contained vertex, or
-        # sent to the mixed-plane pass, and the counts repeat for a seed.
+        # Every sample is settled by the face planes or sent to the
+        # mixed-plane pass, and the counts repeat for a seed.  Only samples
+        # at or below the hemisphere cut can reach the mixed pass, and off
+        # the sphere there are none (TestHemisphereRule plants sphere pairs
+        # with such samples).
         curv = Curvature(kappa)
         rng = RandomStream(47)
         polygon = random_body(curv, rng)
@@ -147,10 +150,15 @@ class TestKinematicLhs:
             assert counts[0] == counts[1]
             face, vertex, mixed = counts[0]
             assert face + vertex + mixed == 20_000
-            chart = kappa <= 0
-            assert (mixed > 0) == (K.dim > 0 and not chart)
-            if chart:
-                assert face == 20_000
+            assert vertex == 0  # no pair of two points
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            (a, _), _, _ = sample_motions(curv, rk + rl + 1e-6 * (
+                1.0 + rk + rl), 20_000, RandomStream(53))
+            far = np.count_nonzero(a <= _OverlapTester(Kc, Lc).cut)
+            assert mixed <= far
+            if kappa <= 0:
+                assert far == 0 and face == 20_000
 
 
 class TestReusedBuffers:
@@ -523,6 +531,82 @@ class TestOverlapKernel:
                            (span(0.1, 0.3), span(0.2, 0.5), True),
                            (span(0.1, 0.3), span(0.4, 0.5), False)]:
             assert _OverlapTester(K, L).hits(*identity).tolist() == [meet]
+            assert exact.cones_meet(K.vertex_array, np.eye(3),
+                                    L.vertex_array) == meet
+
+
+class TestHemisphereRule:
+    """A motion at polar r with r + rho_K + rho_L < pi/sqrt(kappa), rho the
+    largest distance of a body's vertices from the base point, keeps both
+    bodies in one open hemisphere, where the face planes decide.  Sphere
+    pairs with r_K + r_L > pi/(2 sqrt(kappa)) have samples past that cut,
+    and those that no face separates go to the mixed pass; every motion
+    must still be decided exactly."""
+
+    MOTIONS = 1_500
+
+    def pairs(self, curv):
+        unit = 1.0 / math.sqrt(curv.kappa)
+
+        def segment(r, t):
+            return segment_body(exp_at_base(curv, r * unit, t),
+                                exp_at_base(curv, r * unit, t + math.pi))
+        pentagon = regular_ngon(curv, 1.2 * unit, 5)
+        # Small squares away from the base point: far only by rho.
+        moved = regular_ngon(curv, 0.3 * unit, 4).transformed(
+            translation_by_polar(curv, 1.0 * unit, 2.0))
+        return [(pentagon, regular_ngon(curv, 1.0 * unit, 4)),
+                (pentagon, segment(1.0, 0.3)),
+                (segment(1.2, 0.0), segment(1.0, 1.0)),
+                (moved, moved),
+                (point_body(exp_at_base(curv, 1.0 * unit, 0.5)), pentagon)]
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.25])
+    def test_far_samples_are_decided_exactly(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(419)
+        mixed_misses = 0
+        for K, L in self.pairs(curv):
+            reach = sum(float(np.max(exact.to_float([exact.distance(
+                kappa, v, [0.0, 0.0, 1.0]) for v in body.vertex_array])))
+                for body in (K, L))
+            assert reach > curv.hemisphere_limit
+            radial, theta, phi = sample_motions(curv, reach, self.MOTIONS, rng)
+            tester = _OverlapTester(K, L)
+            hits = tester.hits(radial, theta, phi)
+            assert 0 < np.count_nonzero(hits) < len(hits)
+            mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
+            assert hits.tolist() == [exact.cones_meet(
+                K.vertex_array, m, L.vertex_array) for m in mats]
+            far = radial[0] <= tester.cut
+            mixed = tester.counts["mixed_tested"]
+            if not K.dim:
+                # A point is in a polygon's cone or outside one of its faces.
+                assert mixed == 0 and "mixed" not in vars(tester)
+                continue
+            # No face plane settles a far hit; far misses it leaves count too.
+            assert 0 < np.count_nonzero(far & hits) <= mixed
+            assert mixed <= np.count_nonzero(far) < len(far)
+            mixed_misses += mixed - np.count_nonzero(far & hits)
+        # Misses that only a mixed plane separates: the mixed rows matter.
+        assert mixed_misses > 0
+
+    def test_small_sphere_pairs_build_no_mixed_table(self):
+        curv = Curvature(1.0)
+        rng = RandomStream(421)
+        polygon = lambda: random_body(curv, rng)
+        segment = lambda: random_segment(curv, rng)
+        for K, L in [(polygon(), polygon()), (polygon(), segment()),
+                     (segment(), segment())]:
+            rk, _, Kc = _recenter(K)
+            rl, _, Lc = _recenter(L)
+            assert rk + rl < curv.hemisphere_limit
+            tester = _OverlapTester(Kc, Lc)
+            hits = tester.hits(*sample_motions(
+                curv, rk + rl + 1e-6 * (1.0 + rk + rl), 20_000, rng))
+            assert 0 < np.count_nonzero(hits) < len(hits)
+            assert tester.counts["face_settled"] == len(hits)
+            assert "mixed" not in vars(tester)
 
 
 class TestTinyBodies:
@@ -590,6 +674,28 @@ class TestTinyBodies:
             assert 0 < np.count_nonzero(hits) < len(hits)
             assert hits.tolist() == [exact.cones_meet(
                 K.vertex_array, m, L.vertex_array) for m in mats]
+        # Collinear segments slid along their geodesic: theta = phi = 0
+        # keeps every y coordinate exactly 0, so each edge pair is coplanar.
+        def span(x0, x1):
+            # Rows at signed distances x along the theta = 0 geodesic.
+            return GeodesicPolygon(np.array([
+                exp_at_base(curv, abs(x), 0.0).coords * [math.copysign(
+                    1.0, x), 1.0, 1.0] for x in (x0, x1)]), curv)
+        for h in (5e-7, 0.2):
+            r = rng.uniform(0.0, 7.0 * h, 200)
+            zero = np.zeros(len(r))
+            mats = basis_matrices(curv, motion_basis(
+                curv, gen_cos_sin(curv, r), zero, zero))
+            assert not mats[:, 1, [0, 2]].any()
+            # The slide by r meets K for r in [lo, hi].
+            for K, L, lo, hi in [(span(-h, h), span(-h, h), 0.0, 2 * h),
+                                 (span(-h, h), span(-5 * h, -2 * h), h,
+                                  6 * h)]:
+                hits = _OverlapTester(K, L).hits(gen_cos_sin(curv, r),
+                                                 zero, zero)
+                assert hits.tolist() == ((lo <= r) & (r <= hi)).tolist()
+                assert hits.tolist() == [exact.cones_meet(
+                    K.vertex_array, m, L.vertex_array) for m in mats]
 
 
 class TestScaleCovariance:
