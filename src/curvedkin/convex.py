@@ -527,10 +527,10 @@ def areas(bodies: Sequence[GeodesicPolygon]) -> list[float]:
 
 def contains_rows(K: GeodesicPolygon, rows: np.ndarray) -> np.ndarray:
     """Which of the (m, 3) surface points lie in K?  Boundary points count
-    as contained (within tolerance)."""
-    tol = EPS * (float(np.max(np.abs(K.vertex_array))) + 1.0)
+    as contained (within tolerance); a point body holds only its own row."""
     if K.n_vertices == 1:
-        return row_distances(K.curvature, K.vertex_array[0], rows) <= tol
+        return (rows == K.vertex_array).all(axis=-1)
+    tol = EPS * (float(np.max(np.abs(K.vertex_array))) + 1.0)
     return ((K.half_spaces[:, None] * rows).sum(axis=-1) >= -tol).all(axis=0)
 
 
@@ -575,7 +575,7 @@ def intersect_convex(K: GeodesicPolygon,
     The vertex cycle of the lower-dimensional body, K at equal dimension,
     is clipped by the other's half-spaces.  A segment's cycle runs there and
     back, and a point's stays put, so one loop serves every pair but two
-    points, which compare by distance.
+    points, which meet only where they coincide.
     """
     K.curvature.require_same(L.curvature)
     if L.dim < K.dim:

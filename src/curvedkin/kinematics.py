@@ -3,9 +3,9 @@
 The integral over all motions g of the Euler characteristic of K meeting a
 moving copy of L is estimated by sampling positions area-uniformly,
 spinning uniformly about the base point, and rescaling the hit fraction by
-the sampled region's area.  Positions cover the disc that holds the
-support of the integrand, on the sphere capped at the whole sphere, so the
-overlap test sees every sample.
+the sampled region's area.  Positions cover the disc of the overlap
+test's reach, which holds the support of the integrand (on the sphere
+capped at the whole sphere), so the overlap test sees every sample.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ class KinematicEstimate:
     The three counts sum to the samples: settled by the face planes, by
     comparing two points (point bodies only), and sent to the mixed-plane
     pass (only sphere motions past the overlap test's hemisphere rule).
-    support_area is the area W of the sampled region, so mean = W hits / n.
+    support_area W is the area of the disc of the overlap test's reach (0
+    for two points on the base point), so mean = W hits / n.
     """
 
     mean: float
@@ -70,17 +71,17 @@ def _outer_table(normals: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 def _mixed_table(curv, vK: np.ndarray, vL: np.ndarray) -> np.ndarray:
     """Folded rows of the planes spanned by a vertex a of K and a moved
-    vertex Mb of L, in (4, pairs) order.
+    vertex Mb of L, in (rows per pair, pairs) order.
 
-    Per pair the four rows give det(a, Mb, k) = (k x a) . Mb for a's two
-    neighbours k, and -det(a, Mb, Ml) = (l x b) . M^-1 a for b's two
-    neighbours l (det M = 1).  A plane through a vertex ray of a convex
-    cone supports it iff both neighbours lie on one side, so the plane
-    separates the bodies iff the four share one strict sign.
+    Per pair the rows give det(a, Mb, k) = (k x a) . Mb for a's neighbours
+    k, and -det(a, Mb, Ml) = (l x b) . M^-1 a for b's neighbours l
+    (det M = 1), two of a polygon vertex and one of a segment end.  A plane
+    through a vertex ray of a convex cone supports it iff its neighbours
+    lie on one side, so it separates the bodies iff the rows share a sign.
     """
-    def normals(v):  # (2, n, 3): neighbour x vertex, both sides
-        return cross3(np.stack([np.concatenate([v[-1:], v[:-1]]),
-                                next_rows(v)]), v)
+    def normals(v):  # (distinct neighbours, n, 3): neighbour x vertex
+        sides = [np.concatenate([v[-1:], v[:-1]]), next_rows(v)]
+        return cross3(np.stack(sides[:len(v) - 1]), v)
 
     nK, nL = normals(vK), normals(vL)
     fwd = nK[:, :, None, :, None] * vL[None, None, :, None, :]
@@ -114,7 +115,9 @@ class _OverlapTester:
     sets, and a line that separates two can be moved onto a face of one
     (an end cap for collinear segments), so the face planes decide alone.
     Elsewhere one matmul of the mixed table decides the motions that no
-    face plane separates.  Two points are compared by equality.
+    face plane separates.  Two points are compared by equality.  No motion
+    that moves the base point farther than ``reach`` = rho_K + rho_L meets
+    the bodies, so that disc, which scales with them, holds every overlap.
     """
 
     def __init__(self, K: GeodesicPolygon, L: GeodesicPolygon):
@@ -135,8 +138,8 @@ class _OverlapTester:
         self.table = np.concatenate(tables)
         # The rule above is a > cut for the radial cosine a; the margin
         # sends what rounding could misplace to the exact mixed pass.
-        reach = sum(float(np.max(row_distances(curv, v, (0.0, 0.0, 1.0))))
-                    for v in (self.vK, self.vL))
+        reach = self.reach = sum(float(np.max(row_distances(
+            curv, v, (0.0, 0.0, 1.0)))) for v in (self.vK, self.vL))
         self.cut = (1e-9 - gen_cos(curv, min(reach, 2 * curv.hemisphere_limit))
                     if len(self.sides) == 2 else -math.inf)
         # Motions per matmul, the product buffer kept within 2^21 floats.
@@ -198,13 +201,13 @@ class _OverlapTester:
         self.counts["face_settled"] += m - len(rest)
         self.counts["mixed_tested"] += len(rest)
         # Half a chunk fits _out: no body has fewer faces than vertices, so
-        # the mixed table's 4 nK nL rows are at most twice the face table's.
+        # the mixed table's <= 4 nK nL rows are at most 2x the face table's.
         for lo in range(0, len(rest), self.chunk // 2):
             cols = rest[lo:lo + self.chunk // 2]
-            # (4, pairs, samples): a mixed plane separates where its four
-            # rows share one strict sign.
+            # (rows per pair, pairs, samples): a mixed plane separates where
+            # its rows share one strict sign.
             group = self._product(self.mixed, basis[:, cols]).reshape(
-                4, -1, len(cols))
+                -1, len(self.vK) * len(self.vL), len(cols))
             hit[cols] = ~(np.any(np.max(group, axis=0) < 0.0, axis=0)
                           | np.any(np.min(group, axis=0) > 0.0, axis=0))
         return hit
@@ -226,23 +229,20 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
                   rng: RandomStream) -> KinematicEstimate:
     """Monte Carlo estimate of the kinematic integral for K and L.
 
-    The samples are drawn into this thread's kept block, which its next
-    call overwrites, and each chunk's motion basis into the tester's, so
-    threads may estimate pairs at once.
+    Motions are drawn from the disc of the tester's reach, which scales
+    with the bodies.  The samples are drawn into this thread's kept block,
+    which its next call overwrites, and each chunk's motion basis into the
+    tester's, so threads may estimate pairs at once.
     """
-    K.curvature.require_same(L.curvature)
     if n < 1000:
         raise GeometryError("need at least 1000 samples")
-    curv = K.curvature
-    rk, _, Kc = _recenter(K)
-    rl, _, Lc = _recenter(L)
-    margin = 1e-6 * (1.0 + rk + rl)
-    support = rk + rl + margin
-    tester = _OverlapTester(Kc, Lc)
-    hits = tester.hits(*sample_motions(curv, support, n, rng,
+    tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+    if tester.reach == 0.0:  # two points on the base point: W = 0
+        return KinematicEstimate(0.0, 0.0, n, 0.0, 0, n, 0)
+    hits = tester.hits(*sample_motions(tester.curv, tester.reach, n, rng,
                                        out=_sample_block(n)))
     k_hits = int(np.count_nonzero(hits))
-    w = support_area(curv, support)
+    w = support_area(tester.curv, tester.reach)
     p = k_hits / n
     return KinematicEstimate(mean=w * p,
                              std_error=w * math.sqrt(p * (1.0 - p) / n),

@@ -49,9 +49,13 @@ from curvedkin.surface import Curvature, GeometryError, RandomStream
 # up to 7.9e-16; disc_area moved curved random bodies, which draw through
 # support_area, by rounding, so A, P, R_circ, r_in, bound values, deficits
 # and slacks moved by up to 4.8e-15 relative.  Ids, booleans, counts, bound
-# names and the Monte Carlo estimates did not move.
+# names and the Monte Carlo estimates did not move.  kinematic_lhs then
+# sampled the disc of the overlap tester's reach rho_K + rho_L in place of
+# r_K + r_L + 1e-6 (1 + r_K + r_L): W moved, and with it the 3 kinematic
+# records' mc_mean, mc_stderr and tolerance, by up to 5.7e-6 relative, with
+# the same hit counts.  Nothing else moved.
 GOLDEN_ALL_SMALL = (
-    "40ec189362aac0e0d592e1c1fb6ca67457ea727c978111e5402f4d1fc72ca0a6")
+    "92cf4b14bccadf435b35cdc80329452ad8a683e9d20fd7e65cfd1f0b31a32474")
 GOLDEN_CONFIG = dict(seed=42, count=3, mc_samples=2000, budget=500)
 
 
@@ -232,6 +236,20 @@ class TestSuites:
         config = CampaignConfig(body_file=str(path), kappas=(0.0,))
         status, records = run_campaign(config, ["metrics"])
         assert status == 0 and len(records) == 1
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
+    def test_two_point_bodies(self, tmp_path, kappa):
+        # Both points recenter onto the base point: the kinematic integral
+        # and its estimate are exactly 0.
+        path = tmp_path / "points.txt"
+        path.write_text(f"kappa {kappa}\nv 0.0 0.0\n\nkappa {kappa}\n"
+                        "v 0.0 0.0\n")
+        out = tmp_path / "r.json"
+        assert main(["all", "--body-file", str(path), "--kappa", str(kappa),
+                     "--samples", "2000", "--out", str(out)]) == 0
+        assert [(r["mc_mean"], r["mc_stderr"], r["satisfied"])
+                for r in json.loads(out.read_text())
+                if r["suite"] == "kinematic"] == [(0.0, 0.0, True)]
 
 
 def sequential_pairs(config, kappa, rng, accept):

@@ -400,6 +400,27 @@ class TestIntersection:
         q = point_body(exp_at_base(curv, 0.3 + 1e-3, 1.0))
         assert intersect_convex(p, q) is None
 
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_points_meet_only_where_they_coincide(self, kappa):
+        # No band: points 5e-10 apart do not meet and a point and a copy of
+        # it built apart do, with the same verdicts under (x, y, z; kappa)
+        # -> (lx, ly, z; kappa / l^2) for l = 2^k, which is exact in floats.
+        for k in (0, -20, -10, 10, 20):
+            lam = 2.0 ** k
+            curv = Curvature(kappa / lam ** 2)
+
+            def point(r):
+                row = exp_at_base(Curvature(kappa), r, 1.0).coords
+                return SurfacePoint(row * np.array([lam, lam, 1.0]), curv)
+            p, same, near = point(0.3), point(0.3), point(0.3 + 5e-10)
+            assert same is not p and np.array_equal(same.coords, p.coords)
+            assert intersect_convex(point_body(p), point_body(same))
+            assert euler_intersection(point_body(p), point_body(same)) == 1
+            assert contains_point(point_body(p), same)
+            assert intersect_convex(point_body(p), point_body(near)) is None
+            assert euler_intersection(point_body(p), point_body(near)) == 0
+            assert not contains_point(point_body(p), near)
+
 
 class TestBoundaryCrossings:
     def test_disjoint_zero(self):

@@ -83,6 +83,16 @@ class TestKinematicLhs:
             kinematic_lhs(sq, sq, 999, RandomStream(1))
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_two_points_on_the_base_point(self, kappa):
+        # Reach 0: no motion is drawn, and the integral over the disc of
+        # radius 0 is exactly 0.
+        p = point_body(exp_at_base(Curvature(kappa), 0.0, 0.0))
+        est = kinematic_lhs(p, p, 2000, RandomStream(1))
+        assert (est.mean, est.std_error, est.support_area) == (0.0, 0.0, 0.0)
+        assert (est.face_settled, est.vertex_settled,
+                est.mixed_tested) == (0, 2000, 0)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_point_probe_recovers_area(self, kappa):
         curv = Curvature(kappa)
         body = random_body(curv, RandomStream(3))
@@ -151,11 +161,10 @@ class TestKinematicLhs:
             face, vertex, mixed = counts[0]
             assert face + vertex + mixed == 20_000
             assert vertex == 0  # no pair of two points
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            (a, _), _, _ = sample_motions(curv, rk + rl + 1e-6 * (
-                1.0 + rk + rl), 20_000, RandomStream(53))
-            far = np.count_nonzero(a <= _OverlapTester(Kc, Lc).cut)
+            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            (a, _), _, _ = sample_motions(curv, tester.reach, 20_000,
+                                          RandomStream(53))
+            far = np.count_nonzero(a <= tester.cut)
             assert mixed <= far
             if kappa <= 0:
                 assert far == 0 and face == 20_000
@@ -176,11 +185,9 @@ class TestReusedBuffers:
         # block; each estimate counts what new arrays give.
         for (K, L), n in zip(self.pairs(), (9000, 3000, 12_000, 5000)):
             est = kinematic_lhs(K, L, n, RandomStream(61))
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            support = rk + rl + 1e-6 * (1.0 + rk + rl)
-            hits = _OverlapTester(Kc, Lc).hits(*sample_motions(
-                K.curvature, support, n, RandomStream(61)))
+            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            hits = tester.hits(*sample_motions(
+                K.curvature, tester.reach, n, RandomStream(61)))
             assert est.mean == est.support_area * (np.count_nonzero(hits) / n)
 
     def test_threads_match_serial(self):
@@ -218,12 +225,11 @@ class TestReusedBuffers:
     def test_interleaved_hits_are_independent(self):
         # 10,000 motions take three chunks, the last one short.
         K, L = self.pairs()[0]
-        rk, _, Kc = _recenter(K)
-        rl, _, Lc = _recenter(L)
-        support = rk + rl
-        draws = [sample_motions(K.curvature, support, 10_000, RandomStream(s))
-                 for s in (67, 71)]
+        _, _, Kc = _recenter(K)
+        _, _, Lc = _recenter(L)
         tester = _OverlapTester(Kc, Lc)
+        draws = [sample_motions(K.curvature, tester.reach, 10_000,
+                                RandomStream(s)) for s in (67, 71)]
         first, second = (tester.hits(*d) for d in draws)
         assert not np.shares_memory(first, second)
         for mask, d in zip((first, second), draws):
@@ -309,9 +315,10 @@ class TestCrossingOracle:
         rng = RandomStream(211)
         crossed = motions = 0
         for K, L in self.pairs(curv, rng):
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            _, _, Kc = _recenter(K)
+            _, _, Lc = _recenter(L)
+            tester = _OverlapTester(Kc, Lc)
+            support = tester.reach
             radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
                                                 rng)
             mats = basis_matrices(curv, motion_basis(curv, radial, theta, phi))
@@ -324,7 +331,7 @@ class TestCrossingOracle:
                 new = np.any(pairs, axis=(1, 2))
                 assert np.array_equal(new, oracle(vL))
                 crossed += int(np.count_nonzero(new))
-            hits = _OverlapTester(Kc, Lc).hits(radial, theta, phi)
+            hits = tester.hits(radial, theta, phi)
             old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
                 to_parent(curv, mats, matrix=True), reach=support)
             assert np.array_equal(hits, old)
@@ -467,12 +474,13 @@ class TestOverlapKernel:
         rng = RandomStream(307)
         motions = 0
         for K, L in self.pairs(curv, rng):
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            support = rk + rl + 1e-6 * (1.0 + rk + rl)
+            _, _, Kc = _recenter(K)
+            _, _, Lc = _recenter(L)
+            tester = _OverlapTester(Kc, Lc)
+            support = tester.reach
             radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
                                                 rng)
-            new = _OverlapTester(Kc, Lc).hits(radial, theta, phi)
+            new = tester.hits(radial, theta, phi)
             old = OldOverlapTester(ParentPolygon(Kc), ParentPolygon(Lc)).hits(
                 to_parent(curv, basis_matrices(curv, motion_basis(
                     curv, radial, theta, phi)), matrix=True), reach=support)
@@ -483,9 +491,9 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_no_overlap_outside_the_support(self, kappa):
-        # kinematic_lhs samples only the disc of radius rk + rl + margin
-        # about the base point.  That holds every overlap: a motion whose
-        # base point lands in a ring just outside it never overlaps.
+        # kinematic_lhs samples only the disc of the tester's reach about
+        # the base point.  That holds every overlap: a motion whose base
+        # point lands in a ring just outside it never overlaps.
         curv = Curvature(kappa)
         rng = RandomStream(311)
         polygon = lambda: random_body(curv, rng)
@@ -493,10 +501,8 @@ class TestOverlapKernel:
         for K, L in [(polygon(), polygon()), (polygon(), segment()),
                      (segment(), segment()), (random_point(curv, rng),
                                               polygon())]:
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            support = rk + rl + 1e-6 * (1.0 + rk + rl)
-            tester = _OverlapTester(Kc, Lc)
+            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            support = tester.reach
             inside = tester.hits(*sample_motions(curv, support, 20_000, rng))
             assert np.count_nonzero(inside) > 0
             r = support * (1.0 + rng.uniform(0.0, 0.05, 20_000))
@@ -591,6 +597,14 @@ class TestHemisphereRule:
         # Misses that only a mixed plane separates: the mixed rows matter.
         assert mixed_misses > 0
 
+    def test_mixed_table_holds_each_plane_once(self):
+        # Two rows per polygon vertex and one per segment end, whose two
+        # neighbours are one vertex, for each vertex pair; none repeats.
+        curv = Curvature(1.0)
+        for (K, L), rows in zip(self.pairs(curv), (80, 30, 8, 64)):
+            table = _OverlapTester(K, L).mixed
+            assert len(table) == len(np.unique(table, axis=0)) == rows
+
     def test_small_sphere_pairs_build_no_mixed_table(self):
         curv = Curvature(1.0)
         rng = RandomStream(421)
@@ -598,12 +612,10 @@ class TestHemisphereRule:
         segment = lambda: random_segment(curv, rng)
         for K, L in [(polygon(), polygon()), (polygon(), segment()),
                      (segment(), segment())]:
-            rk, _, Kc = _recenter(K)
-            rl, _, Lc = _recenter(L)
-            assert rk + rl < curv.hemisphere_limit
-            tester = _OverlapTester(Kc, Lc)
-            hits = tester.hits(*sample_motions(
-                curv, rk + rl + 1e-6 * (1.0 + rk + rl), 20_000, rng))
+            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            assert tester.reach < curv.hemisphere_limit
+            hits = tester.hits(*sample_motions(curv, tester.reach, 20_000,
+                                               rng))
             assert 0 < np.count_nonzero(hits) < len(hits)
             assert tester.counts["face_settled"] == len(hits)
             assert "mixed" not in vars(tester)
@@ -717,17 +729,44 @@ class TestScaleCovariance:
         curv = Curvature(kappa)
         rng = RandomStream(3)
         for _ in range(6):
-            rk, _, K = _recenter(random_body(curv, rng))
-            rl, _, L = _recenter(random_body(curv, rng))
-            (a, b), theta, phi = sample_motions(
-                curv, rk + rl + 1e-6 * (1.0 + rk + rl), self.MOTIONS, rng)
-            hits = _OverlapTester(K, L).hits((a, b), theta, phi)
+            _, _, K = _recenter(random_body(curv, rng))
+            _, _, L = _recenter(random_body(curv, rng))
+            tester = _OverlapTester(K, L)
+            (a, b), theta, phi = sample_motions(curv, tester.reach,
+                                                self.MOTIONS, rng)
+            hits = tester.hits((a, b), theta, phi)
             assert 0 < np.count_nonzero(hits) < len(hits)
             for k in (-24, -20, -16, -10, 10, 20):
                 lam = 2.0 ** k
                 image = _OverlapTester(self.scaled(K, lam), self.scaled(L, lam))
                 assert np.array_equal(
                     image.hits((a, lam * b), theta, phi), hits), k
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_kinematic_lhs_scales_with_the_bodies(self, kappa):
+        # The sampled disc is the tester's reach, which scales with the
+        # bodies, so a pair and its image hit alike on one stream and W
+        # and the mean scale by l^2: exactly on the plane, within rounding
+        # of support_area's gen_sin elsewhere.
+        curv = Curvature(kappa)
+        rng = RandomStream(5)
+        pairs = [(random_body(curv, rng), random_body(curv, rng)),
+                 (random_segment(curv, rng), random_segment(curv, rng)),
+                 (random_point(curv, rng), random_body(curv, rng))]
+        tol = 0.0 if kappa == 0 else 1e-13
+        for K, L in pairs:
+            est = kinematic_lhs(K, L, self.MOTIONS, RandomStream(7))
+            hits = est.mean / est.support_area * self.MOTIONS
+            assert 0 < hits < self.MOTIONS
+            for k in (-22, -20, -10, 10, 20):
+                lam = 2.0 ** k
+                image = kinematic_lhs(self.scaled(K, lam), self.scaled(L, lam),
+                                      self.MOTIONS, RandomStream(7))
+                assert round(image.mean / image.support_area
+                             * self.MOTIONS) == round(hits), k
+                for got, want in ((image.support_area, est.support_area),
+                                  (image.mean, est.mean)):
+                    assert abs(got - lam ** 2 * want) <= tol * got, k
 
 
 class TestContainmentCriterion:
@@ -860,6 +899,42 @@ class TestFindContainment:
                             exp_at_base(curv, 0.5, math.pi))
         for K, L in [(small, long), (long, small)]:
             assert find_containment(K, L, 1000, RandomStream(37)) is None
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_restarts_and_gives_up(self, kappa):
+        # A triangle of circumradius 0.5 fits in no strip 0.1 wide: the
+        # descent shrinks its step below 1e-12 (1 + r_out), restarts at
+        # r_out, and the budget runs out.
+        class Recording(RandomStream):
+            def normal(self, loc=0.0, scale=1.0, size=None):
+                steps.append(scale)
+                return super().normal(loc, scale, size)
+        curv = Curvature(kappa)
+        triangle = regular_ngon(curv, 0.5, 3)
+        strip = convex_hull([exp_at_base(curv, math.hypot(0.55, 0.05),
+                                         math.atan2(y, x))
+                             for x in (0.55, -0.55) for y in (0.05, -0.05)])
+        r_out = circumradius(strip)[0]
+        steps = []
+        assert find_containment(triangle, strip, 40_000, Recording(5)) is None
+        tiny = next(i for i, step in enumerate(steps) if step < 1e-11)
+        assert r_out in steps[tiny:]
+
+    def test_first_witness_fails_verification(self, monkeypatch):
+        # A witness that fails verification is dropped and the search goes
+        # on; what it returns is verified.
+        import curvedkin.kinematics as kinematics
+        verdicts = []
+
+        def fail_first(outer, inner):
+            verdicts.append(bool(verdicts) and body_contains(outer, inner))
+            return verdicts[-1]
+        monkeypatch.setattr(kinematics, "body_contains", fail_first)
+        curv = Curvature(0.0)
+        small, big = regular_ngon(curv, 0.2, 32), regular_ngon(curv, 0.8, 32)
+        g = find_containment(small, big, 5000, RandomStream(17))
+        assert g is not None and len(verdicts) >= 2 and not verdicts[0]
+        assert body_contains(big, small.transformed(g))
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_criterion_pairs_yield_witnesses(self, kappa):
