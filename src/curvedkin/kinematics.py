@@ -11,7 +11,6 @@ capped at the whole sphere), so the overlap test sees every sample.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -21,10 +20,11 @@ import numpy as np
 from .convex import (GeodesicPolygon, areas, contains_rows, next_rows,
                      perimeter, perimeters)
 from .radii import circumradius
-from .surface import (BASIS_BLOCK_ROWS, GeometryError, Isometry,
-                      RandomStream, cross3, fold_table, gen_cos, gen_cos_sin,
-                      motion_basis, motion_matrices, row_distances,
-                      sample_motions, support_area, translation_to)
+from .surface import (BASIS_BLOCK_ROWS, BASIS_INPUT_ROWS, GeometryError,
+                      Isometry, RandomStream, cross3, draw_motions,
+                      fold_table, gen_cos, gen_cos_sin, motion_basis,
+                      motion_matrices, row_distances, support_area,
+                      translation_to)
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,12 @@ class KinematicEstimate:
     comparing two points (point bodies only), and sent to the mixed-plane
     pass (only sphere motions past the overlap test's hemisphere rule).
     support_area W is the area of the disc of the overlap test's reach (0
-    for two points on the base point), so mean = W hits / n.
+    for two points), so mean = W hits / n.
     """
 
     mean: float
     std_error: float
+    hits: int
     samples: int
     support_area: float
     face_settled: int
@@ -165,24 +166,42 @@ class _OverlapTester:
         and overwrites on every chunk, so one tester serves one thread.
         """
         a, b = radial
-        far = np.min(a, initial=math.inf) <= self.cut  # mask chunks if so
         hit = np.empty(len(a), dtype=bool)
         for lo in range(0, len(a), self.chunk):
             hi = min(lo + self.chunk, len(a))
-            block = self._basis[:BASIS_BLOCK_ROWS * (hi - lo)].reshape(
-                BASIS_BLOCK_ROWS, -1)
-            hit[lo:hi] = self._hits_chunk(motion_basis(
-                self.curv, (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi],
-                out=block), far)
+            hit[lo:hi] = self._hits_chunk(
+                (a[lo:hi], b[lo:hi]), theta[lo:hi], phi[lo:hi])
         return hit
+
+    def count_hits(self, w: float, streams: tuple, n: int) -> int:
+        """Hits among n motions that :func:`~curvedkin.surface.draw_motions`
+        draws over a disc of area w from streams, each generator drawing
+        its next n doubles in order.
+
+        Each chunk is drawn just before it is tested, into the rows of the
+        basis block that its motion basis is built from, so no array grows
+        with n.
+        """
+        hits = 0
+        for lo in range(0, n, self.chunk):
+            block = self._block(min(self.chunk, n - lo))
+            hits += int(np.count_nonzero(self._hits_chunk(*draw_motions(
+                self.curv, w, streams,
+                tuple(block[i] for i in BASIS_INPUT_ROWS)))))
+        return hits
+
+    def _block(self, m: int) -> np.ndarray:
+        return self._basis[:BASIS_BLOCK_ROWS * m].reshape(BASIS_BLOCK_ROWS, m)
 
     def _product(self, table: np.ndarray, basis: np.ndarray) -> np.ndarray:
         m = basis.shape[1]
         return np.matmul(table, basis,
                          out=self._out[:len(table) * m].reshape(-1, m))
 
-    def _hits_chunk(self, basis: np.ndarray, far: bool) -> np.ndarray:
-        m = basis.shape[1]
+    def _hits_chunk(self, radial: tuple, theta: np.ndarray,
+                    phi: np.ndarray) -> np.ndarray:
+        m = len(theta)
+        basis = motion_basis(self.curv, radial, theta, phi, out=self._block(m))
         s = self._product(self.table, basis)
         if not self.sides:  # two points
             self.counts["vertex_settled"] += m
@@ -196,7 +215,9 @@ class _OverlapTester:
             row += faces * n_vertices
             apart |= np.any(np.max(side, axis=1) < 0.0, axis=0)
         hit = ~apart
-        # Basis row 4 is the radial cosine a.
+        # Basis row 4 is the radial cosine a; a chunk off the sphere, or
+        # with every motion above the cut, masks nothing.
+        far = basis[4].min() <= self.cut
         rest = np.flatnonzero((basis[4] <= self.cut) & hit) if far else ()
         self.counts["face_settled"] += m - len(rest)
         self.counts["mixed_tested"] += len(rest)
@@ -213,40 +234,35 @@ class _OverlapTester:
         return hit
 
 
-# Each thread's (4, n) block of motion samples for kinematic_lhs, grown to
-# the largest n drawn and kept, so repeated calls fault in no new pages.
-_samples = threading.local()
-
-
-def _sample_block(n: int) -> np.ndarray:
-    block = getattr(_samples, "block", None)
-    if block is None or block.shape[1] < n:
-        block = _samples.block = np.empty((4, n))
-    return block[:, :n]
-
-
 def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
                   rng: RandomStream) -> KinematicEstimate:
     """Monte Carlo estimate of the kinematic integral for K and L.
 
     Motions are drawn from the disc of the tester's reach, which scales
-    with the bodies.  The samples are drawn into this thread's kept block,
-    which its next call overwrites, and each chunk's motion basis into the
-    tester's, so threads may estimate pairs at once.
+    with the bodies, as :func:`~curvedkin.surface.sample_motions` draws
+    them: theta, u and phi are rng's next 3n doubles, and rng is left past
+    them.  Each chunk draws its own just before it is tested, into blocks
+    the tester keeps: theta and u from copies of rng positioned at the
+    chunk's offsets in their draws, phi from rng itself, moved past theta
+    and u first.  So memory does not grow with n, and threads may estimate
+    pairs at once.  Two point bodies meet only on a null set of motions:
+    their estimate is exactly 0 with W = 0, and draws nothing.
     """
     if n < 1000:
         raise GeometryError("need at least 1000 samples")
+    K.curvature.require_same(L.curvature)
+    if K.dim == L.dim == 0:
+        return KinematicEstimate(0.0, 0.0, 0, n, 0.0, 0, n, 0)
     tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
-    if tester.reach == 0.0:  # two points on the base point: W = 0
-        return KinematicEstimate(0.0, 0.0, n, 0.0, 0, n, 0)
-    hits = tester.hits(*sample_motions(tester.curv, tester.reach, n, rng,
-                                       out=_sample_block(n)))
-    k_hits = int(np.count_nonzero(hits))
     w = support_area(tester.curv, tester.reach)
-    p = k_hits / n
+    theta_u = rng.ahead(0), rng.ahead(n)
+    rng.skip(2 * n)  # rng draws phi itself, which leaves it past 3n
+    hits = tester.count_hits(w, (*theta_u, rng.generator), n)
+    p = hits / n
     return KinematicEstimate(mean=w * p,
                              std_error=w * math.sqrt(p * (1.0 - p) / n),
-                             samples=n, support_area=w, **tester.counts)
+                             hits=hits, samples=n, support_area=w,
+                             **tester.counts)
 
 
 def containment_criterion(K: GeodesicPolygon, L: GeodesicPolygon,

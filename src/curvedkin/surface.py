@@ -435,6 +435,18 @@ class RandomStream:
     def split(self, n: int) -> list["RandomStream"]:
         return [RandomStream(s) for s in self._seq.spawn(n)]
 
+    def ahead(self, k: int) -> np.random.Generator:
+        """A new generator whose draws are this stream's after its next k
+        doubles, bit for bit; this stream does not move."""
+        bits = np.random.Philox(self._seq)
+        _philox_after(bits, self.generator.bit_generator.state, k)
+        return np.random.Generator(bits)
+
+    def skip(self, k: int) -> None:
+        """Move past the next k doubles, as drawing them would."""
+        bits = self.generator.bit_generator
+        _philox_after(bits, bits.state, k)
+
     # Thin pass-throughs used throughout the package.
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
@@ -444,6 +456,30 @@ class RandomStream:
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.generator.normal(loc, scale, size)
+
+
+def _philox_after(bits: np.random.Philox, state: dict, k: int) -> None:
+    """Set bits to the state that drawing k doubles from state leaves.
+
+    A double takes one 64-bit word.  Philox buffers the four words of one
+    counter value and refills by incrementing the 256-bit counter, so any
+    position is reached in O(1) (Salmon et al., SC 2011): set the counter
+    one block short, then draw the last block's used words (1-4), which
+    leaves its buffer and position exactly as drawing would.  A pending
+    32-bit half word is kept, as doubles do not take it.
+    """
+    used = state["buffer_pos"] + k  # words from the buffered block's start
+    if used <= 4:
+        bits.state = {**state, "buffer_pos": used}
+        return
+    blocks, last = divmod(used - 1, 4)
+    counter = state["state"]["counter"]
+    value = sum(int(w) << (64 * i) for i, w in enumerate(counter)) + blocks - 1
+    bits.state = {**state, "buffer_pos": 4, "state": {
+        "counter": np.array([(value >> (64 * i)) & 0xFFFFFFFFFFFFFFFF
+                             for i in range(4)], dtype=np.uint64),
+        "key": state["state"]["key"]}}
+    bits.random_raw(last + 1)
 
 
 def support_area(curvature: Curvature, support_radius: float) -> float:
@@ -489,6 +525,9 @@ def half_angle_cos_sin(x: np.ndarray,
 # Rows of motion_basis's block: nine of basis, then ct, st, cp, sp and one
 # row of scratch.
 BASIS_BLOCK_ROWS = 14
+# Rows of that block that may hold motion_basis's own inputs, theta, b, phi
+# and a in draw_motions' order: it reads each before it writes its row.
+BASIS_INPUT_ROWS = (1, 8, 2, 4)
 
 
 def motion_basis(curvature: Curvature, radial: tuple, theta: np.ndarray,
@@ -507,8 +546,10 @@ def motion_basis(curvature: Curvature, radial: tuple, theta: np.ndarray,
 
     out, if given, is a (BASIS_BLOCK_ROWS, n) float block written in place:
     the basis is its first nine rows, returned as a view that the next call
-    on the same block overwrites, and the other rows are scratch.  Otherwise
-    a new block is taken, and the basis is the caller's.
+    on the same block overwrites, and the other rows are scratch.  Its
+    BASIS_INPUT_ROWS may hold the inputs themselves, as
+    :func:`draw_motions` draws them there.  Otherwise a new block is taken,
+    and the basis is the caller's.
     """
     a, b = (np.atleast_1d(np.asarray(x, dtype=float)) for x in radial)
     theta = np.asarray(theta, dtype=float)
@@ -574,34 +615,29 @@ def motion_matrices(curvature: Curvature, r: np.ndarray, theta: np.ndarray,
         curvature, gen_cos_sin(curvature, r), theta, phi))
 
 
-def sample_motions(curvature: Curvature, support_radius: float, n: int,
-                   rng: RandomStream, out: Optional[np.ndarray] = None
-                   ) -> tuple:
-    """Haar samples ((a, b), theta, phi) of motions t_x . gamma, vectorized.
+def draw_motions(curvature: Curvature, w: float, streams: tuple,
+                 out: np.ndarray) -> tuple:
+    """Haar samples ((a, b), theta, phi) of motions t_x . gamma, drawn into
+    out, four float rows of m (a (4, m) block, or the BASIS_INPUT_ROWS of a
+    :func:`motion_basis` block), and returned as its views.
 
     gamma is a uniform rotation by phi about x0, and x = (r, theta) is
-    area-uniform over the region of :func:`support_area`: theta is drawn
-    first, then the area u uniform on [0, support_area(support_radius)],
-    whose disc has radius r = area_radius(u).  The radial pair (a, b) =
-    gen_cos_sin(r) comes straight from u: a = 1 - kappa u/2pi and
-    b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
+    area-uniform over a disc of area w: theta, then the area u uniform on
+    [0, w], whose disc has radius r = area_radius(u), then phi, m doubles
+    each from the three generators of streams, in that order.  The radial
+    pair (a, b) = gen_cos_sin(r) comes straight from u: a = 1 - kappa u/2pi
+    and b = sqrt(u (1 + a)/2pi), which is (1, r) on the plane and keeps
     b^2 = (1 - a^2)/kappa elsewhere.  So no sample takes an inverse only to
-    take the cosine and sine again.
-
-    The four arrays are the rows of one (4, n) float block: out if given,
-    so the next call on the same out overwrites them, else a new block that
-    is the caller's.  Each draw is numpy's uniform(0, w) bit for bit, as
-    0 + w d = w d.
+    take the cosine and sine again.  Each draw is numpy's uniform(0, w) bit
+    for bit, as 0 + w d = w d.
     """
-    if support_radius <= 0:
-        raise GeometryError("support radius must be positive")
-    theta, b, phi, a = np.empty((4, n)) if out is None else out
+    theta, b, phi, a = out
+    theta_rng, u_rng, phi_rng = streams
     two_pi = 2.0 * math.pi
-    draw = rng.generator.random
-    draw(out=theta)
+    theta_rng.random(out=theta)
     theta *= two_pi
-    draw(out=b)  # u, until b replaces it
-    b *= support_area(curvature, support_radius)
+    u_rng.random(out=b)  # u, until b replaces it
+    b *= w
     np.multiply(b, curvature.kappa, out=a)
     a /= two_pi
     np.subtract(1.0, a, out=a)
@@ -609,6 +645,20 @@ def sample_motions(curvature: Curvature, support_radius: float, n: int,
     b *= phi
     b /= two_pi
     np.sqrt(b, out=b)
-    draw(out=phi)
+    phi_rng.random(out=phi)
     phi *= two_pi
     return (a, b), theta, phi
+
+
+def sample_motions(curvature: Curvature, support_radius: float, n: int,
+                   rng: RandomStream) -> tuple:
+    """Haar samples ((a, b), theta, phi) of n motions over the region of
+    :func:`support_area`, in a new (4, n) block that is the caller's: the
+    whole-range :func:`draw_motions`, whose three streams are rng's one
+    generator, so theta, u and phi are its next 3n doubles.
+    """
+    if support_radius <= 0:
+        raise GeometryError("support radius must be positive")
+    g = rng.generator
+    return draw_motions(curvature, support_area(curvature, support_radius),
+                        (g, g, g), np.empty((4, n)))

@@ -2,6 +2,8 @@
 
 import math
 import os
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, euler_intersection, perimeter,
                               point_body, regular_ngon, segment_body)
+from curvedkin import kinematics
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
@@ -18,14 +21,14 @@ from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
 from curvedkin.radii import circumradius, inradius
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
-                               basis_matrices, disc_area,
+                               basis_matrices, disc_area, draw_motions,
                                exp_at_base, fold_table, gen_cos_sin,
                                motion_basis, motion_matrices, point_polar,
                                polar_rows, sample_motions,
                                translation_by_polar, translation_to)
 
-from common import (ALL_KAPPAS, REGIME_KAPPAS, flat_point, octant_triangle,
-                    unit_square)
+from common import (ALL_KAPPAS, REGIME_KAPPAS, STREAM_LEADS, flat_point,
+                    next_draws, octant_triangle, philox_state, unit_square)
 import exact
 from parent import (DegeneratePosition, ParentPolygon, _J, arc_crossings,
                     boundary_crossings, sample_isometry, to_parent, unit_arcs)
@@ -93,6 +96,23 @@ class TestKinematicLhs:
                 est.mixed_tested) == (0, 2000, 0)
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_two_points_draw_nothing(self, kappa):
+        # Two points meet only on a null set of motions, wherever they lie:
+        # two copies of one point off the base point, which recenter a
+        # rounding error away from it, and two points apart.
+        curv = Curvature(kappa)
+        at = lambda r, t: point_body(exp_at_base(curv, r, t))
+        for K, L in [(at(0.7, 1.0), at(0.7, 1.0)), (at(0.7, 1.0), at(0.5, 2.0))]:
+            rng = RandomStream(3)
+            before = philox_state(rng.generator)
+            est = kinematic_lhs(K, L, 2000, rng)
+            assert philox_state(rng.generator) == before
+            assert (est.mean, est.std_error, est.hits,
+                    est.support_area) == (0.0, 0.0, 0, 0.0)
+            assert (est.face_settled, est.vertex_settled,
+                    est.mixed_tested) == (0, 2000, 0)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_point_probe_recovers_area(self, kappa):
         curv = Curvature(kappa)
         body = random_body(curv, RandomStream(3))
@@ -114,6 +134,8 @@ class TestKinematicLhs:
         sq = unit_square()
         est = kinematic_lhs(sq, sq, 2000, RandomStream(9))
         assert est.samples == 2000
+        assert 0 < est.hits < 2000
+        assert est.mean == est.support_area * (est.hits / 2000)
         assert est.std_error >= 0.0
         assert 0.0 <= est.mean <= est.support_area
 
@@ -171,8 +193,8 @@ class TestKinematicLhs:
 
 
 class TestReusedBuffers:
-    """kinematic_lhs draws into a per-thread block and the tester builds
-    each chunk in blocks it keeps; no result aliases either."""
+    """The tester draws and builds each chunk in blocks it keeps; no result
+    aliases them."""
 
     def pairs(self):
         rng = RandomStream(59)
@@ -181,20 +203,20 @@ class TestReusedBuffers:
                 for k in (1.0, -1.0, 0.0, 1.0)]
 
     def test_same_as_new_buffers(self):
-        # A smaller n after a larger one draws into a slice of the grown
-        # block; each estimate counts what new arrays give.
+        # Chunks drawn into kept blocks, the last one short, count what one
+        # draw into new arrays gives.
         for (K, L), n in zip(self.pairs(), (9000, 3000, 12_000, 5000)):
             est = kinematic_lhs(K, L, n, RandomStream(61))
             tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
             hits = tester.hits(*sample_motions(
                 K.curvature, tester.reach, n, RandomStream(61)))
-            assert est.mean == est.support_area * (np.count_nonzero(hits) / n)
+            assert est.hits == np.count_nonzero(hits)
+            assert est.mean == est.support_area * (est.hits / n)
 
     def test_threads_match_serial(self):
         # More threads than cores estimate different pairs at once, three
         # calls each of different sizes, with thread switches forced often;
         # each estimate equals its serial run.
-        from concurrent.futures import ThreadPoolExecutor
         import sys
         import threading
 
@@ -235,6 +257,77 @@ class TestReusedBuffers:
         for mask, d in zip((first, second), draws):
             assert np.array_equal(mask, _OverlapTester(Kc, Lc).hits(*d))
         assert not np.array_equal(first, second)
+
+
+class TestPositionedDraws:
+    """kinematic_lhs draws each chunk from copies of the caller's stream
+    positioned at its offsets: the chunks are one sequential
+    sample_motions, and the stream is left where that draw leaves it."""
+
+    @pytest.mark.parametrize("n", [1000, 1001, 4097, 200_003])
+    def test_chunks_are_one_sequential_draw(self, n, monkeypatch):
+        chunks = []
+
+        def recording(*args):
+            motions = draw_motions(*args)
+            (a, b), theta, phi = motions
+            chunks.append([x.copy() for x in (a, b, theta, phi)])
+            return motions
+
+        monkeypatch.setattr(kinematics, "draw_motions", recording)
+        rng = RandomStream(79)
+        for kappa in REGIME_KAPPAS:
+            curv = Curvature(kappa)
+            K, L = random_body(curv, rng), random_body(curv, rng)
+            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            for lead in STREAM_LEADS:
+                chunked, drawn = RandomStream(83), RandomStream(83)
+                for stream in (chunked, drawn):
+                    lead(stream.generator)
+                chunks.clear()
+                est = kinematic_lhs(K, L, n, chunked)
+                assert len(chunks) == -(-n // tester.chunk)
+                assert {len(c[0]) for c in chunks[:-1]} <= {tester.chunk}
+                (a, b), theta, phi = sample_motions(curv, tester.reach, n,
+                                                    drawn)
+                for got, want in zip(zip(*chunks), (a, b, theta, phi)):
+                    assert np.array_equal(np.concatenate(got), want)
+                assert est.hits == np.count_nonzero(
+                    tester.hits((a, b), theta, phi))
+                assert philox_state(chunked.generator) == philox_state(
+                    drawn.generator)
+                assert next_draws(chunked.generator) == next_draws(
+                    drawn.generator)
+
+
+class TestMemory:
+    """No array of kinematic_lhs grows with the sample count."""
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_peak_does_not_grow_with_samples(self, kappa):
+        # In a fresh thread, so no block kept by an earlier call hides the
+        # first call's growth.
+        curv = Curvature(kappa)
+        rng = RandomStream(89)
+        K, L = random_body(curv, rng), random_body(curv, rng)
+
+        def peak(n):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            kinematic_lhs(K, L, n, RandomStream(97))
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                small, large = pool.submit(
+                    lambda: (peak(20_000), peak(2_000_000))).result(timeout=120)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert large <= small + 256 * 1024, (small, large)
 
 
 class OldCrossing:
@@ -756,14 +849,12 @@ class TestScaleCovariance:
         tol = 0.0 if kappa == 0 else 1e-13
         for K, L in pairs:
             est = kinematic_lhs(K, L, self.MOTIONS, RandomStream(7))
-            hits = est.mean / est.support_area * self.MOTIONS
-            assert 0 < hits < self.MOTIONS
+            assert 0 < est.hits < self.MOTIONS
             for k in (-22, -20, -10, 10, 20):
                 lam = 2.0 ** k
                 image = kinematic_lhs(self.scaled(K, lam), self.scaled(L, lam),
                                       self.MOTIONS, RandomStream(7))
-                assert round(image.mean / image.support_area
-                             * self.MOTIONS) == round(hits), k
+                assert image.hits == est.hits, k
                 for got, want in ((image.support_area, est.support_area),
                                   (image.mean, est.mean)):
                     assert abs(got - lam ** 2 * want) <= tol * got, k

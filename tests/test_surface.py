@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedkin.surface import (Curvature, CurvatureMismatch,
-                               GeometryError, Isometry, RandomStream,
+from curvedkin.surface import (BASIS_INPUT_ROWS, Curvature,
+                               CurvatureMismatch, GeometryError, Isometry, RandomStream,
                                SurfacePoint, base_point, cross3,
-                               disc_area,
-                               disc_perimeter, exp_at_base, gen_asin,
+                               disc_area, disc_perimeter, draw_motions,
+                               exp_at_base, gen_asin,
                                gen_cos, gen_cos_sin, gen_sin,
                                geodesic_distance,
                                half_angle_cos_sin, libm_map,
@@ -23,7 +23,8 @@ from curvedkin.surface import (Curvature, CurvatureMismatch,
                                support_area, translation_by_polar,
                                translation_to)
 
-from common import ALL_KAPPAS, REGIME_KAPPAS
+from common import (ALL_KAPPAS, REGIME_KAPPAS, STREAM_LEADS, next_draws,
+                    philox_state)
 import exact
 import parent
 from parent import (form_dot, from_parent, sample_isometry, sample_positions,
@@ -384,6 +385,37 @@ class TestRandomStream:
         assert not np.array_equal(RandomStream(5).split(2)[0].uniform(size=4),
                                   RandomStream(5).split(2)[1].uniform(size=4))
 
+    @pytest.mark.parametrize("lead", range(len(STREAM_LEADS)))
+    def test_ahead_and_skip_match_drawing(self, lead):
+        # From every buffer position, with or without a pending half word:
+        # ahead(k) gives, and skip(k) leaves, the state that drawing k
+        # doubles leaves, buffer included; ahead does not move the stream.
+        for k in (0, 1, 2, 3, 4, 5, 7, 8, 9, 1000, 1001, 4097, 600_009):
+            drawn, moved = RandomStream(71), RandomStream(71)
+            for stream in (drawn, moved):
+                STREAM_LEADS[lead](stream.generator)
+            before = philox_state(moved.generator)
+            ahead = moved.ahead(k)
+            assert philox_state(moved.generator) == before
+            drawn.generator.random(k)
+            moved.skip(k)
+            want = philox_state(drawn.generator)
+            assert philox_state(ahead) == philox_state(moved.generator) == want
+            assert (next_draws(ahead) == next_draws(moved.generator)
+                    == next_draws(drawn.generator)), k
+
+    def test_skip_carries_across_counter_words(self):
+        drawn, moved = RandomStream(73), RandomStream(73)
+        state = drawn.generator.bit_generator.state
+        state["state"]["counter"] = np.array([2 ** 64 - 1, 2 ** 64 - 1, 5, 0],
+                                             dtype=np.uint64)
+        for stream in (drawn, moved):
+            stream.generator.bit_generator.state = state
+        drawn.generator.random(13)
+        moved.skip(13)
+        assert philox_state(moved.generator) == philox_state(drawn.generator)
+        assert philox_state(moved.generator)[0] == (3, 0, 6, 0)
+
 
 class TestHaarSampling:
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
@@ -509,8 +541,8 @@ class TestHalfAngle:
 
 
 class TestReusedBuffers:
-    """sample_motions, motion_basis and half_angle_cos_sin write into a
-    given block exactly what they return in a new one."""
+    """draw_motions, motion_basis and half_angle_cos_sin write into a given
+    block exactly what sample_motions or they return in a new one."""
 
     @staticmethod
     def arrays(samples):
@@ -523,16 +555,20 @@ class TestReusedBuffers:
         first = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(29)))
         kept = [x.copy() for x in first]
         second = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(30)))
-        # Without out, each call's arrays are its caller's.
+        # sample_motions' arrays are each call's caller's.
         for x, y, z in zip(first, kept, second):
             assert np.array_equal(x, y) and not np.shares_memory(x, z)
+        # draw_motions writes the same into a given out, one generator
+        # giving all three streams.
         out = np.full((4, 1000), np.nan)
-        into = self.arrays(sample_motions(c, 1.0, 1000, RandomStream(29),
-                                          out=out))
+        g = RandomStream(29).generator
+        into = self.arrays(draw_motions(c, support_area(c, 1.0), (g, g, g),
+                                        out))
         for x, y in zip(into, kept):
             assert np.shares_memory(x, out) and np.array_equal(x, y)
         # The next call on the same out overwrites them, as documented.
-        sample_motions(c, 1.0, 1000, RandomStream(30), out=out)
+        g = RandomStream(30).generator
+        draw_motions(c, support_area(c, 1.0), (g, g, g), out)
         assert np.array_equal(into[2], second[2])
 
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
@@ -557,6 +593,16 @@ class TestReusedBuffers:
         block = np.full((14, 5000), np.nan)
         into = motion_basis(c, radial, theta, phi, out=block)
         assert np.shares_memory(into, block) and np.array_equal(into, fresh)
+        # Inputs drawn into the block's own input rows give the same basis.
+        block = np.full((14, 5000), np.nan)
+        g = RandomStream(41).generator
+        (a, b), theta_in, phi_in = draw_motions(
+            c, support_area(c, 1.5), (g, g, g),
+            tuple(block[i] for i in BASIS_INPUT_ROWS))
+        assert np.array_equal(np.stack([theta_in, b, phi_in, a]),
+                              np.stack([theta, radial[1], phi, radial[0]]))
+        assert np.array_equal(motion_basis(c, (a, b), theta_in, phi_in,
+                                           out=block), fresh)
         # Scalar angles broadcast as before.
         one = motion_basis(c, radial, 0.5, phi)
         assert np.array_equal(one, motion_basis(
