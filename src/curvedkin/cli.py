@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 from .bonnesen import (deficit_report, kappa_limit_sweep,
                        random_convex_bodies)
 from .convex import GeodesicPolygon, convex_hull, regular_ngon
-from .kinematics import (containment_criteria, find_containment,
-                         kinematic_lhs, kinematic_rhs)
+from .kinematics import (containment_criteria, find_containments,
+                         kinematic_lhs_pairs, kinematic_rhs)
 from .radii import metrics_stack
 from .surface import (Curvature, GeometryError, RandomStream, exp_at_base,
                       point_polar)
@@ -248,10 +248,12 @@ def run_kinematic_suite(config: CampaignConfig, kappa: float,
     records = []
     gen, mc = rng.split(2)
     bodies = _bodies_for(config, Curvature(kappa), gen, file_bodies)
-    task_streams = mc.split(max(1, len(bodies) // 2))
-    for i in range(len(bodies) // 2):
-        (id_a, ka), (id_b, kb) = bodies[2 * i], bodies[2 * i + 1]
-        est = kinematic_lhs(ka, kb, config.mc_samples, task_streams[i])
+    pairs = list(zip(bodies[::2], bodies[1::2]))
+    task_streams = mc.split(max(1, len(pairs)))
+    estimates = kinematic_lhs_pairs([(ka, kb) for (_, ka), (_, kb) in pairs],
+                                    config.mc_samples,
+                                    task_streams[:len(pairs)])
+    for ((id_a, ka), (id_b, kb)), est in zip(pairs, estimates):
         rhs = kinematic_rhs(ka, kb)
         tol = max(z * est.std_error, 1e-3 * rhs)
         records.append(_record(
@@ -290,8 +292,9 @@ def run_containment_suite(config: CampaignConfig, kappa: float,
         found_pairs += [pair for pair, ok in zip(
             pairs, containment_criteria(pairs, slack=-1e-3)) if ok]
     task_streams = search.split(max(1, len(found_pairs)))
-    for i, (a, b) in enumerate(found_pairs):
-        witness = find_containment(a, b, config.budget, task_streams[i])
+    witnesses = find_containments(found_pairs, config.budget,
+                                  task_streams[:len(found_pairs)])
+    for i, witness in enumerate(witnesses):
         records.append(_record(
             suite="containment", seed=config.seed, kappa=kappa,
             body_id=f"pair{i}", samples=config.budget,

@@ -17,14 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex import (GeodesicPolygon, areas, contains_rows, next_rows,
-                     perimeter, perimeters)
-from .radii import circumradius
+from .convex import (GeodesicPolygon, _build_polygons, areas, contains_rows,
+                     next_rows, perimeter, perimeters)
+from .radii import circumradii
 from .surface import (BASIS_BLOCK_ROWS, BASIS_INPUT_ROWS, GeometryError,
                       Isometry, RandomStream, cross3, draw_motions,
                       fold_table, gen_cos, gen_cos_sin, motion_basis,
                       motion_matrices, row_distances, support_area,
-                      translation_to)
+                      translation_matrices, validate_rows)
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,31 @@ def kinematic_rhs(K: GeodesicPolygon, L: GeodesicPolygon) -> float:
     return al + pk * pl / (2.0 * math.pi) + ak - kappa * ak * al / (2.0 * math.pi)
 
 
-def _recenter(K: GeodesicPolygon) -> tuple[float, Isometry, GeodesicPolygon]:
-    """Circumradius, translation to the circumcenter, and K moved back by it."""
-    r, center = circumradius(K)
-    t = translation_to(center)
-    return r, t, K.transformed(t.inverse())
+def _recenter(bodies: Sequence[GeodesicPolygon]
+              ) -> tuple[list[float], np.ndarray, list[GeodesicPolygon]]:
+    """The circumradii of bodies of one curvature, the (B, 3, 3) stack of
+    translations to their circumcenters, and the bodies moved back by them.
+
+    Each body's are bit for bit those of ``circumradius``, ``translation_to``
+    of its center and ``transformed`` by that translation's inverse, with
+    every check on that path, in one pass over the bodies: the circumradii
+    and their checked center rows (:func:`~curvedkin.radii.circumradii`),
+    the translations in one ``motion_matrices`` call, their inverses in one
+    ``np.linalg.inv`` call, and each body's rows moved by one matrix-vector
+    product each.  Every moved row is then checked as a point, and the
+    moved bodies as polygons in one stack.
+    """
+    if not bodies:
+        return [], np.empty((0, 3, 3)), []
+    radii, centers = circumradii(bodies)
+    curv = bodies[0].curvature
+    t = translation_matrices(curv, centers)
+    sizes = [K.n_vertices for K in bodies]
+    moved = (np.linalg.inv(t)[np.repeat(np.arange(len(bodies)), sizes)]
+             @ np.concatenate([K.vertex_array for K in bodies])[:, :, None])
+    rows = validate_rows(curv, moved[:, :, 0])
+    return radii, t, _build_polygons(curv, np.split(rows,
+                                                    np.cumsum(sizes)[:-1]))
 
 
 def _outer_table(normals: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -248,21 +268,40 @@ def kinematic_lhs(K: GeodesicPolygon, L: GeodesicPolygon, n: int,
     pairs at once.  Two point bodies meet only on a null set of motions:
     their estimate is exactly 0 with W = 0, and draws nothing.
     """
+    return kinematic_lhs_pairs([(K, L)], n, [rng])[0]
+
+
+def kinematic_lhs_pairs(pairs: Sequence[tuple[GeodesicPolygon,
+                                              GeodesicPolygon]],
+                        n: int, streams: Sequence[RandomStream]
+                        ) -> list[KinematicEstimate]:
+    """:func:`kinematic_lhs` of each pair (K, L) with its stream, bit for
+    bit and with the same draws; the bodies of every pair that is not two
+    points are recentered in one pass.  The pairs share one curvature."""
     if n < 1000:
         raise GeometryError("need at least 1000 samples")
-    K.curvature.require_same(L.curvature)
-    if K.dim == L.dim == 0:
-        return KinematicEstimate(0.0, 0.0, 0, n, 0.0, 0, n, 0)
-    tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
-    w = support_area(tester.curv, tester.reach)
-    theta_u = rng.ahead(0), rng.ahead(n)
-    rng.skip(2 * n)  # rng draws phi itself, which leaves it past 3n
-    hits = tester.count_hits(w, (*theta_u, rng.generator), n)
-    p = hits / n
-    return KinematicEstimate(mean=w * p,
-                             std_error=w * math.sqrt(p * (1.0 - p) / n),
-                             hits=hits, samples=n, support_area=w,
-                             **tester.counts)
+    if len(streams) != len(pairs):
+        raise ValueError("need one stream per pair")
+    for K, L in pairs:
+        K.curvature.require_same(L.curvature)
+    centered = iter(_recenter([body for K, L in pairs
+                               if not K.dim == L.dim == 0
+                               for body in (K, L)])[2])
+    estimates = []
+    for (K, L), rng in zip(pairs, streams):
+        if K.dim == L.dim == 0:
+            estimates.append(KinematicEstimate(0.0, 0.0, 0, n, 0.0, 0, n, 0))
+            continue
+        tester = _OverlapTester(next(centered), next(centered))
+        w = support_area(tester.curv, tester.reach)
+        theta_u = rng.ahead(0), rng.ahead(n)
+        rng.skip(2 * n)  # rng draws phi itself, which leaves it past 3n
+        hits = tester.count_hits(w, (*theta_u, rng.generator), n)
+        p = hits / n
+        estimates.append(KinematicEstimate(
+            mean=w * p, std_error=w * math.sqrt(p * (1.0 - p) / n),
+            hits=hits, samples=n, support_area=w, **tester.counts))
+    return estimates
 
 
 def containment_criterion(K: GeodesicPolygon, L: GeodesicPolygon,
@@ -309,11 +348,36 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
     offsets.  Returned witnesses are verified by vertex containment, so a
     non-None result is always sound.
     """
-    K.curvature.require_same(L.curvature)
-    curv = K.curvature
+    return find_containments([(K, L)], budget, [rng])[0]
+
+
+def find_containments(pairs: Sequence[tuple[GeodesicPolygon,
+                                            GeodesicPolygon]],
+                      budget: int, streams: Sequence[RandomStream]
+                      ) -> list[Optional[Isometry]]:
+    """:func:`find_containment` of each pair (K, L) with its stream, bit for
+    bit and with the same draws; the bodies of every pair are recentered
+    in one pass.  The pairs share one curvature."""
+    if len(streams) != len(pairs):
+        raise ValueError("need one stream per pair")
+    for K, L in pairs:
+        K.curvature.require_same(L.curvature)
+    bodies = [body for pair in pairs for body in pair]
     # (body, circumradius, translation to its circumcenter, body recentered)
-    (inner, _, t_in, inner_c), (outer, r_out, t_out, outer_c) = sorted(
-        ((K, *_recenter(K)), (L, *_recenter(L))), key=lambda side: side[1])
+    sides = list(zip(bodies, *_recenter(bodies)))
+    return [_search_containment(*sorted(sides[2 * i:2 * i + 2],
+                                        key=lambda side: side[1]),
+                                budget, rng)
+            for i, rng in enumerate(streams)]
+
+
+def _search_containment(inner_side: tuple, outer_side: tuple, budget: int,
+                        rng: RandomStream) -> Optional[Isometry]:
+    """:func:`find_containment`'s search of one pair, from its two sides
+    (body, circumradius, translation matrix, body recentered)."""
+    inner, _, t_in, inner_c = inner_side
+    outer, r_out, t_out, outer_c = outer_side
+    curv = inner.curvature
     if outer.dim < 2:
         return None
     # Rows edge normal (x) inner vertex, folded: against the motion basis,
@@ -352,7 +416,8 @@ def find_containment(K: GeodesicPolygon, L: GeodesicPolygon, budget: int,
                 best = (-math.inf, 0.0, 0.0, 0.0)
         if best[0] >= -1e-12:
             g_local = Isometry(motion_matrices(curv, *best[1:])[0], curv)
-            g = t_out @ g_local @ t_in.inverse()
+            g = (Isometry(t_out, curv) @ g_local
+                 @ Isometry(t_in, curv).inverse())
             if body_contains(outer, inner.transformed(g)):
                 return g
             best = (-math.inf, 0.0, 0.0, 0.0)

@@ -17,11 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, area, areas,
-                     next_rows, perimeter, perimeters, triple_indices)
+from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, _stack_curvature,
+                     area, areas, next_rows, perimeter, perimeters,
+                     triple_indices)
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
-                      normalize_to_surface, squared_chords)
+                      normalize_to_surface, squared_chords, validate_rows)
 
 # Both solvers start from this many vertices or edges: random_convex_body's
 # default max_vertices, so random bodies solve in one round.
@@ -106,25 +107,32 @@ def _least(score, cand: np.ndarray, width: int) -> tuple[int, float]:
     return best, best_val
 
 
-def _disc_candidates(curv: Curvature, pts: np.ndarray) -> np.ndarray:
-    """The center of every disc with one, two or three of pts on its rim.
+def _disc_candidates(curv: Curvature,
+                     pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The center of every disc with one, two or three of pts on its rim,
+    for working sets pts of shape (..., m, 3), and which are centers.
 
     One point is its own center.  Two: the normalized sum.  Three: the line
     along the cross product of two perpendicular-bisector normals (see
     :func:`bisector_normals`).  Of each line's surface points the one on
     its rim points' side, G(c, p) > 0, is kept: the nearer antipode on the
-    sphere, z > 0 elsewhere.  Lines that miss the surface drop out.
+    sphere, z > 0 elsewhere.  Lines that miss the surface are no center;
+    their rows are arbitrary, kept so that every set's candidates keep
+    one order.
     """
-    (ii, jj), (ti, tj, tk) = _index_arrays(len(pts))
-    v = np.concatenate([pts[ii] + pts[jj],
-                        cross3(bisector_normals(curv, pts[ti], pts[tj]),
-                               bisector_normals(curv, pts[tj], pts[tk]))])
-    rim = np.concatenate([pts[ii], pts[ti]])
+    (ii, jj), (ti, tj, tk) = _index_arrays(pts.shape[-2])
+    v = np.concatenate([pts[..., ii, :] + pts[..., jj, :],
+                        cross3(bisector_normals(curv, pts[..., ti, :],
+                                                pts[..., tj, :]),
+                               bisector_normals(curv, pts[..., tj, :],
+                                                pts[..., tk, :]))], axis=-2)
+    rim = np.concatenate([pts[..., ii, :], pts[..., ti, :]], axis=-2)
     q = form_dot(curv, v, v)
     ok = q > 0.0
-    w = v[ok] / np.sqrt(q[ok])[:, None]
-    w[form_dot(curv, w, rim[ok]) < 0.0] *= -1.0
-    return np.concatenate([pts, w])
+    w = v / np.sqrt(np.where(ok, q, 1.0))[..., None]
+    w[form_dot(curv, w, rim) < 0.0] *= -1.0
+    return (np.concatenate([pts, w], axis=-2),
+            np.concatenate([np.ones(pts.shape[:-1], dtype=bool), ok], axis=-1))
 
 
 def smallest_enclosing_disc(curv: Curvature,
@@ -148,7 +156,8 @@ def smallest_enclosing_disc(curv: Curvature,
     work = _first_working_set(len(coords))
     while True:
         pts = coords[work]
-        cand = _disc_candidates(curv, pts)
+        cand, ok = _disc_candidates(curv, pts)
+        cand = cand[ok]
         i, far = _least(
             lambda c: squared_chords(curv, c[:, None], pts).max(axis=1),
             cand, 3 * len(pts))
@@ -165,12 +174,76 @@ def smallest_enclosing_disc(curv: Curvature,
 
 def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
     """Radius and center of the smallest enclosing geodesic disc."""
-    curv = K.curvature
-    c, r = smallest_enclosing_disc(curv, K.vertex_array)
-    if r >= curv.hemisphere_limit:
-        raise GeometryError("enclosing disc leaves the hemisphere; "
-                            "polygon violates the convexity convention")
-    return r, SurfacePoint(c, curv)
+    (r,), centers = circumradii([K])
+    return r, SurfacePoint(centers[0], K.curvature)
+
+
+def circumradii(bodies: Sequence[GeodesicPolygon]
+                ) -> tuple[list[float], np.ndarray]:
+    """:func:`circumradius` of each body, bit for bit: the radii, and the
+    centers as a (B, 3) array of rows, each checked as
+    :class:`SurfacePoint` checks a point.  The bodies share one curvature;
+    the first, in order, that fails raises its one-by-one error.
+
+    A body of at most _FIRST_WORKING_SET vertices is its own first working
+    set, so its first disc is final: such bodies are solved in stacks of
+    one vertex count (:func:`_stacked_discs`).  A larger body goes through
+    :func:`smallest_enclosing_disc`'s rounds alone.
+    """
+    if not bodies:
+        return [], np.empty((0, 3))
+    curv = _stack_curvature(bodies)
+    coords = [K.vertex_array for K in bodies]
+    same_size = {}
+    for b, va in enumerate(coords):
+        if len(va) <= _FIRST_WORKING_SET:
+            same_size.setdefault(len(va), []).append(b)
+    centers, radii = np.empty((len(bodies), 3)), [math.nan] * len(bodies)
+    for group in same_size.values():
+        centers[group], r = _stacked_discs(
+            curv, np.stack([coords[b] for b in group]))
+        for b, rb in zip(group, r.tolist()):
+            radii[b] = rb
+    for b, va in enumerate(coords):
+        if len(va) > _FIRST_WORKING_SET:
+            centers[b], radii[b] = smallest_enclosing_disc(curv, va)
+        elif math.isnan(radii[b]):
+            raise GeometryError("minidisc failed (degenerate input)")
+        if radii[b] >= curv.hemisphere_limit:
+            raise GeometryError("enclosing disc leaves the hemisphere; "
+                                "polygon violates the convexity convention")
+        validate_rows(curv, centers[b:b + 1])
+    return radii, centers
+
+
+def _stacked_discs(curv: Curvature,
+                   pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The center and radius of :func:`smallest_enclosing_disc` of each
+    (m, 3) set of the (B, m, 3) stack pts, m <= _FIRST_WORKING_SET, bit for
+    bit, a block of sets at a time; radius NaN where it finds no center.
+
+    As one set's round: the candidate whose largest squared chord to the
+    set is least, the first on ties.  Candidates that are no center are
+    masked, not dropped, so that each set's keep their order.
+    """
+    m = pts.shape[1]
+    width = 3 * m * (m + math.comb(m, 2) + math.comb(m, 3))
+    step = max(1, _BLOCK_ENTRIES // width)
+    centers, radii = np.empty((len(pts), 3)), np.empty(len(pts))
+    for lo in range(0, len(pts), step):
+        block = pts[lo:lo + step]
+        cand, ok = _disc_candidates(curv, block)
+        far = np.where(ok, squared_chords(curv, cand[:, :, None],
+                                          block[:, None]).max(axis=-1),
+                       math.inf)
+        i = far.argmin(axis=1)
+        rows = np.arange(len(block))
+        far = far[rows, i]
+        centers[lo:lo + step] = cand[rows, i]
+        radii[lo:lo + step] = np.where(
+            far < math.inf,
+            2.0 * gen_asin(curv, 0.5 * np.sqrt(np.maximum(0.0, far))), np.nan)
+    return centers, radii
 
 
 def _normalize_rows(curv: Curvature, v: np.ndarray) -> np.ndarray:
@@ -286,19 +359,21 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
 
 def metrics(K: GeodesicPolygon) -> BodyMetrics:
     """All four scalar quantities of a body plus both centers."""
-    return _with_radii(K, area(K), perimeter(K))
-
-
-def metrics_stack(bodies: Sequence[GeodesicPolygon]) -> list[BodyMetrics]:
-    """:func:`metrics` of each body, bit for bit: the areas and perimeters in
-    one pass over their stack, the radii body by body.  The bodies share
-    one curvature."""
-    return [_with_radii(K, A, P) for K, A, P in
-            zip(bodies, areas(bodies), perimeters(bodies))]
-
-
-def _with_radii(K: GeodesicPolygon, A: float, P: float) -> BodyMetrics:
+    A, P = area(K), perimeter(K)
     r, inc = inradius(K)
     R, circ = circumradius(K)
     return BodyMetrics(A=A, P=P, r_in=r, R_circ=R, incenter=inc,
                        circumcenter=circ)
+
+
+def metrics_stack(bodies: Sequence[GeodesicPolygon]) -> list[BodyMetrics]:
+    """:func:`metrics` of each body, bit for bit: the areas, perimeters and
+    circumradii in one pass over their stack, the inradii body by body.
+    The bodies share one curvature."""
+    A, P = areas(bodies), perimeters(bodies)
+    inradii = [inradius(K) for K in bodies]
+    R, centers = circumradii(bodies)
+    return [BodyMetrics(A=a, P=p, r_in=r, R_circ=rc, incenter=inc,
+                        circumcenter=SurfacePoint(c, K.curvature))
+            for K, a, p, (r, inc), rc, c in zip(bodies, A, P, inradii, R,
+                                                 centers)]

@@ -410,8 +410,18 @@ def translation_by_polar(curvature: Curvature, r: float, theta: float) -> Isomet
 
 def translation_to(x: SurfacePoint) -> Isometry:
     """The minimal translation/rotation carrying the base point to x."""
-    r, theta = point_polar(x)
-    return translation_by_polar(x.curvature, r, theta)
+    return Isometry(translation_matrices(x.curvature, x.coords[None])[0],
+                    x.curvature)
+
+
+def translation_matrices(curvature: Curvature, rows: np.ndarray) -> np.ndarray:
+    """(m, 3, 3) stack of :func:`translation_to` each surface point row:
+    polar (r, theta) as :func:`point_polar` takes them, then one
+    :func:`motion_matrices` call with phi = 0."""
+    r = row_distances(curvature, np.array([0.0, 0.0, 1.0]), rows)
+    theta = [math.atan2(y, x) if d > 0 else 0.0
+             for (x, y, _), d in zip(rows.tolist(), r.tolist())]
+    return motion_matrices(curvature, r, theta, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,12 @@ def sequential_pairs(config, kappa, rng, accept):
 def screened_pairs(monkeypatch, config, kappa, rng):
     """The pairs that run_containment_suite hands to the search."""
     seen = []
-    monkeypatch.setattr(cli, "find_containment",
-                        lambda a, b, budget, stream: seen.append((a, b)))
+
+    def search(pairs, budget, streams):
+        seen.extend(pairs)
+        return [None] * len(pairs)
+
+    monkeypatch.setattr(cli, "find_containments", search)
     records = cli.run_containment_suite(config, kappa, rng)
     assert len(records) == len(seen)
     return seen
@@ -382,15 +386,18 @@ class TestKinematicBand:
         config = CampaignConfig()
         assert 3.9 < kinematic_band(config) < 4.0
         seen = []
-        real_lhs = cli.kinematic_lhs
+        real_lhs = cli.kinematic_lhs_pairs
 
         def lhs(*args):
-            seen.append(real_lhs(*args))
-            return seen[-1]
+            seen.extend(real_lhs(*args))
+            return list(seen)
 
-        monkeypatch.setattr(cli, "kinematic_lhs", lhs)
-        monkeypatch.setattr(cli, "kinematic_rhs", lambda K, L: (
-            seen[-1].mean + 6.0 * seen[-1].std_error))
+        def rhs(K, L):  # each pair's own estimate, in the suite's order
+            est = seen.pop(0)
+            return est.mean + 6.0 * est.std_error
+
+        monkeypatch.setattr(cli, "kinematic_lhs_pairs", lhs)
+        monkeypatch.setattr(cli, "kinematic_rhs", rhs)
         records = run_kinematic_suite(config, 1.0, RandomStream(8),
                                       z=kinematic_band(config))
         assert len(records) == 12

@@ -12,7 +12,7 @@ import pytest
 from curvedkin.convex import (GeodesicPolygon, area, contains_point,
                               convex_hull, euler_intersection, perimeter,
                               point_body, regular_ngon, segment_body)
-from curvedkin import kinematics
+from curvedkin import convex, kinematics
 from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
                                   body_contains,
                                   containment_criterion, find_containment,
@@ -21,6 +21,7 @@ from curvedkin.kinematics import (_OverlapTester, _outer_table, _recenter,
 from curvedkin.radii import circumradius, inradius
 from curvedkin.surface import (EPS, Curvature, CurvatureMismatch,
                                GeometryError, Isometry, RandomStream,
+                               SurfacePoint,
                                basis_matrices, disc_area, draw_motions,
                                exp_at_base, fold_table, gen_cos_sin,
                                motion_basis, motion_matrices, point_polar,
@@ -183,7 +184,7 @@ class TestKinematicLhs:
             face, vertex, mixed = counts[0]
             assert face + vertex + mixed == 20_000
             assert vertex == 0  # no pair of two points
-            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            tester = _OverlapTester(*_recenter([K, L])[2])
             (a, _), _, _ = sample_motions(curv, tester.reach, 20_000,
                                           RandomStream(53))
             far = np.count_nonzero(a <= tester.cut)
@@ -207,7 +208,7 @@ class TestReusedBuffers:
         # draw into new arrays gives.
         for (K, L), n in zip(self.pairs(), (9000, 3000, 12_000, 5000)):
             est = kinematic_lhs(K, L, n, RandomStream(61))
-            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            tester = _OverlapTester(*_recenter([K, L])[2])
             hits = tester.hits(*sample_motions(
                 K.curvature, tester.reach, n, RandomStream(61)))
             assert est.hits == np.count_nonzero(hits)
@@ -247,8 +248,7 @@ class TestReusedBuffers:
     def test_interleaved_hits_are_independent(self):
         # 10,000 motions take three chunks, the last one short.
         K, L = self.pairs()[0]
-        _, _, Kc = _recenter(K)
-        _, _, Lc = _recenter(L)
+        Kc, Lc = _recenter([K, L])[2]
         tester = _OverlapTester(Kc, Lc)
         draws = [sample_motions(K.curvature, tester.reach, 10_000,
                                 RandomStream(s)) for s in (67, 71)]
@@ -279,7 +279,7 @@ class TestPositionedDraws:
         for kappa in REGIME_KAPPAS:
             curv = Curvature(kappa)
             K, L = random_body(curv, rng), random_body(curv, rng)
-            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            tester = _OverlapTester(*_recenter([K, L])[2])
             for lead in STREAM_LEADS:
                 chunked, drawn = RandomStream(83), RandomStream(83)
                 for stream in (chunked, drawn):
@@ -408,8 +408,7 @@ class TestCrossingOracle:
         rng = RandomStream(211)
         crossed = motions = 0
         for K, L in self.pairs(curv, rng):
-            _, _, Kc = _recenter(K)
-            _, _, Lc = _recenter(L)
+            Kc, Lc = _recenter([K, L])[2]
             tester = _OverlapTester(Kc, Lc)
             support = tester.reach
             radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
@@ -567,8 +566,7 @@ class TestOverlapKernel:
         rng = RandomStream(307)
         motions = 0
         for K, L in self.pairs(curv, rng):
-            _, _, Kc = _recenter(K)
-            _, _, Lc = _recenter(L)
+            Kc, Lc = _recenter([K, L])[2]
             tester = _OverlapTester(Kc, Lc)
             support = tester.reach
             radial, theta, phi = sample_motions(curv, support, self.MOTIONS,
@@ -594,7 +592,7 @@ class TestOverlapKernel:
         for K, L in [(polygon(), polygon()), (polygon(), segment()),
                      (segment(), segment()), (random_point(curv, rng),
                                               polygon())]:
-            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            tester = _OverlapTester(*_recenter([K, L])[2])
             support = tester.reach
             inside = tester.hits(*sample_motions(curv, support, 20_000, rng))
             assert np.count_nonzero(inside) > 0
@@ -705,7 +703,7 @@ class TestHemisphereRule:
         segment = lambda: random_segment(curv, rng)
         for K, L in [(polygon(), polygon()), (polygon(), segment()),
                      (segment(), segment())]:
-            tester = _OverlapTester(_recenter(K)[2], _recenter(L)[2])
+            tester = _OverlapTester(*_recenter([K, L])[2])
             assert tester.reach < curv.hemisphere_limit
             hits = tester.hits(*sample_motions(curv, tester.reach, 20_000,
                                                rng))
@@ -822,8 +820,8 @@ class TestScaleCovariance:
         curv = Curvature(kappa)
         rng = RandomStream(3)
         for _ in range(6):
-            _, _, K = _recenter(random_body(curv, rng))
-            _, _, L = _recenter(random_body(curv, rng))
+            K, L = _recenter([random_body(curv, rng)
+                              for _ in range(2)])[2]
             tester = _OverlapTester(K, L)
             (a, b), theta, phi = sample_motions(curv, tester.reach,
                                                 self.MOTIONS, rng)
@@ -1155,3 +1153,123 @@ class TestMonotonicity:
             small = regular_ngon(curv, 0.3, 32)
             big = regular_ngon(curv, 0.8, 32)
             assert monotonicity_probe(small, big)
+
+
+class TestStackedPairs:
+    """Recentering over a stack, and the pair entry points built on it,
+    against each body's and each pair's own path."""
+
+    @staticmethod
+    def bodies(curv, rng):
+        """Random polygons with points, segments, a 12-gon and a 20-gon."""
+        def at(r, theta):
+            return exp_at_base(curv, r, theta)
+
+        return [random_body(curv, rng, n_points=int(rng.integers(3, 13)))
+                for _ in range(12)] + [
+            point_body(at(0.3, 1.0)), point_body(at(0.0, 0.0)),
+            segment_body(at(0.2, 0.5), at(0.6, 2.5)),
+            regular_ngon(curv, 0.5, 12, phase=0.2),
+            regular_ngon(curv, 0.6, 20, phase=0.3)]
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_recenter_matches_one_by_one(self, kappa):
+        curv = Curvature(kappa)
+        bodies = self.bodies(curv, RandomStream(83))
+        radii, t, moved = _recenter(bodies)
+        assert t.shape == (len(bodies), 3, 3)
+        for K, r, m, M in zip(bodies, radii, t, moved):
+            # The one-body path: the translation to point_polar of the
+            # circumcenter, and K moved back by its inverse.
+            R, center = circumradius(K)
+            g = translation_by_polar(curv, *point_polar(center))
+            alone = K.transformed(g.inverse())
+            assert r == R and m.tobytes() == g.matrix.tobytes()
+            assert M.vertex_array.tobytes() == alone.vertex_array.tobytes()
+            assert not M.vertex_array.flags.writeable
+            if K.n_vertices > 1:
+                assert (M.edge_normals.tobytes()
+                        == alone.edge_normals.tobytes())
+            (r1,), t1, (M1,) = _recenter([K])
+            assert r1 == r and t1[0].tobytes() == m.tobytes()
+            assert M1.vertex_array.tobytes() == M.vertex_array.tobytes()
+
+    def test_recenter_empty(self):
+        radii, t, moved = _recenter([])
+        assert radii == [] and t.shape == (0, 3, 3) and moved == []
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_kinematic_lhs_pairs_match_one_pair_calls(self, kappa):
+        curv = Curvature(kappa)
+        bodies = self.bodies(curv, RandomStream(89))
+        # Two points, a point and a segment, and polygon pairs.
+        pairs = [(bodies[12], bodies[13]), (bodies[13], bodies[14])] + list(
+            zip(bodies[:12:2], bodies[1:12:2])) + [(bodies[15], bodies[16])]
+        streams = RandomStream(97).split(len(pairs))
+        alone = RandomStream(97).split(len(pairs))
+        got = kinematics.kinematic_lhs_pairs(pairs, 2000, streams)
+        assert got == [kinematic_lhs(K, L, 2000, s)
+                       for (K, L), s in zip(pairs, alone)]
+        assert got[0].support_area == 0.0 and got[2].hits > 0
+        for s, s1 in zip(streams, alone):
+            assert next_draws(s.generator) == next_draws(s1.generator)
+        assert kinematics.kinematic_lhs_pairs([], 2000, []) == []
+        with pytest.raises(ValueError, match="one stream per pair"):
+            kinematics.kinematic_lhs_pairs(pairs, 2000, streams[1:])
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_find_containments_match_one_pair_calls(self, kappa):
+        curv = Curvature(kappa)
+        rng = RandomStream(101)
+        pairs = [(random_body(curv, rng, n_points=5, rho=0.5),
+                  random_body(curv, rng, n_points=5, rho=0.5))
+                 for _ in range(10)]
+        pairs += [(regular_ngon(curv, 0.6, 20), regular_ngon(curv, 0.2, 5)),
+                  (regular_ngon(curv, 0.1, 4),
+                   segment_body(exp_at_base(curv, 0.5, 0.0),
+                                exp_at_base(curv, 0.5, math.pi)))]
+        streams = RandomStream(103).split(len(pairs))
+        alone = RandomStream(103).split(len(pairs))
+        got = kinematics.find_containments(pairs, 2000, streams)
+        expected = [find_containment(K, L, 2000, s)
+                    for (K, L), s in zip(pairs, alone)]
+        assert [g is None for g in got] == [g is None for g in expected]
+        assert 0 < sum(g is not None for g in got) < len(got) - 1
+        assert got[-1] is None
+        for g, g1 in zip(got, expected):
+            if g is not None:
+                assert g.matrix.tobytes() == g1.matrix.tobytes()
+        for s, s1 in zip(streams, alone):
+            assert next_draws(s.generator) == next_draws(s1.generator)
+
+    @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
+    def test_recentering_builds_no_point_and_no_one_body_stack(
+            self, kappa, monkeypatch):
+        # kinematic_lhs and find_containments recenter each body: no
+        # SurfacePoint for a center or a translation, and the moved bodies
+        # are checked as one stack.
+        curv = Curvature(kappa)
+        K, L = random_body(curv, RandomStream(107)), regular_ngon(curv, 0.4, 7)
+        # Longer than K and L, so find_containment's outer body: no search.
+        segment = segment_body(exp_at_base(curv, 0.9, 0.0),
+                               exp_at_base(curv, 0.9, math.pi))
+        points, stacks = [], []
+        post_init = SurfacePoint.__post_init__
+        validate = convex._validate_stack
+
+        def counted_point(p):
+            points.append(p)
+            post_init(p)
+
+        def counted_stack(bodies):
+            stacks.append(len(bodies))
+            validate(bodies)
+
+        monkeypatch.setattr(SurfacePoint, "__post_init__", counted_point)
+        monkeypatch.setattr(convex, "_validate_stack", counted_stack)
+        kinematic_lhs(K, L, 1000, RandomStream(109))
+        assert (len(points), stacks) == (0, [2])
+        assert kinematics.find_containments(
+            [(K, segment), (L, segment)], 256,
+            RandomStream(113).split(2)) == [None, None]
+        assert (len(points), stacks) == (0, [2, 4])

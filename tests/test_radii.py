@@ -918,3 +918,76 @@ class TestMinidiscScaleCovariance:
                                                va * scale)
                 assert R == lam * r, (k, R, lam * r)
                 assert np.array_equal(c, center * scale), k
+
+
+def mixed_stack(curv, rng):
+    """Points, segments, random 3-12-gons, a 12-gon, a 20-gon and a cyclic
+    40-gon, their vertex counts interleaved."""
+    def at(r, theta):
+        return exp_at_base(curv, r, theta)
+
+    bodies = [random_convex_body(curv, rng) for _ in range(24)]
+    bodies += [point_body(at(0.3, 1.0)), point_body(base_point(curv)),
+               segment_body(at(0.2, 0.5), at(0.6, 2.5)),
+               segment_body(at(0.4, 0.0), at(0.4, math.pi)),
+               regular_ngon(curv, 0.5, 12, phase=0.2),
+               regular_ngon(curv, 0.6, 20, phase=0.3),
+               GeodesicPolygon([at(0.55, (i + float(rng.uniform(0.25, 0.75)))
+                                   * (2 * math.pi / 40)) for i in range(40)])]
+    order = rng.integers(0, len(bodies), len(bodies)).argsort(kind="stable")
+    return [bodies[i] for i in order.tolist()]
+
+
+class TestStackedMinidisc:
+    """circumradii against smallest_enclosing_disc, body by body: the same
+    bits, and the same first error."""
+
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_matches_one_by_one(self, kappa, k):
+        # Mapped by lam = 2^k as in TestMinidiscScaleCovariance, on rows.
+        lam = 2.0 ** k
+        curv = Curvature(kappa / lam ** 2)
+        bodies = [SimpleNamespace(curvature=curv, vertex_array=K.vertex_array
+                                  * np.array([lam, lam, 1.0]))
+                  for K in mixed_stack(Curvature(kappa), RandomStream(71))]
+        assert {len(K.vertex_array) for K in bodies} >= {1, 2, 3, 12, 20, 40}
+        radii_, centers = radii.circumradii(bodies)
+        assert len(radii_) == len(centers) == len(bodies)
+        for K, r, c in zip(bodies, radii_, centers):
+            c0, r0 = smallest_enclosing_disc(curv, K.vertex_array)
+            assert type(r) is float and r == r0
+            assert c.tobytes() == c0.tobytes()
+            R, center = circumradius(K)
+            assert R == r and center.coords.tobytes() == c.tobytes()
+
+    def test_metrics_stack_matches_metrics(self):
+        bodies = mixed_stack(Curvature(-1.0), RandomStream(73))
+        for got, K in zip(radii.metrics_stack(bodies), bodies):
+            assert got == metrics(K)
+
+    def test_empty_stack(self):
+        radii_, centers = radii.circumradii([])
+        assert radii_ == [] and centers.shape == (0, 3)
+
+    def test_first_error_in_order(self):
+        # A set in no closed hemisphere, after valid bodies, raises the
+        # error it raises alone; NaN rows give no candidate, which raises
+        # minidisc's own error.  Whichever comes first in the stack wins.
+        curv = Curvature(1.0)
+        valid = mixed_stack(curv, RandomStream(79))
+        radii.circumradii(valid)
+        octahedron = SimpleNamespace(
+            curvature=curv, vertex_array=np.concatenate([np.eye(3),
+                                                         -np.eye(3)]))
+        nan = SimpleNamespace(curvature=curv,
+                              vertex_array=np.full((4, 3), np.nan))
+        for body, message in ((octahedron, "enclosing disc leaves the "
+                               "hemisphere"),
+                              (nan, r"minidisc failed \(degenerate")):
+            with pytest.raises(GeometryError, match=message):
+                circumradius(body)
+        with pytest.raises(GeometryError, match="enclosing disc leaves"):
+            radii.circumradii(valid + [octahedron, nan] + valid)
+        with pytest.raises(GeometryError, match="minidisc failed"):
+            radii.circumradii(valid + [nan, octahedron] + valid)

@@ -21,7 +21,7 @@ from curvedkin.surface import (BASIS_INPUT_ROWS, Curvature,
                                normalize_to_surface, point_polar,
                                sample_motions, row_distances,
                                support_area, translation_by_polar,
-                               translation_to)
+                               translation_matrices, translation_to)
 
 from common import (ALL_KAPPAS, REGIME_KAPPAS, STREAM_LEADS, next_draws,
                     philox_state)
@@ -342,6 +342,24 @@ class TestIsometry:
         assert g.check_form()
         assert np.allclose(g.apply(base_point(c)).coords, target.coords,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", ALL_KAPPAS)
+    def test_translation_matrices_match_translation_by_polar(self, kappa):
+        # The stack, row by row, is the translation by point_polar's (r,
+        # theta), bit for bit; the base point's is the identity's, theta 0.
+        c = Curvature(kappa)
+        rng = RandomStream(11)
+        rows = np.array([base_point(c).coords] + [
+            exp_at_base(c, float(rng.uniform(0.0, 1.0)),
+                        float(rng.uniform(-math.pi, math.pi))).coords
+            for _ in range(40)])
+        t = translation_matrices(c, rows)
+        assert t.shape == (len(rows), 3, 3)
+        for row, m in zip(rows, t):
+            p = SurfacePoint(row, c)
+            g = translation_by_polar(c, *point_polar(p))
+            assert m.tobytes() == g.matrix.tobytes()
+            assert translation_to(p).matrix.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_distance_preservation(self, kappa):
