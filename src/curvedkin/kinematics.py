@@ -360,8 +360,6 @@ def find_containments(pairs: Sequence[tuple[GeodesicPolygon,
     in one pass.  The pairs share one curvature."""
     if len(streams) != len(pairs):
         raise ValueError("need one stream per pair")
-    for K, L in pairs:
-        K.curvature.require_same(L.curvature)
     bodies = [body for pair in pairs for body in pair]
     # (body, circumradius, translation to its circumcenter, body recentered)
     sides = list(zip(bodies, *_recenter(bodies)))
