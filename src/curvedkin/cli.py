@@ -249,10 +249,8 @@ def run_kinematic_suite(config: CampaignConfig, kappa: float,
     gen, mc = rng.split(2)
     bodies = _bodies_for(config, Curvature(kappa), gen, file_bodies)
     pairs = list(zip(bodies[::2], bodies[1::2]))
-    task_streams = mc.split(max(1, len(pairs)))
     estimates = kinematic_lhs_pairs([(ka, kb) for (_, ka), (_, kb) in pairs],
-                                    config.mc_samples,
-                                    task_streams[:len(pairs)])
+                                    config.mc_samples, mc.split(len(pairs)))
     for ((id_a, ka), (id_b, kb)), est in zip(pairs, estimates):
         rhs = kinematic_rhs(ka, kb)
         tol = max(z * est.std_error, 1e-3 * rhs)
@@ -291,9 +289,8 @@ def run_containment_suite(config: CampaignConfig, kappa: float,
         attempts += block
         found_pairs += [pair for pair, ok in zip(
             pairs, containment_criteria(pairs, slack=-1e-3)) if ok]
-    task_streams = search.split(max(1, len(found_pairs)))
     witnesses = find_containments(found_pairs, config.budget,
-                                  task_streams[:len(found_pairs)])
+                                  search.split(len(found_pairs)))
     for i, witness in enumerate(witnesses):
         records.append(_record(
             suite="containment", seed=config.seed, kappa=kappa,

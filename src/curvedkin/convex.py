@@ -298,10 +298,10 @@ def _fit_hemisphere(curv: Curvature, stack: _Stack, normals: np.ndarray,
 
     The sum of the edge normals (G (a + b) for a segment) is tried first,
     then, where that fails, G c for the minidisc center c, which maximizes
-    the worst margin.  A 0/0 normal gives NaN, and a failed minidisc no
-    center: no fit.
+    the worst margin; the minidiscs are solved in one call.  A 0/0 normal
+    gives NaN, and a failed minidisc no center: no fit.
     """
-    from .radii import smallest_enclosing_disc
+    from .radii import _minidiscs
     V, n, g = stack.V, stack.n, curv.point_form
     bound = EPS * np.sqrt((V * V).sum(axis=-1)).max(axis=1)
     u = normals.sum(axis=1)
@@ -311,14 +311,13 @@ def _fit_hemisphere(curv: Curvature, stack: _Stack, normals: np.ndarray,
     with np.errstate(invalid="ignore", divide="ignore"):
         margin = stack.where_real(_dot3(V, u[:, None]), np.inf)
         fits = margin.min(axis=1) / np.sqrt((u * u).sum(axis=-1)) > bound
-        for b in np.flatnonzero(check & ~fits).tolist():
-            va = V[b, :n[b]]
-            try:
-                c, _ = smallest_enclosing_disc(curv, va)
-            except GeometryError:
-                continue
-            c = c * g
-            fits[b] = np.min(va @ c) / np.linalg.norm(c) > bound[b]
+        rest = np.flatnonzero(check & ~fits).tolist()
+        if rest:
+            rows = [V[b, :n[b]] for b in rest]
+            centers, radii = _minidiscs(curv, rows)
+            for b, va, c, r in zip(rest, rows, centers * g, radii.tolist()):
+                fits[b] = (not math.isnan(r)
+                           and np.min(va @ c) / np.linalg.norm(c) > bound[b])
     return fits
 
 

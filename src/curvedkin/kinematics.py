@@ -50,7 +50,6 @@ class KinematicEstimate:
 
 def kinematic_rhs(K: GeodesicPolygon, L: GeodesicPolygon) -> float:
     """Closed form: A_L + P_K P_L / 2pi + A_K - kappa A_K A_L / 2pi."""
-    K.curvature.require_same(L.curvature)
     kappa = K.curvature.kappa
     (ak, al), (pk, pl) = areas([K, L]), perimeters([K, L])
     return al + pk * pl / (2.0 * math.pi) + ak - kappa * ak * al / (2.0 * math.pi)

@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .convex import (_BLOCK_ENTRIES, GeodesicPolygon, _stack_curvature,
-                     area, areas, next_rows, perimeter, perimeters,
-                     triple_indices)
+                     areas, next_rows, perimeters, triple_indices)
 from .surface import (Curvature, GeometryError, SurfacePoint,
                       bisector_normals, cross3, form_dot, gen_asin, gen_sin,
                       normalize_to_surface, squared_chords, validate_rows)
@@ -96,7 +95,8 @@ def _least(score, cand: np.ndarray, width: int) -> tuple[int, float]:
     """Index and value of the least score over the rows of cand, the first
     on ties; (-1, inf) if none.  score maps a block of rows to one value
     each through temporaries of width entries a row; a block holds
-    _BLOCK_ENTRIES, so a working set grown to a large body fits in memory."""
+    _BLOCK_ENTRIES, so an inradius working set grown to a large body fits
+    in memory."""
     best, best_val = -1, math.inf
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     for lo in range(0, len(cand), step):
@@ -121,12 +121,11 @@ def _disc_candidates(curv: Curvature,
     one order.
     """
     (ii, jj), (ti, tj, tk) = _index_arrays(pts.shape[-2])
-    v = np.concatenate([pts[..., ii, :] + pts[..., jj, :],
-                        cross3(bisector_normals(curv, pts[..., ti, :],
-                                                pts[..., tj, :]),
-                               bisector_normals(curv, pts[..., tj, :],
-                                                pts[..., tk, :]))], axis=-2)
-    rim = np.concatenate([pts[..., ii, :], pts[..., ti, :]], axis=-2)
+    pi, pj, a, b, c = (pts.take(i, axis=-2) for i in (ii, jj, ti, tj, tk))
+    v = np.concatenate([pi + pj, cross3(bisector_normals(curv, a, b),
+                                        bisector_normals(curv, b, c))],
+                       axis=-2)
+    rim = np.concatenate([pi, a], axis=-2)
     q = form_dot(curv, v, v)
     ok = q > 0.0
     w = v / np.sqrt(np.where(ok, q, 1.0))[..., None]
@@ -141,35 +140,18 @@ def smallest_enclosing_disc(curv: Curvature,
 
     At most three points lie on its rim, so it is the center of
     ``_disc_candidates`` whose largest squared chord to the points is
-    least, enumerated on a working set S of points as in :func:`inradius`.
-    The disc of S is final if every point lies within the chord of
-    r_S + 1e-12 (1 + r_S); otherwise the farthest point joins S and the
-    round repeats.  A farthest point already in S is outside only by
-    rounding (on the sphere, r_S clamped at pi), so the disc of S is
-    returned; S grows every round, and the loop ends.
+    least, enumerated on a working set S of points as in :func:`inradius`
+    and certified against all of them (:func:`_minidiscs`).
 
     On the sphere a disc is kept only where it lies on its rim points'
     side, so the result is the smallest only for points in an open
     hemisphere, the only ones the library relies on.  For other points it
     is an enclosing disc of radius at least ``hemisphere_limit``.
     """
-    work = _first_working_set(len(coords))
-    while True:
-        pts = coords[work]
-        cand, ok = _disc_candidates(curv, pts)
-        cand = cand[ok]
-        i, far = _least(
-            lambda c: squared_chords(curv, c[:, None], pts).max(axis=1),
-            cand, 3 * len(pts))
-        if i < 0:
-            raise GeometryError("minidisc failed (degenerate input)")
-        r = float(2.0 * gen_asin(curv, 0.5 * math.sqrt(max(0.0, far))))
-        chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
-        out = squared_chords(curv, cand[i], coords)
-        j = int(np.argmax(out))
-        if not out[j] > chord * chord or j in work:
-            return cand[i], r
-        work = np.union1d(work, [j])
+    centers, radii = _minidiscs(curv, [coords])
+    if math.isnan(radii[0]):
+        raise GeometryError("minidisc failed (degenerate input)")
+    return centers[0], float(radii[0])
 
 
 def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
@@ -180,66 +162,88 @@ def circumradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
 
 def circumradii(bodies: Sequence[GeodesicPolygon]
                 ) -> tuple[list[float], np.ndarray]:
-    """:func:`circumradius` of each body, bit for bit: the radii, and the
-    centers as a (B, 3) array of rows, each checked as
-    :class:`SurfacePoint` checks a point.  The bodies share one curvature;
-    the first, in order, that fails raises its one-by-one error.
-
-    A body of at most _FIRST_WORKING_SET vertices is its own first working
-    set, so its first disc is final: such bodies are solved in stacks of
-    one vertex count (:func:`_stacked_discs`).  A larger body goes through
-    :func:`smallest_enclosing_disc`'s rounds alone.
-    """
+    """:func:`circumradius` of each body: the radii, and the centers as a
+    (B, 3) array of rows, each checked as :class:`SurfacePoint` checks a
+    point.  The bodies share one curvature; the first, in order, that fails
+    raises its one-by-one error."""
     if not bodies:
         return [], np.empty((0, 3))
     curv = _stack_curvature(bodies)
-    coords = [K.vertex_array for K in bodies]
-    same_size = {}
-    for b, va in enumerate(coords):
-        if len(va) <= _FIRST_WORKING_SET:
-            same_size.setdefault(len(va), []).append(b)
-    centers, radii = np.empty((len(bodies), 3)), [math.nan] * len(bodies)
-    for group in same_size.values():
-        centers[group], r = _stacked_discs(
-            curv, np.stack([coords[b] for b in group]))
-        for b, rb in zip(group, r.tolist()):
-            radii[b] = rb
-    for b, va in enumerate(coords):
-        if len(va) > _FIRST_WORKING_SET:
-            centers[b], radii[b] = smallest_enclosing_disc(curv, va)
-        elif math.isnan(radii[b]):
+    centers, radii = _minidiscs(curv, [K.vertex_array for K in bodies])
+    for b, r in enumerate(radii.tolist()):
+        if math.isnan(r):
             raise GeometryError("minidisc failed (degenerate input)")
-        if radii[b] >= curv.hemisphere_limit:
+        if r >= curv.hemisphere_limit:
             raise GeometryError("enclosing disc leaves the hemisphere; "
                                 "polygon violates the convexity convention")
         validate_rows(curv, centers[b:b + 1])
-    return radii, centers
+    return radii.tolist(), centers
+
+
+def _minidiscs(curv: Curvature, coords: Sequence[np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The minidisc of each (n, 3) point array of coords: the centers as
+    rows of a (B, 3) array and the radii; radius NaN where no candidate
+    has a finite largest chord (NaN rows).
+
+    Each set's working set S starts as _first_working_set.  A round solves
+    the working sets of one size as one stack (:func:`_stacked_discs`).  A
+    set that is its own working set is done; any other disc is final if
+    every point lies within the chord of r_S + 1e-12 (1 + r_S), else the
+    farthest point joins S for the next round.  A farthest point already in
+    S is outside only by rounding (on the sphere, r_S clamped at pi), so the
+    disc of S is kept; S grows every round, and the loop ends.
+    """
+    work = [_first_working_set(len(c)) for c in coords]
+    centers, radii = np.empty((len(coords), 3)), np.empty(len(coords))
+    left = range(len(coords))
+    while left:
+        same_size = {}
+        for b in left:
+            same_size.setdefault(len(work[b]), []).append(b)
+        left = []
+        for group in same_size.values():
+            centers[group], radii[group] = _stacked_discs(
+                curv, np.stack([coords[b][work[b]] for b in group]))
+            for b, r in zip(group, radii[group].tolist()):
+                if len(work[b]) == len(coords[b]) or math.isnan(r):
+                    continue
+                chord = 2.0 * gen_sin(curv, 0.5 * (r + 1e-12 * (1.0 + r)))
+                out = squared_chords(curv, centers[b], coords[b])
+                j = int(np.argmax(out))
+                if out[j] > chord * chord and j not in work[b]:
+                    work[b] = np.union1d(work[b], [j])
+                    left.append(b)
+    return centers, radii
 
 
 def _stacked_discs(curv: Curvature,
                    pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The center and radius of :func:`smallest_enclosing_disc` of each
-    (m, 3) set of the (B, m, 3) stack pts, m <= _FIRST_WORKING_SET, bit for
-    bit, a block of sets at a time; radius NaN where it finds no center.
+    """The center and radius of the smallest disc of each (m, 3) set of the
+    (B, m, 3) stack pts, a block of sets at a time; radius NaN where it
+    finds no center.
 
-    As one set's round: the candidate whose largest squared chord to the
-    set is least, the first on ties.  Candidates that are no center are
-    masked, not dropped, so that each set's keep their order.
+    The candidate whose largest squared chord to its set is least wins,
+    the first on ties.  Candidates that are no center are masked, not
+    dropped, so that each set's keep their order.  The chords are taken a
+    block of candidates at a time, so that a grown set's temporaries stay
+    within _BLOCK_ENTRIES.
     """
     m = pts.shape[1]
-    width = 3 * m * (m + math.comb(m, 2) + math.comb(m, 3))
-    step = max(1, _BLOCK_ENTRIES // width)
+    n_cand = m + math.comb(m, 2) + math.comb(m, 3)
+    step = max(1, _BLOCK_ENTRIES // (3 * m * n_cand))
     centers, radii = np.empty((len(pts), 3)), np.empty(len(pts))
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
         cand, ok = _disc_candidates(curv, block)
-        far = np.where(ok, squared_chords(curv, cand[:, :, None],
-                                          block[:, None]).max(axis=-1),
-                       math.inf)
-        i = far.argmin(axis=1)
-        rows = np.arange(len(block))
-        far = far[rows, i]
-        centers[lo:lo + step] = cand[rows, i]
+        width = max(1, _BLOCK_ENTRIES // (3 * m * len(block)))
+        far = np.where(ok, np.concatenate([
+            squared_chords(curv, cand[:, s:s + width, None],
+                           block[:, None]).max(axis=-1)
+            for s in range(0, n_cand, width)], axis=1), math.inf)
+        centers[lo:lo + step] = cand[np.arange(len(block)),
+                                     far.argmin(axis=1)]
+        far = far.min(axis=1)
         radii[lo:lo + step] = np.where(
             far < math.inf,
             2.0 * gen_asin(curv, 0.5 * np.sqrt(np.maximum(0.0, far))), np.nan)
@@ -359,17 +363,13 @@ def inradius(K: GeodesicPolygon) -> tuple[float, SurfacePoint]:
 
 def metrics(K: GeodesicPolygon) -> BodyMetrics:
     """All four scalar quantities of a body plus both centers."""
-    A, P = area(K), perimeter(K)
-    r, inc = inradius(K)
-    R, circ = circumradius(K)
-    return BodyMetrics(A=A, P=P, r_in=r, R_circ=R, incenter=inc,
-                       circumcenter=circ)
+    return metrics_stack([K])[0]
 
 
 def metrics_stack(bodies: Sequence[GeodesicPolygon]) -> list[BodyMetrics]:
-    """:func:`metrics` of each body, bit for bit: the areas, perimeters and
-    circumradii in one pass over their stack, the inradii body by body.
-    The bodies share one curvature."""
+    """:func:`metrics` of each body: the areas, perimeters and circumradii
+    in one pass over their stack, the inradii body by body.  The bodies
+    share one curvature."""
     A, P = areas(bodies), perimeters(bodies)
     inradii = [inradius(K) for K in bodies]
     R, centers = circumradii(bodies)

@@ -124,6 +124,10 @@ class TestSphereBounds:
     def test_regime_guard(self):
         with pytest.raises(GeometryError):
             sphere_bounds(fake_metrics(-1.0, 1.0, 4.0, 0.4, 0.5))
+        # The whole sphere's area, 4 pi / kappa, is no convex body's.
+        with pytest.raises(GeometryError,
+                           match="not a proper subset of the sphere"):
+            sphere_bounds(fake_metrics(1.0, FOUR_PI, 4.0, 0.4, 0.5))
 
 
 class TestHyperbolicBounds:
@@ -245,6 +249,11 @@ class TestQuadraticWitness:
         m = fake_metrics(0.0, math.pi * rho ** 2, TWO_PI * rho, rho, rho)
         with pytest.raises(GeometryError):
             quadratic_witness(c, m)
+        # t^2 + kappa P^2 = (2 pi + 1)^2 - 100 < 0: a leading coefficient
+        # of the wrong sign.
+        with pytest.raises(GeometryError, match="sign condition"):
+            quadratic_witness(Curvature(-1.0),
+                              fake_metrics(-1.0, 1.0, 10.0, 0.1, 0.5))
 
     @pytest.mark.parametrize("kappa", [2.0, 1.0, 0.25, 0.0, -0.25, -1.0,
                                        -2.0])

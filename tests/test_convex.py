@@ -62,6 +62,9 @@ class TestConstruction:
         q = exp_at_base(Curvature(-1.0), 0.7, 2.0)
         assert point_body(p).dim == 0
         assert segment_body(p, q).dim == 1
+        with pytest.raises(GeometryError,
+                           match="regular polygon needs n >= 3"):
+            regular_ngon(Curvature(-1.0), 0.5, 2)
 
     def test_pickled_copy_stays_read_only(self):
         # As the campaign sends a body file's bodies to its workers.

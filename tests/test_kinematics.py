@@ -1094,8 +1094,15 @@ class TestBodyContains:
         assert seen == {True, False}
 
     def test_curvature_mismatch(self):
-        with pytest.raises(CurvatureMismatch):
-            body_contains(unit_square(), octant_triangle())
+        # Each pair entry point raises the one error, whichever of its
+        # checks meets the pair first.
+        for call in (body_contains, kinematic_rhs, containment_criterion,
+                     lambda K, L: kinematic_lhs(K, L, 2000, RandomStream(0)),
+                     lambda K, L: find_containment(K, L, 100,
+                                                   RandomStream(0))):
+            with pytest.raises(CurvatureMismatch,
+                               match="curvatures differ: 0.0 vs 1.0"):
+                call(unit_square(), octant_triangle())
 
 
 class TestBoundaryCountInequality:
@@ -1241,6 +1248,8 @@ class TestStackedPairs:
                 assert g.matrix.tobytes() == g1.matrix.tobytes()
         for s, s1 in zip(streams, alone):
             assert next_draws(s.generator) == next_draws(s1.generator)
+        with pytest.raises(ValueError, match="one stream per pair"):
+            kinematics.find_containments(pairs, 2000, streams[1:])
 
     @pytest.mark.parametrize("kappa", REGIME_KAPPAS)
     def test_recentering_builds_no_point_and_no_one_body_stack(

@@ -754,8 +754,8 @@ def rounds(monkeypatch):
     enumerate_supports = radii._disc_candidates
 
     def counted(curv, pts):
-        assert not sizes or len(pts) > sizes[-1], sizes
-        sizes.append(len(pts))
+        assert not sizes or pts.shape[-2] > sizes[-1], sizes
+        sizes.append(pts.shape[-2])
         return enumerate_supports(curv, pts)
 
     monkeypatch.setattr(radii, "_disc_candidates", counted)
@@ -830,6 +830,9 @@ class TestSupportEnumeration:
         # Welzl measured to one end, the enumeration to the farther one.
         assert abs(r - 0.5) <= 2 * np.spacing(0.5), r
         assert abs(r - r0) <= 2 * np.spacing(0.5), (r, r0)
+        # NaN rows give no candidate a finite largest chord.
+        with pytest.raises(GeometryError, match="minidisc failed"):
+            smallest_enclosing_disc(curv, np.full((4, 3), np.nan))
 
     def test_hyperbolic_hexagon_at_radius_18(self):
         curv = Curvature(-1.0)

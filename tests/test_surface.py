@@ -145,6 +145,8 @@ class TestSurfacePoint:
     def test_quadric_violation_rejected(self):
         with pytest.raises(GeometryError):
             SurfacePoint(np.array([1.0, 0.0, 1.0]), Curvature(1.0))
+        with pytest.raises(GeometryError, match="expected 3 coordinates"):
+            SurfacePoint(np.array([0.0, 1.0]), Curvature(1.0))
 
     def test_lower_sheet_rejected(self):
         with pytest.raises(GeometryError):
@@ -388,6 +390,8 @@ class TestIsometry:
         g = translation_by_polar(c, 0.7, 0.4) @ spin
         h = g @ g.inverse()
         assert np.allclose(h.matrix, np.eye(3), atol=1e-12)
+        with pytest.raises(GeometryError, match="expected 3x3 matrix"):
+            Isometry(np.eye(2), c)
 
 
 class TestRandomStream:
@@ -688,6 +692,9 @@ class TestMotionColumns:
             assert np.array_equal(a, a0) and np.array_equal(b, b0)
         assert np.allclose(a, a0, rtol=1e-12, atol=0.0)
         assert np.allclose(b, b0, rtol=1e-12, atol=0.0)
+        with pytest.raises(GeometryError,
+                           match="support radius must be positive"):
+            sample_motions(c, 0.0, 1000, RandomStream(29))
 
     @pytest.mark.parametrize("kappa", ALL_KAPPAS)
     def test_radial_pair_matches_mpmath(self, kappa):
